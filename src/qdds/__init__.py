@@ -11,9 +11,7 @@ with CSV/SVG/JSON artifacts, and a CLI (`qdds`).
 
 from .engine import (
     EventCounters,
-    ParticleState,
     RunResult,
-    StepContext,
     Swarm,
     SwarmConfig,
     blend_with_gbest,
@@ -46,7 +44,7 @@ from .harness import (
     emit_plot,
     emit_report,
     emit_response_plot,
-    emit_trace,
+    emit_stacked_traces,
     run_experiment,
     run_trial,
 )
@@ -65,13 +63,11 @@ from .well import (
     DELTA_MAX,
     DELTA_MIN,
     EXP_ARG_LIMIT,
-    DeltaHistory,
     UnsolvableDeltaError,
     WaveProbe,
     WellParams,
     confinement_integral,
     delta_of_r,
-    delta_update,
     delta_update_arrays,
     learning_rate,
     psi_even,

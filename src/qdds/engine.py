@@ -13,6 +13,7 @@ identical (config, objective, seed) produce bitwise identical runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -21,7 +22,6 @@ import numpy as np
 from .objectives import Objective
 from .well import (
     EXP_ARG_LIMIT,
-    DeltaHistory,
     WellParams,
     delta_of_r,
     delta_update_arrays,
@@ -31,8 +31,6 @@ from .well import (
 
 __all__ = [
     "SwarmConfig",
-    "ParticleState",
-    "StepContext",
     "EventCounters",
     "RunResult",
     "Swarm",
@@ -103,31 +101,6 @@ class SwarmConfig:
 
 
 @dataclass
-class ParticleState:
-    """Read-only per-particle view: position vector plus delta histories."""
-
-    position: np.ndarray
-    history: list[DeltaHistory]
-
-    def __post_init__(self) -> None:
-        if len(self.position) != len(self.history):
-            raise ValueError("position and history must share a dimension")
-
-
-@dataclass(frozen=True)
-class StepContext:
-    """Per-update draw record: which particle, its blend weight, the rate."""
-
-    selected_particle: int
-    rho: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must be in [0, 1], got {self.rho}")
-
-
-@dataclass
 class EventCounters:
     """Diagnostic tallies, all counted per dimension occurrence."""
 
@@ -178,14 +151,6 @@ class Swarm:
     rng: np.random.Generator
     events: EventCounters = field(default_factory=EventCounters)
     trace: list[tuple[int, float, int]] = field(default_factory=list)
-    last_context: StepContext | None = None
-
-    def particle(self, index: int) -> ParticleState:
-        history = [
-            DeltaHistory(float(self.delta_prev[index, d]), float(self.delta_prev2[index, d]))
-            for d in range(self.config.dimension)
-        ]
-        return ParticleState(position=self.positions[index].copy(), history=history)
 
 
 def blend_with_gbest(raw, gbest, rho):
@@ -206,7 +171,8 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
     delta window (delta_prev2 from r1, delta_prev from r2); the current
     position is r2. Both full position vectors of every particle are
     evaluated, so eval_count starts at 2*population and best_cost at
-    the minimum seen. The iteration counter starts at 3.
+    the minimum seen, with a NaN cost ranked as +inf. The iteration
+    counter starts at 3.
     """
     if objective.dimension != config.dimension:
         raise ValueError(
@@ -229,6 +195,9 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
 
     costs1 = np.array([objective.evaluate(r1[p]) for p in range(config.population)])
     costs2 = np.array([objective.evaluate(r2[p]) for p in range(config.population)])
+    # np.argmin picks a NaN, and no later cost compares below NaN
+    costs1[np.isnan(costs1)] = np.inf
+    costs2[np.isnan(costs2)] = np.inf
     best1 = int(np.argmin(costs1))
     if costs2.min() < costs1[best1]:
         best2 = int(np.argmin(costs2))
@@ -271,7 +240,6 @@ def _update_particle(swarm: Swarm, objective: Objective, p: int, theta: float) -
 
     rho = float(swarm.rng.uniform())
     blended = blend_with_gbest(r_raw, swarm.best_solution, rho)
-    swarm.last_context = StepContext(selected_particle=p, rho=rho, theta=theta)
 
     cost = objective.evaluate(blended)
     swarm.eval_count += 1
@@ -307,10 +275,18 @@ def step(swarm: Swarm, objective: Objective) -> Swarm:
 
 
 def run(config: SwarmConfig, objective: Objective) -> RunResult:
-    """Initialize and step until the iteration counter reaches max_iter."""
+    """Initialize and step until the iteration counter reaches max_iter.
+
+    Raises ValueError when no evaluation produced a finite best cost.
+    """
     swarm = init_swarm(config, objective)
     while swarm.iteration < config.well.max_iter:
         step(swarm, objective)
+    if not math.isfinite(swarm.best_cost):
+        raise ValueError(
+            f"no finite cost in {swarm.eval_count} evaluations of "
+            f"{objective.name!r}: best_cost = {swarm.best_cost!r}"
+        )
     return RunResult(
         best_cost=swarm.best_cost,
         best_solution=swarm.best_solution.copy(),

@@ -46,8 +46,9 @@ class FilterSpec:
 
     n_coeff is the total coefficient count of the filter (the design's
     advertised order); with symmetric=True only the first
-    ceil(n_coeff/2) coefficients are free and the rest mirror them.
-    Band edges are in radians with 0 < omega_p < omega_s < pi.
+    ceil(n_coeff/2) coefficients are free and the rest mirror them, the
+    centre tap of an odd count included once. Band edges are in radians
+    with 0 < omega_p < omega_s < pi.
     """
 
     n_coeff: int = 10
@@ -74,6 +75,25 @@ class FilterSpec:
     def free_dimension(self) -> int:
         """Number of independent design variables."""
         return (self.n_coeff + 1) // 2 if self.symmetric else self.n_coeff
+
+    def taps(self, x) -> np.ndarray:
+        """The n_coeff filter taps for a vector of free design variables.
+
+        Symmetric designs mirror the free half: an even count is the
+        half and its reverse (linear-phase Type II), an odd count
+        mirrors all but the last free variable, which becomes the
+        centre tap (Type I).
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.free_dimension,):
+            raise ValueError(
+                f"expected {self.free_dimension} free variables, got shape {x.shape}"
+            )
+        if not self.symmetric:
+            return x
+        if self.n_coeff % 2:
+            return np.concatenate([x, x[-2::-1]])
+        return expand_symmetric(x)
 
 
 @dataclass(frozen=True)
@@ -164,15 +184,9 @@ def evaluate_filter(h, spec: FilterSpec) -> FilterEval:
 
 def make_filter_objective(spec: FilterSpec) -> Objective:
     """Wrap a design spec as an engine objective over the free variables."""
-    if spec.symmetric:
 
-        def evaluate(x) -> float:
-            return fir_cost(expand_symmetric(x), spec)
-
-    else:
-
-        def evaluate(x) -> float:
-            return fir_cost(x, spec)
+    def evaluate(x) -> float:
+        return fir_cost(spec.taps(x), spec)
 
     return Objective(
         name=f"fir-{spec.n_coeff}",

@@ -22,13 +22,7 @@ from itertools import repeat
 import numpy as np
 
 from .engine import RunResult, SwarmConfig, run
-from .filters import (
-    FilterSpec,
-    evaluate_filter,
-    expand_symmetric,
-    make_filter_objective,
-    write_coefficients,
-)
+from .filters import FilterSpec, evaluate_filter, make_filter_objective, write_coefficients
 from .objectives import BENCHMARK_NAMES, Objective, make_benchmark
 from .svg import line_plot
 from .well import WellParams
@@ -41,7 +35,7 @@ __all__ = [
     "build_problem",
     "run_trial",
     "run_experiment",
-    "emit_trace",
+    "emit_stacked_traces",
     "emit_plot",
     "emit_response_plot",
     "emit_report",
@@ -183,26 +177,21 @@ def run_trial(config: ExperimentConfig, trial: int) -> RunResult:
     return run(_swarm_config(config, objective, trial), objective)
 
 
-def _trace_lines(result: RunResult, trial: int):
-    for iteration, best_cost, eval_count in result.trace:
-        yield f"{trial},{iteration},{best_cost!r},{eval_count}\n"
+def emit_stacked_traces(traces, path) -> None:
+    """Trace CSV of all trials: trial,iter,best_cost,eval_count.
 
-
-def emit_trace(result: RunResult, path, trial: int = 0) -> None:
-    """Write one run's trace CSV: trial,iter,best_cost,eval_count."""
+    traces is a sequence of trace row lists as stored on RunResult,
+    indexed by trial; costs are written in repr precision so the file
+    parses back bit-exactly.
+    """
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write("trial,iter,best_cost,eval_count\n")
-            fh.writelines(_trace_lines(result, trial))
+            for trial, rows in enumerate(traces):
+                for iteration, best_cost, eval_count in rows:
+                    fh.write(f"{trial},{iteration},{best_cost!r},{eval_count}\n")
     except OSError as exc:
-        raise OSError(f"writing trace to {path}: {exc}") from exc
-
-
-def _emit_traces_stacked(results, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("trial,iter,best_cost,eval_count\n")
-        for trial, result in enumerate(results):
-            fh.writelines(_trace_lines(result, trial))
+        raise OSError(f"writing traces to {path}: {exc}") from exc
 
 
 def emit_plot(traces, path, *, title: str = "", log_y: bool | None = None) -> None:
@@ -297,7 +286,7 @@ def build_report(
     if spec is not None:
         best_idx = int(np.argmin([r.best_cost for r in results]))
         best = results[best_idx]
-        h = expand_symmetric(best.best_solution) if spec.symmetric else best.best_solution
+        h = spec.taps(best.best_solution)
         ev = evaluate_filter(h, spec)
         report["fir"] = {
             "best_trial": best_idx,
@@ -313,15 +302,13 @@ def build_report(
     return report
 
 
-def emit_report(config, stats, results, path, elapsed_seconds=None) -> dict:
-    """Write the canonical JSON report; returns the document."""
-    report = build_report(config, stats, results, elapsed_seconds)
+def emit_report(report: dict, path) -> None:
+    """Write a report document built by build_report as canonical JSON."""
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(canonical_json(report))
     except OSError as exc:
         raise OSError(f"writing report to {path}: {exc}") from exc
-    return report
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[TrialStats, dict]:
@@ -346,19 +333,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[TrialStats, dict]:
 
     stats = aggregate_stats([r.best_cost for r in results])
     label = config.resolved_label()
+    traces = [r.trace for r in results]
 
     if "traces" in config.emit:
-        _emit_traces_stacked(results, os.path.join(out, f"{label}_traces.csv"))
+        emit_stacked_traces(traces, os.path.join(out, f"{label}_traces.csv"))
     if "plots" in config.emit:
-        emit_plot(
-            [r.trace for r in results],
-            os.path.join(out, f"{label}_convergence.svg"),
-            title=label,
-        )
+        emit_plot(traces, os.path.join(out, f"{label}_convergence.svg"), title=label)
     report = build_report(config, stats, results, elapsed)
     if "report" in config.emit:
-        with open(os.path.join(out, f"{label}_report.json"), "w", encoding="ascii") as fh:
-            fh.write(canonical_json(report))
+        emit_report(report, os.path.join(out, f"{label}_report.json"))
     if config.objective == "fir":
         h = np.asarray(report["fir"]["coefficients"])
         if "plots" in config.emit:

@@ -30,13 +30,11 @@ __all__ = [
     "DELTA_MAX",
     "UnsolvableDeltaError",
     "WellParams",
-    "DeltaHistory",
     "WaveProbe",
     "delta_of_r",
     "r_of_delta",
     "solve_r_batch",
     "learning_rate",
-    "delta_update",
     "delta_update_arrays",
     "psi_even",
     "confinement_integral",
@@ -95,18 +93,6 @@ class WellParams:
             raise ValueError(f"max_iter must be >= 3, got {self.max_iter}")
         if self.lam is not None and not math.isfinite(self.lam):
             raise ValueError(f"lam must be finite, got {self.lam}")
-
-
-@dataclass
-class DeltaHistory:
-    """Two-deep delta window for one dimension: values at t-1 and t-2."""
-
-    delta_prev: float
-    delta_prev2: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta_prev) and math.isfinite(self.delta_prev2)):
-            raise ValueError("delta history must be finite")
 
 
 @dataclass(frozen=True)
@@ -259,32 +245,16 @@ def learning_rate(iteration, max_iter, epsilon):
     return (1.0 - epsilon) * (max_iter - iteration) / max_iter + epsilon
 
 
-def delta_update(hist: DeltaHistory, theta: float, lam: float) -> float:
+def delta_update_arrays(delta_prev, delta_prev2, theta, lam):
     """Gated delta update: push back toward the band, scaled by theta*lam.
 
-    The gradient surrogate is the discrete difference
-    grad = delta_prev - delta_prev2. When delta_prev escapes the band
-    (0.5*delta_prev2, 2*delta_prev2) the update nudges it by
-    -theta*grad*lam with the sign arranged per escape direction;
-    in-band (or zero-gradient) histories pass through unchanged.
-    Branches are checked in fixed order, first match wins, which matters
-    when delta_prev2 < 0 flips the band inequalities.
-    """
-    dp, dp2 = hist.delta_prev, hist.delta_prev2
-    grad = dp - dp2
-    if dp > 2.0 * dp2 and grad > 0.0:
-        return dp - theta * grad * lam
-    if dp > 2.0 * dp2 and grad < 0.0:
-        return dp + theta * grad * lam
-    if dp < 0.5 * dp2 and grad < 0.0:
-        return dp - theta * grad * lam
-    if dp < 0.5 * dp2 and grad > 0.0:
-        return dp + theta * grad * lam
-    return dp
-
-
-def delta_update_arrays(delta_prev, delta_prev2, theta, lam):
-    """Array form of delta_update over matching-shape histories.
+    Works elementwise over matching-shape histories. The gradient
+    surrogate is the discrete difference grad = delta_prev - delta_prev2.
+    When delta_prev escapes the band (0.5*delta_prev2, 2*delta_prev2)
+    the update nudges it by -theta*grad*lam with the sign arranged per
+    escape direction; in-band (or zero-gradient) histories pass through
+    unchanged. Branches are checked in fixed order, first match wins,
+    which matters when delta_prev2 < 0 flips the band inequalities.
 
     Returns (delta_new, branch_fired) where branch_fired marks elements
     on which some escape branch applied (its complement counts the

@@ -36,7 +36,7 @@ from qdds.validate import (
     check_confinement,
     check_round_trip,
 )
-from qdds.well import DeltaHistory, WellParams, delta_update
+from qdds.well import WellParams, delta_update_arrays
 
 
 def verdict(number: int, ok: bool, detail: str) -> None:
@@ -187,11 +187,11 @@ def test_criterion_5_engine_invariant_suite():
         lam = float(rng.uniform(0.0, 2e-3))
         dp2 = float(rng.uniform(1e-3, 1e3))
         dp_in = float(rng.uniform(0.51, 1.99)) * dp2
-        assert delta_update(DeltaHistory(dp_in, dp2), theta, lam) == dp_in
+        assert delta_update_arrays(dp_in, dp2, theta, lam)[0] == dp_in
         dp_above = float(rng.uniform(2.01, 4.0)) * dp2
-        assert delta_update(DeltaHistory(dp_above, dp2), theta, lam) <= dp_above
+        assert delta_update_arrays(dp_above, dp2, theta, lam)[0] <= dp_above
         dp_below = float(rng.uniform(0.0, 0.49)) * dp2
-        assert delta_update(DeltaHistory(dp_below, dp2), theta, lam) >= dp_below
+        assert delta_update_arrays(dp_below, dp2, theta, lam)[0] >= dp_below
 
         # frozen dynamics at lam = 0 under pre-blend rebinding
         if i % 20 == 0:

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from qdds.cli import main
+from qdds.filters import FilterSpec, fir_band_errors, read_coefficients
 from qdds.presets import preset_names
 
 
@@ -88,6 +90,27 @@ class TestFir:
         assert (tmp_path / "fir-10_coefficients.csv").exists()
         report = json.loads((tmp_path / "fir-10_report.json").read_text())
         assert len(report["fir"]["coefficients"]) == 10
+
+    def test_odd_order_writes_that_many_taps(self, tmp_path):
+        args = [
+            "fir",
+            "--order", "11",
+            "--pop", "4",
+            "--iters", "5",
+            "--trials", "1",
+            "--out", str(tmp_path),
+        ]
+        assert main(args) == 0
+        h = read_coefficients(tmp_path / "fir-11_coefficients.csv")
+        assert h.size == 11
+        assert np.array_equal(h, h[::-1])
+        report = json.loads((tmp_path / "fir-11_report.json").read_text())
+        assert len(report["trials"][0]["best_solution"]) == 6
+        assert report["fir"]["coefficients"] == h.tolist()
+        spec = FilterSpec(n_coeff=11)
+        e_p, e_s = fir_band_errors(h, spec)
+        assert report["fir"]["e_p"] == e_p
+        assert report["fir"]["gamma"] == spec.eta * e_p + (1.0 - spec.eta) * e_s
 
     def test_band_edges_are_pi_fractions(self, tmp_path):
         args = [

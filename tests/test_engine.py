@@ -1,5 +1,8 @@
 """Swarm engine: config guards, init/step semantics, run invariants."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +10,6 @@ from hypothesis import strategies as st
 
 from qdds.engine import (
     EventCounters,
-    StepContext,
     SwarmConfig,
     blend_with_gbest,
     init_swarm,
@@ -15,7 +17,13 @@ from qdds.engine import (
     step,
 )
 from qdds.objectives import make_benchmark
-from qdds.well import WellParams, delta_of_r, learning_rate
+from qdds.well import (
+    WellParams,
+    delta_of_r,
+    delta_update_arrays,
+    learning_rate,
+    solve_r_batch,
+)
 
 
 def config(**kwargs):
@@ -163,30 +171,55 @@ class TestStep:
         swarm = init_swarm(cfg, obj)
         before = swarm.positions.copy()
         step(swarm, obj)
-        p = swarm.last_context.selected_particle
-        others = [i for i in range(cfg.population) if i != p]
-        assert np.array_equal(swarm.positions[others], before[others])
+        changed = np.any(swarm.positions != before, axis=1)
+        assert changed.sum() == 1
         assert swarm.eval_count == 2 * cfg.population + 1
         assert swarm.iteration == 4
         assert len(swarm.trace) == 4
 
     def test_sweep_updates_all_particles(self):
         cfg = config(mode="sweep", seed=3)
-        obj = make_benchmark("rastrigin", cfg.dimension)
+        base = make_benchmark("rastrigin", cfg.dimension)
+        evaluated = []
+
+        def evaluate(x):
+            evaluated.append(x.copy())
+            return base.evaluate(x)
+
+        obj = replace(base, evaluate=evaluate)
         swarm = init_swarm(cfg, obj)
+        evaluated.clear()
         step(swarm, obj)
         assert swarm.eval_count == 2 * cfg.population + cfg.population
-        assert swarm.last_context.selected_particle == cfg.population - 1
+        # each blended point becomes its particle's position: recover the order
+        order = [
+            int(np.flatnonzero(np.all(swarm.positions == x, axis=1))[0]) for x in evaluated
+        ]
+        assert order == list(range(cfg.population))
 
-    def test_context_records_schedule(self):
+    def test_step_replays_seeded_schedule(self):
         cfg = config()
         obj = make_benchmark("sphere", cfg.dimension)
         swarm = init_swarm(cfg, obj)
+        before = swarm.positions.copy()
+        dp, dp2 = swarm.delta_prev.copy(), swarm.delta_prev2.copy()
+        gbest = swarm.best_solution.copy()
         step(swarm, obj)
-        ctx = swarm.last_context
-        assert 0 <= ctx.selected_particle < cfg.population
-        assert 0.0 <= ctx.rho <= 1.0
-        assert ctx.theta == learning_rate(3, cfg.well.max_iter, cfg.well.epsilon)
+
+        rng = np.random.default_rng(cfg.seed)
+        rng.normal(0.0, 0.5)  # lam
+        rng.uniform(-2.0, 2.0, (cfg.population, cfg.dimension))  # r1
+        rng.uniform(-2.0, 2.0, (cfg.population, cfg.dimension))  # r2
+        p = int(rng.integers(cfg.population))
+        rho = float(rng.uniform())
+        assert 0 <= p < cfg.population
+        assert 0.0 <= rho <= 1.0
+        theta = learning_rate(3, cfg.well.max_iter, cfg.well.epsilon)
+        delta_new, _ = delta_update_arrays(dp[p], dp2[p], theta, swarm.lam)
+        r_raw, solved, _ = solve_r_batch(delta_new, cfg.well.k)
+        assert solved.all()
+        assert np.array_equal(swarm.positions[p], blend_with_gbest(r_raw, gbest, rho))
+        assert np.flatnonzero(np.any(swarm.positions != before, axis=1)).tolist() == [p]
 
     def test_step_past_max_iter_rejected(self):
         cfg = config(well=WellParams(max_iter=4))
@@ -218,8 +251,9 @@ class TestStep:
         assert np.allclose(swarm.positions, 0.1, atol=1e-9)
 
     def test_rho_validation(self):
-        with pytest.raises(ValueError):
-            StepContext(selected_particle=0, rho=1.2, theta=0.5)
+        for rho in (1.2, -0.1):
+            with pytest.raises(ValueError, match="rho"):
+                blend_with_gbest([1.0], [2.0], rho)
 
 
 class TestRun:
@@ -297,6 +331,25 @@ class TestRun:
         assert 0 <= events["in_band"] <= updates * cfg.dimension
         assert events["solver_fallback"] >= 0
         assert events["guard_clamp"] >= 0
+
+    def test_nan_cost_at_init_does_not_poison_best(self):
+        cfg = config(seed=5)
+        base = make_benchmark("sphere", cfg.dimension)
+        calls = []
+
+        def evaluate(x):
+            calls.append(None)
+            return float("nan") if len(calls) == 1 else base.evaluate(x)
+
+        res = run(cfg, replace(base, evaluate=evaluate))
+        assert math.isfinite(res.best_cost)
+        assert all(math.isfinite(row[1]) for row in res.trace)
+        assert base.evaluate(res.best_solution) == res.best_cost
+
+    def test_all_nan_costs_raise(self):
+        obj = replace(make_benchmark("sphere", 3), evaluate=lambda x: float("nan"))
+        with pytest.raises(ValueError, match="no finite cost"):
+            run(config(), obj)
 
     def test_frozen_dynamics_with_zero_lam(self):
         cfg = config(

@@ -53,6 +53,17 @@ class TestFilterSpec:
         assert FilterSpec(n_coeff=7).free_dimension == 4
         assert FilterSpec(n_coeff=10, symmetric=False).free_dimension == 10
 
+    def test_taps(self):
+        assert FilterSpec(n_coeff=4).taps([1.0, 2.0]).tolist() == [1.0, 2.0, 2.0, 1.0]
+        assert FilterSpec(n_coeff=7).taps([1.0, 2.0, 3.0, 4.0]).tolist() == [
+            1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0
+        ]
+        assert FilterSpec(n_coeff=3, symmetric=False).taps([1.0, 2.0, 3.0]).tolist() == [
+            1.0, 2.0, 3.0
+        ]
+        with pytest.raises(ValueError, match="free variables"):
+            FilterSpec(n_coeff=7).taps([1.0, 2.0, 3.0])
+
     def test_band_edge_validation(self):
         with pytest.raises(ValueError):
             FilterSpec(omega_p=0.6 * math.pi, omega_s=0.3 * math.pi)

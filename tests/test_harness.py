@@ -18,7 +18,7 @@ from qdds.harness import (
     emit_plot,
     emit_report,
     emit_response_plot,
-    emit_trace,
+    emit_stacked_traces,
     run_experiment,
     run_trial,
 )
@@ -154,31 +154,33 @@ class TestRunTrial:
 class TestEmitTrace:
     def test_csv_contract(self, tmp_path):
         cfg = tiny_config(iterations=15)
-        result = run_trial(cfg, 0)
+        results = [run_trial(cfg, t) for t in range(2)]
         path = tmp_path / "trace.csv"
-        emit_trace(result, path, trial=4)
+        emit_stacked_traces([r.trace for r in results], path)
         lines = path.read_text().splitlines()
         assert lines[0] == "trial,iter,best_cost,eval_count"
-        assert len(lines) == 1 + 15
+        assert len(lines) == 1 + 2 * 15
         rows = [line.split(",") for line in lines[1:]]
-        assert all(row[0] == "4" for row in rows)
-        assert [int(row[1]) for row in rows] == list(range(1, 16))
-        costs = [float(row[2]) for row in rows]
-        assert costs == [r[1] for r in result.trace]  # repr round trip
-        assert all(a >= b for a, b in zip(costs, costs[1:]))
+        for trial, result in enumerate(results):
+            block = rows[trial * 15 : (trial + 1) * 15]
+            assert all(row[0] == str(trial) for row in block)
+            assert [int(row[1]) for row in block] == list(range(1, 16))
+            costs = [float(row[2]) for row in block]
+            assert costs == [r[1] for r in result.trace]  # repr round trip
+            assert all(a >= b for a, b in zip(costs, costs[1:]))
 
     def test_re_emission_is_byte_identical(self, tmp_path):
-        result = run_trial(tiny_config(), 0)
+        traces = [run_trial(tiny_config(), 0).trace]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_trace(result, p1)
-        emit_trace(result, p2)
+        emit_stacked_traces(traces, p1)
+        emit_stacked_traces(traces, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_io_error_names_path(self, tmp_path):
-        result = run_trial(tiny_config(), 0)
+        traces = [run_trial(tiny_config(), 0).trace]
         missing = tmp_path / "nope" / "trace.csv"
         with pytest.raises(OSError, match="trace"):
-            emit_trace(result, missing)
+            emit_stacked_traces(traces, missing)
 
 
 class TestPlots:
@@ -211,9 +213,11 @@ class TestReport:
         results = [run_trial(cfg, t) for t in range(cfg.trials)]
         stats = aggregate_stats([r.best_cost for r in results])
         path = tmp_path / "report.json"
-        emit_report(cfg, stats, results, path)
+        report = build_report(cfg, stats, results)
+        emit_report(report, path)
         text = path.read_text()
         assert canonical_json(json.loads(text)) == text
+        assert json.loads(text) == report
 
     def test_echoes_resolved_lam_and_seeds(self):
         cfg = tiny_config()

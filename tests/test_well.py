@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,13 +10,11 @@ from qdds.well import (
     DELTA_MAX,
     DELTA_MIN,
     EXP_ARG_LIMIT,
-    DeltaHistory,
     UnsolvableDeltaError,
     WaveProbe,
     WellParams,
     confinement_integral,
     delta_of_r,
-    delta_update,
     delta_update_arrays,
     learning_rate,
     psi_even,
@@ -24,6 +23,35 @@ from qdds.well import (
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+# Scalar reference oracle for the array gate delta_update_arrays: one
+# dimension's two-deep delta window and the branch-by-branch update.
+@dataclass
+class DeltaHistory:
+    """Two-deep delta window for one dimension: values at t-1 and t-2."""
+
+    delta_prev: float
+    delta_prev2: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.delta_prev) and math.isfinite(self.delta_prev2)):
+            raise ValueError("delta history must be finite")
+
+
+def delta_update(hist: DeltaHistory, theta: float, lam: float) -> float:
+    """Gated delta update, one branch at a time, first match wins."""
+    dp, dp2 = hist.delta_prev, hist.delta_prev2
+    grad = dp - dp2
+    if dp > 2.0 * dp2 and grad > 0.0:
+        return dp - theta * grad * lam
+    if dp > 2.0 * dp2 and grad < 0.0:
+        return dp + theta * grad * lam
+    if dp < 0.5 * dp2 and grad < 0.0:
+        return dp - theta * grad * lam
+    if dp < 0.5 * dp2 and grad > 0.0:
+        return dp + theta * grad * lam
+    return dp
 
 
 class TestDeltaOfR:
