@@ -45,6 +45,7 @@ from .harness import (
     emit_report,
     emit_response_plot,
     emit_stacked_traces,
+    emit_tables,
     run_experiment,
     run_trial,
 )
@@ -63,15 +64,11 @@ from .well import (
     DELTA_MAX,
     DELTA_MIN,
     EXP_ARG_LIMIT,
-    UnsolvableDeltaError,
     WaveProbe,
-    WellParams,
     confinement_integral,
     delta_of_r,
     delta_update_arrays,
     learning_rate,
-    psi_even,
-    r_of_delta,
     solve_r_batch,
 )
 

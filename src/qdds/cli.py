@@ -2,9 +2,10 @@
 
 Subcommands: `bench` runs benchmark experiments, `fir` runs filter
 design experiments, `validate` runs the math-identity oracle suite,
-`presets` lists or runs the canned experiment grid. Exit codes: 0
-success, 1 usage or configuration error, 2 runtime failure, 3 oracle
-failure from `validate`.
+`presets` lists or runs the canned experiment grid (`presets all`
+also writes the per-function summary tables). Exit codes: 0 success, 1
+usage or configuration error, 2 runtime failure, 3 oracle failure from
+`validate`.
 
 A JSON config file (--config) mirrors ExperimentConfig field names;
 explicit command-line flags override file values.
@@ -14,9 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from .harness import EMIT_KINDS, ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, emit_tables, run_experiment
 from .objectives import BENCHMARK_NAMES
 from .presets import get_preset, preset_names
 from .validate import run_validation
@@ -60,6 +62,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON config file (flags override it)")
 
 
+# command-line flag -> ExperimentConfig field
 _FLAG_FIELDS = {
     "function": "objective",
     "dim": "dimension",
@@ -67,7 +70,20 @@ _FLAG_FIELDS = {
     "iters": "iterations",
     "seed": "master_seed",
     "out": "out_dir",
+    **{
+        name: name
+        for name in (
+            "trials", "mode", "rebind", "lambda_abs", "k", "epsilon",
+            "order", "wp", "ws", "eta", "grid", "symmetric", "workers", "label",
+        )
+    },
 }
+
+
+def _flag_overrides(args: argparse.Namespace) -> dict:
+    """Config fields set by the flags given on the command line."""
+    values = {field: getattr(args, flag, None) for flag, field in _FLAG_FIELDS.items()}
+    return {field: value for field, value in values.items() if value is not None}
 
 
 def _build_config(args: argparse.Namespace, forced: dict) -> ExperimentConfig:
@@ -80,16 +96,7 @@ def _build_config(args: argparse.Namespace, forced: dict) -> ExperimentConfig:
             raise _CliError(1, f"config file {args.config}: {exc}")
         if not isinstance(base, dict):
             raise _CliError(1, f"config file {args.config}: expected a JSON object")
-    for arg_name, field in list(_FLAG_FIELDS.items()) + [
-        (name, name)
-        for name in (
-            "trials", "mode", "rebind", "lambda_abs", "k", "epsilon",
-            "order", "wp", "ws", "eta", "grid", "symmetric", "workers", "label",
-        )
-    ]:
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            base[field] = value
+    base.update(_flag_overrides(args))
     if getattr(args, "emit", None) is not None:
         base["emit"] = tuple(part for part in args.emit.split(",") if part)
     base.update(forced)
@@ -110,24 +117,20 @@ def _print_summary(label: str, stats, report: dict, out_dir: str) -> None:
     )
     if "fir" in report:
         fir = report["fir"]
+        # the report writes an all-zero filter's -inf level as null
+        delta_db = -math.inf if fir["delta_db"] is None else fir["delta_db"]
         print(
-            f"{label}: delta_db={fir['delta_db']:.4f} "
+            f"{label}: delta_db={delta_db:.4f} "
             f"e_p={fir['e_p']:.6g} e_s={fir['e_s']:.6g} gamma={fir['gamma']:.6g}"
         )
     print(f"artifacts in {out_dir}")
 
 
-def _cmd_bench(args) -> int:
-    config = _build_config(args, {})
-    if config.objective == "fir":
+def _cmd_run(args) -> int:
+    is_fir = args.command == "fir"
+    config = _build_config(args, {"objective": "fir"} if is_fir else {})
+    if not is_fir and config.objective == "fir":
         raise _CliError(1, "use the fir subcommand for filter experiments")
-    stats, report = run_experiment(config)
-    _print_summary(config.resolved_label(), stats, report, config.out_dir)
-    return 0
-
-
-def _cmd_fir(args) -> int:
-    config = _build_config(args, {"objective": "fir"})
     stats, report = run_experiment(config)
     _print_summary(config.resolved_label(), stats, report, config.out_dir)
     return 0
@@ -153,22 +156,22 @@ def _cmd_presets(args) -> int:
         for name in names:
             print(name)
         return 0
-    targets = names if args.name == "all" else [args.name]
     if args.name != "all" and args.name not in names:
         raise _CliError(1, f"unknown preset {args.name!r}; run `qdds presets` to list")
-    overrides = {}
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    for name in targets:
-        config = get_preset(name, **overrides)
+    targets = names if args.name == "all" else [args.name]
+    overrides = _flag_overrides(args)
+    try:
+        configs = [get_preset(name, **overrides) for name in targets]
+    except ValueError as exc:
+        raise _CliError(1, f"bad configuration: {exc}")
+    reports = []
+    for name, config in zip(targets, configs):
         stats, report = run_experiment(config)
         _print_summary(name, stats, report, config.out_dir)
+        reports.append(report)
+    if args.name == "all":
+        for path in emit_tables(reports, configs[0].out_dir):
+            print(f"wrote {path}")
     return 0
 
 
@@ -181,7 +184,7 @@ def _make_parser() -> _Parser:
                          help="benchmark objective")
     p_bench.add_argument("--dim", type=int, default=None, help="search dimension")
     _add_engine_flags(p_bench)
-    p_bench.set_defaults(handler=_cmd_bench)
+    p_bench.set_defaults(handler=_cmd_run)
 
     p_fir = sub.add_parser("fir", help="run a filter design experiment")
     p_fir.add_argument("--order", type=int, default=None, help="total coefficient count")
@@ -194,7 +197,7 @@ def _make_parser() -> _Parser:
     p_fir.add_argument("--symmetric", action=argparse.BooleanOptionalAction,
                        default=None, help="enforce linear-phase symmetry")
     _add_engine_flags(p_fir)
-    p_fir.set_defaults(handler=_cmd_fir)
+    p_fir.set_defaults(handler=_cmd_run)
 
     p_val = sub.add_parser("validate", help="run the math-identity oracle suite")
     p_val.add_argument("--quick", action="store_true",

@@ -22,7 +22,6 @@ import numpy as np
 from .objectives import Objective
 from .well import (
     EXP_ARG_LIMIT,
-    WellParams,
     delta_of_r,
     delta_update_arrays,
     learning_rate,
@@ -60,13 +59,25 @@ class SwarmConfig:
     stores the gate's output delta directly, which keeps raw positions
     frozen when lam = 0. lambda_abs forces the per-run lam draw to be
     non-negative (a negative lam inverts the band push-back direction).
+
+    The well constants: k is the stiffness, finite and positive (the
+    state map is strictly increasing only then); epsilon is the
+    learning-rate floor in [0, 1), the schedule decaying linearly from 1
+    to it; lam is the step scale of the gated delta update, None meaning
+    "draw once per run" (zero-mean normal, scale 0.5, times 1e-3) and an
+    explicit value, 0.0 included, being used verbatim; max_iter is the
+    iteration budget, at least 3 because the optimization phase starts
+    with two initialization sweeps already counted.
     """
 
-    well: WellParams
     population: int
     dimension: int
     init_range: tuple[float, float]
     seed: int | Sequence[int] = 0
+    k: float = 5.0
+    epsilon: float = 0.3
+    lam: float | None = None
+    max_iter: int = 250
     mode: str = "literal"
     rebind: str = "post"
     lambda_abs: bool = False
@@ -77,8 +88,18 @@ class SwarmConfig:
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         lo, hi = self.init_range
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"init_range ends must be finite, got {self.init_range}")
         if not lo <= hi:
             raise ValueError(f"init_range must be non-empty, got {self.init_range}")
+        if not (math.isfinite(self.k) and self.k > 0):
+            raise ValueError(f"k must be finite and > 0, got {self.k}")
+        if not 0.0 <= self.epsilon < 1.0:
+            raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
+        if self.max_iter < 3:
+            raise ValueError(f"max_iter must be >= 3, got {self.max_iter}")
+        if self.lam is not None and not math.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.rebind not in REBINDS:
@@ -91,7 +112,7 @@ class SwarmConfig:
 
     def guard_halfwidth(self) -> float:
         """Largest |r| the forward map accepts at this stiffness."""
-        return EXP_ARG_LIMIT / (2.0 * self.well.k)
+        return EXP_ARG_LIMIT / (2.0 * self.k)
 
     def effective_init_range(self) -> tuple[float, float]:
         """Requested range clipped to the solvable interval."""
@@ -179,17 +200,17 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
             f"objective dimension {objective.dimension} != config dimension {config.dimension}"
         )
     rng = np.random.default_rng(config.seed)
-    if config.well.lam is None:
+    if config.lam is None:
         lam = float(rng.normal(0.0, 0.5) * 1e-3)
     else:
-        lam = float(config.well.lam)
+        lam = float(config.lam)
     if config.lambda_abs:
         lam = abs(lam)
     lo, hi = config.effective_init_range()
     shape = (config.population, config.dimension)
     r1 = rng.uniform(lo, hi, shape)
     r2 = rng.uniform(lo, hi, shape)
-    k = config.well.k
+    k = config.k
     delta_prev2 = delta_of_r(r1, k)
     delta_prev = delta_of_r(r2, k)
 
@@ -225,7 +246,7 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
 
 def _update_particle(swarm: Swarm, objective: Objective, p: int, theta: float) -> None:
     cfg = swarm.config
-    k = cfg.well.k
+    k = cfg.k
     dp = swarm.delta_prev[p]
     dp2 = swarm.delta_prev2[p]
     delta_new, fired = delta_update_arrays(dp, dp2, theta, swarm.lam)
@@ -258,11 +279,11 @@ def _update_particle(swarm: Swarm, objective: Objective, p: int, theta: float) -
 def step(swarm: Swarm, objective: Objective) -> Swarm:
     """Advance one iteration: update one particle (literal) or all (sweep)."""
     cfg = swarm.config
-    if swarm.iteration >= cfg.well.max_iter:
+    if swarm.iteration >= cfg.max_iter:
         raise ValueError(
-            f"iteration {swarm.iteration} already reached max_iter {cfg.well.max_iter}"
+            f"iteration {swarm.iteration} already reached max_iter {cfg.max_iter}"
         )
-    theta = learning_rate(swarm.iteration, cfg.well.max_iter, cfg.well.epsilon)
+    theta = learning_rate(swarm.iteration, cfg.max_iter, cfg.epsilon)
     if cfg.mode == "literal":
         indices = [int(swarm.rng.integers(cfg.population))]
     else:
@@ -280,7 +301,7 @@ def run(config: SwarmConfig, objective: Objective) -> RunResult:
     Raises ValueError when no evaluation produced a finite best cost.
     """
     swarm = init_swarm(config, objective)
-    while swarm.iteration < config.well.max_iter:
+    while swarm.iteration < config.max_iter:
         step(swarm, objective)
     if not math.isfinite(swarm.best_cost):
         raise ValueError(

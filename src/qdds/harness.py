@@ -5,8 +5,9 @@ deterministically from (master_seed, trial_index), aggregated into the
 mean/std/best/worst table row format. Artifacts are a stacked trace CSV,
 a convergence SVG (plus a response SVG and coefficient CSV for filter
 designs), and a canonical JSON report that echoes every resolved design
-switch. Identical configs produce byte-identical artifacts except for
-the report's timing block.
+switch; a preset sweep adds one summary table per function. Identical
+configs produce byte-identical artifacts except for the report's timing
+block.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .engine import RunResult, SwarmConfig, run
 from .filters import FilterSpec, evaluate_filter, make_filter_objective, write_coefficients
 from .objectives import BENCHMARK_NAMES, Objective, make_benchmark
 from .svg import line_plot
-from .well import WellParams
 
 __all__ = [
     "ExperimentConfig",
@@ -39,6 +39,7 @@ __all__ = [
     "emit_plot",
     "emit_response_plot",
     "emit_report",
+    "emit_tables",
     "build_report",
     "canonical_json",
 ]
@@ -54,7 +55,9 @@ class ExperimentConfig:
     dimension is derived from order/symmetric and the dimension field is
     ignored. wp and ws are band edges as fractions of pi (0.3 means
     0.3*pi radians). lam = None draws the step scale per run; emit
-    selects which artifact kinds are written.
+    selects which artifact kinds are written. Construction builds trial
+    0's engine config, so a bad engine or filter value raises ValueError
+    here rather than mid-run.
     """
 
     objective: str
@@ -99,6 +102,8 @@ class ExperimentConfig:
         object.__setattr__(self, "emit", tuple(self.emit))
         if self.init_range is not None:
             object.__setattr__(self, "init_range", tuple(self.init_range))
+        # every engine and filter value is checked here, before any run
+        _swarm_config(self, build_problem(self)[0], 0)
 
     def resolved_label(self) -> str:
         if self.label:
@@ -151,19 +156,15 @@ def build_problem(config: ExperimentConfig) -> tuple[Objective, FilterSpec | Non
 
 
 def _swarm_config(config: ExperimentConfig, objective: Objective, trial: int) -> SwarmConfig:
-    well = WellParams(
+    return SwarmConfig(
+        population=config.population,
+        dimension=objective.dimension,
+        init_range=tuple(config.init_range or objective.init_range),
+        seed=[config.master_seed, trial],
         k=config.k,
         epsilon=config.epsilon,
         lam=config.lam,
         max_iter=config.iterations,
-    )
-    init_range = config.init_range or objective.init_range
-    return SwarmConfig(
-        well=well,
-        population=config.population,
-        dimension=objective.dimension,
-        init_range=tuple(init_range),
-        seed=[config.master_seed, trial],
         mode=config.mode,
         rebind=config.rebind,
         lambda_abs=config.lambda_abs,
@@ -242,8 +243,11 @@ def emit_response_plot(h, path, *, title: str = "", points: int = 1025) -> None:
 
 
 def canonical_json(payload) -> str:
-    """Stable serialization: sorted keys, two-space indent, newline end."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Stable serialization: sorted keys, two-space indent, newline end.
+
+    Strict JSON: a non-finite float raises ValueError.
+    """
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def build_report(
@@ -294,7 +298,8 @@ def build_report(
             "e_p": ev.e_p,
             "e_s": ev.e_s,
             "gamma": ev.gamma,
-            "delta_db": ev.delta_db,
+            # an all-zero filter has no stopband level: -inf, written as null
+            "delta_db": ev.delta_db if math.isfinite(ev.delta_db) else None,
         }
     if elapsed_seconds is not None:
         # excluded from the determinism contract
@@ -311,6 +316,41 @@ def emit_report(report: dict, path) -> None:
         raise OSError(f"writing report to {path}: {exc}") from exc
 
 
+def emit_tables(reports, out_dir) -> list[str]:
+    """Summary tables of a preset sweep; returns the paths written.
+
+    reports are documents built by build_report, in run order. Each
+    benchmark function gets {name}.csv with one dim,iters,pop row per
+    cell; filter designs go to fir.csv with one order,pop,iters row and
+    the best design's delta_db (a null one is written as -inf). Stats
+    are written in repr precision.
+    """
+    tables = {name: ["dim,iters,pop,mean,std,best,worst\n"] for name in BENCHMARK_NAMES}
+    tables["fir"] = ["order,pop,iters,gamma_mean,gamma_std,gamma_best,gamma_worst,delta_db\n"]
+    for report in reports:
+        cfg, st = report["config"], report["stats"]
+        stats = f"{st['mean']!r},{st['std']!r},{st['best']!r},{st['worst']!r}"
+        if cfg["objective"] == "fir":
+            delta_db = report["fir"]["delta_db"]
+            if delta_db is None:
+                delta_db = -math.inf
+            row = f"{cfg['order']},{cfg['population']},{cfg['iterations']},{stats},{delta_db!r}"
+        else:
+            row = f"{cfg['dimension']},{cfg['iterations']},{cfg['population']},{stats}"
+        tables[cfg["objective"]].append(row + "\n")
+    os.makedirs(out_dir, exist_ok=True)
+    paths = []
+    for name, lines in tables.items():
+        path = os.path.join(out_dir, f"{name}.csv")
+        try:
+            with open(path, "w", encoding="ascii") as fh:
+                fh.writelines(lines)
+        except OSError as exc:
+            raise OSError(f"writing table to {path}: {exc}") from exc
+        paths.append(path)
+    return paths
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[TrialStats, dict]:
     """Run all trials, aggregate, and write the selected artifacts.
 
@@ -324,10 +364,12 @@ def run_experiment(config: ExperimentConfig) -> tuple[TrialStats, dict]:
         raise OSError(f"output directory not writable: {out}")
 
     started = time.perf_counter()
-    if config.workers == 1:
+    # the fork start method starts every worker on the first submit
+    workers = min(config.workers, config.trials)
+    if workers == 1:
         results = [run_trial(config, t) for t in range(config.trials)]
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_trial, repeat(config), range(config.trials)))
     elapsed = time.perf_counter() - started
 

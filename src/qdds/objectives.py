@@ -88,6 +88,8 @@ def make_benchmark(name: str, dimension: int) -> Objective:
         raise ValueError(
             f"unknown benchmark {name!r}; choose from {', '.join(BENCHMARK_NAMES)}"
         )
+    if name == "rosenbrock" and dimension < 2:
+        raise ValueError(f"rosenbrock needs dimension >= 2, got {dimension}")
     fn, init_range = _BENCHMARKS[name]
     optimum = np.ones(dimension) if name == "rosenbrock" else np.zeros(dimension)
     return Objective(

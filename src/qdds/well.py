@@ -12,14 +12,12 @@ values directly (a gated gradient nudge) and maps them back to positions
 through the numerical inverse of this strictly increasing function.
 
 This module owns the forward map, its safeguarded-Newton inverse, the
-linear learning-rate schedule, the gated delta update, the even
-wavefunction, and a quadrature check of the confinement identity that
-the closed form is derived from.
+linear learning-rate schedule, the gated delta update, and a quadrature
+check of the confinement identity that the closed form is derived from.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,15 +26,11 @@ __all__ = [
     "EXP_ARG_LIMIT",
     "DELTA_MIN",
     "DELTA_MAX",
-    "UnsolvableDeltaError",
-    "WellParams",
     "WaveProbe",
     "delta_of_r",
-    "r_of_delta",
     "solve_r_batch",
     "learning_rate",
     "delta_update_arrays",
-    "psi_even",
     "confinement_integral",
 ]
 
@@ -52,47 +46,6 @@ def _z_forward(z):
 # solvable delta range, set by the overflow guard at z = +-EXP_ARG_LIMIT
 DELTA_MIN = float(_z_forward(-EXP_ARG_LIMIT))
 DELTA_MAX = float(_z_forward(EXP_ARG_LIMIT))
-
-
-class UnsolvableDeltaError(ValueError):
-    """Requested delta lies outside the range reachable under the overflow guard."""
-
-
-@dataclass(frozen=True)
-class WellParams:
-    """Static well constants shared by every particle of a run.
-
-    Parameters
-    ----------
-    k : float
-        Well stiffness, must be positive (the forward map is strictly
-        increasing only then).
-    epsilon : float
-        Learning-rate floor in [0, 1); the schedule decays linearly from
-        1 to this value.
-    lam : float or None
-        Step scale for the gated delta update. None means "draw once per
-        run" (zero-mean normal, scale 0.5, times 1e-3); an explicit
-        value, including 0.0, is used verbatim.
-    max_iter : int
-        Iteration budget; at least 3 because the optimization phase
-        starts with two initialization sweeps already counted.
-    """
-
-    k: float = 5.0
-    epsilon: float = 0.3
-    lam: float | None = None
-    max_iter: int = 250
-
-    def __post_init__(self) -> None:
-        if not self.k > 0:
-            raise ValueError(f"k must be > 0, got {self.k}")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        if self.max_iter < 3:
-            raise ValueError(f"max_iter must be >= 3, got {self.max_iter}")
-        if self.lam is not None and not math.isfinite(self.lam):
-            raise ValueError(f"lam must be finite, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +114,8 @@ def solve_r_batch(deltas, k, tol=1e-12):
     z = 2kr space (k-independent), bracketed by the guard interval.
     Steps that leave the bracket or fail to shrink it fall back to
     bisection; the bracket makes the iteration unconditionally
-    convergent since f is strictly increasing.
+    convergent since f is strictly increasing. tol is relative in delta
+    (absolute near zero).
 
     k may be a scalar or an array broadcastable to deltas' shape.
 
@@ -209,30 +163,6 @@ def solve_r_batch(deltas, k, tol=1e-12):
     return r.reshape(d.shape), solved.reshape(d.shape), int(used_fallback.sum())
 
 
-def r_of_delta(delta, k, tol=1e-12):
-    """Invert the state map: the unique r with delta_of_r(r, k) = delta.
-
-    Uniqueness holds because d(delta)/dr = 2k exp(2kr) + 10k exp(-2kr)
-    + 4k > 0. Tolerance is relative in delta (absolute near zero).
-
-    Raises
-    ------
-    UnsolvableDeltaError
-        If delta is outside the guarded range [DELTA_MIN, DELTA_MAX].
-    """
-    if not k > 0:
-        raise ValueError(f"k must be > 0, got {k}")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    r, solved, _ = solve_r_batch(np.asarray([delta], dtype=float), k, tol)
-    if not solved[0]:
-        raise UnsolvableDeltaError(
-            f"delta={delta!r} outside the solvable range "
-            f"[{DELTA_MIN:.6g}, {DELTA_MAX:.6g}] under the overflow guard"
-        )
-    return float(r[0])
-
-
 def learning_rate(iteration, max_iter, epsilon):
     """Linear schedule theta = (1 - eps)*(max_iter - iter)/max_iter + eps.
 
@@ -273,24 +203,6 @@ def delta_update_arrays(delta_prev, delta_prev2, theta, lam):
     # np.select takes the first matching condition, preserving branch order
     out = np.select([c1, c2, c3, c4], [dp - step, dp + step, dp - step, dp + step], dp)
     return out, c1 | c2 | c3 | c4
-
-
-def psi_even(x, probe: WaveProbe):
-    """Even bound state inside the vicinity (-r_boundary, r_boundary).
-
-    2B exp(-kx) to the right of the origin, B (exp(-kx) + exp(kx)) to
-    the left, with the continuous value 2B at x = 0 itself.
-    """
-    if abs(x) >= probe.r_boundary:
-        raise ValueError(
-            f"|x| must be < r_boundary={probe.r_boundary}, got x={x}"
-        )
-    b = math.sqrt(probe.b_squared)
-    if x > 0:
-        return 2.0 * b * math.exp(-probe.k * x)
-    if x < 0:
-        return b * (math.exp(-probe.k * x) + math.exp(probe.k * x))
-    return 2.0 * b
 
 
 def confinement_integral(probe: WaveProbe, quad_points: int = 10**5) -> float:

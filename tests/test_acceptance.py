@@ -36,7 +36,7 @@ from qdds.validate import (
     check_confinement,
     check_round_trip,
 )
-from qdds.well import WellParams, delta_update_arrays
+from qdds.well import delta_update_arrays
 
 
 def verdict(number: int, ok: bool, detail: str) -> None:
@@ -124,7 +124,7 @@ def _mini_run(rng, index):
     mode = "sweep" if index % 5 == 0 else "literal"
     iters = int(rng.integers(4, 21 if mode == "sweep" else 51))
     cfg = SwarmConfig(
-        well=WellParams(max_iter=iters),
+        max_iter=iters,
         population=pop,
         dimension=dim,
         init_range=(-2.0, 2.0),
@@ -138,7 +138,7 @@ def _mini_run(rng, index):
 
 def _drive(cfg, objective):
     swarm = init_swarm(cfg, objective)
-    while swarm.iteration < cfg.well.max_iter:
+    while swarm.iteration < cfg.max_iter:
         step(swarm, objective)
     return swarm
 
@@ -165,7 +165,7 @@ def test_criterion_5_engine_invariant_suite():
         assert a.best_cost == costs[-1]
 
         # eval_count accounting: 2P at init, one per particle update
-        updates = cfg.well.max_iter - 3
+        updates = cfg.max_iter - 3
         if cfg.mode == "sweep":
             updates *= cfg.population
         assert a.eval_count == 2 * cfg.population + updates
@@ -196,7 +196,8 @@ def test_criterion_5_engine_invariant_suite():
         # frozen dynamics at lam = 0 under pre-blend rebinding
         if i % 20 == 0:
             frozen_cfg = SwarmConfig(
-                well=WellParams(lam=0.0, max_iter=cfg.well.max_iter),
+                lam=0.0,
+                max_iter=cfg.max_iter,
                 population=cfg.population,
                 dimension=cfg.dimension,
                 init_range=(-2.0, 2.0),

@@ -1,8 +1,10 @@
 """Guard for the names the benchmark in perfbench/ patches at run time.
 
 The benchmark's tracer replaces each (module, attribute) pair of
-perfbench/spans.LAYERS, and its worker times trials by replacing
-harness.run_trial, so each name must stay a module attribute that its
+perfbench/spans.LAYERS, wraps objective evaluation by replacing
+harness.build_problem, and counts engine.updates as calls of
+engine.blend_with_gbest; its worker times trials by replacing
+harness.run_trial. Each name must stay a module attribute that its
 caller looks up at call time. perfbench/ is only read here.
 """
 
@@ -12,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from qdds import harness
+from qdds import engine, harness
+from qdds.objectives import make_benchmark
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 # run_path compiles from source, so no bytecode cache is written under perfbench/
@@ -43,3 +46,36 @@ def test_run_experiment_calls_run_trial_through_module(tmp_path, monkeypatch):
     )
     harness.run_experiment(config)
     assert calls == [0, 1]
+
+
+def test_run_trial_calls_build_problem_through_module(monkeypatch):
+    config = harness.ExperimentConfig(objective="sphere", dimension=2, population=3, iterations=6)
+    calls = []
+    build_problem = harness.build_problem
+
+    def counting(cfg):
+        calls.append(cfg)
+        return build_problem(cfg)
+
+    monkeypatch.setattr(harness, "build_problem", counting)
+    harness.run_trial(config, 0)
+    assert calls == [config]
+
+
+@pytest.mark.parametrize("mode, per_iteration", [("literal", 1), ("sweep", 3)])
+def test_blend_called_once_per_update(monkeypatch, mode, per_iteration):
+    calls = []
+    blend = engine.blend_with_gbest
+
+    def counting(raw, gbest, rho):
+        calls.append(rho)
+        return blend(raw, gbest, rho)
+
+    monkeypatch.setattr(engine, "blend_with_gbest", counting)
+    config = engine.SwarmConfig(
+        population=3, dimension=2, init_range=(-1.0, 1.0), max_iter=9, mode=mode
+    )
+    result = engine.run(config, make_benchmark("sphere", 2))
+    updates = (config.max_iter - 3) * per_iteration
+    assert len(calls) == updates
+    assert result.eval_count == 2 * config.population + updates

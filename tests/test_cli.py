@@ -1,12 +1,15 @@
 """CLI: subcommands, exit codes, config-file merging, artifact wiring."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from qdds import cli
 from qdds.cli import main
 from qdds.filters import FilterSpec, fir_band_errors, read_coefficients
+from qdds.harness import TrialStats
 from qdds.presets import preset_names
 
 
@@ -137,6 +140,64 @@ class TestFir:
         assert "configuration" in capsys.readouterr().err
 
 
+    def test_zero_filter_report_is_strict_json(self, tmp_path, capsys):
+        # init_range [0, 0] pins every tap at 0, whose stopband level is -inf
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"init_range": [0, 0]}))
+        out = tmp_path / "out"
+        args = ["fir", "--config", str(config), "--pop", "3", "--iters", "5",
+                "--trials", "1", "--out", str(out)]
+        assert main(args) == 0
+        assert "fir-10: delta_db=-inf " in capsys.readouterr().out
+
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        text = (out / "fir-10_report.json").read_text()
+        assert json.loads(text, parse_constant=reject)["fir"]["delta_db"] is None
+
+
+class TestBadSettings:
+    """A bad engine or filter value fails before any output is written."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bench", "--function", "sphere", "--dim", "2", "--iters", "2"],
+            ["bench", "--function", "sphere", "--dim", "2", "--k", "0"],
+            ["bench", "--function", "sphere", "--dim", "2", "--k", "inf"],
+            ["bench", "--function", "sphere", "--dim", "2", "--pop", "0", "--workers", "2"],
+            ["fir", "--wp", "0.7", "--ws", "0.2"],
+            ["bench", "--function", "rosenbrock", "--dim", "1"],
+            ["presets", "sphere-d10-p20", "--trials", "0"],
+        ],
+    )
+    def test_flags(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out)]) == 1
+        assert "bad configuration" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            '"k": Infinity',
+            '"k": -Infinity',
+            '"init_range": [-Infinity, Infinity]',
+            '"init_range": [0, Infinity]',
+        ],
+    )
+    def test_non_finite_config_file_values(self, tmp_path, capsys, fields):
+        out = tmp_path / "out"
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            f'{{"objective": "sphere", "dimension": 2, "out_dir": "{out}", {fields}}}'
+        )
+        assert main(["bench", "--config", str(config)]) == 1
+        assert "bad configuration" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestConfigFile:
     def test_file_provides_base_flags_override(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -212,6 +273,54 @@ class TestPresets:
         assert report["config"]["trials"] == 1
         assert report["config"]["master_seed"] == 5
         assert report["config"]["iterations"] == 250
+
+
+    def test_all_writes_tables(self, tmp_path, monkeypatch, capsys):
+        configs = []
+
+        def fake_run_experiment(config):
+            # the cell's run index as its mean tells the rows apart
+            stats = TrialStats(float(len(configs)), 0.5, 0.1 + 0.2, 1 / 3, ())
+            configs.append(config)
+            report = {
+                "config": asdict(config),
+                "stats": {
+                    "mean": stats.mean, "std": stats.std,
+                    "best": stats.best, "worst": stats.worst,
+                },
+            }
+            if config.objective == "fir":
+                delta_db = None if config.order == 10 else -17.25
+                report["fir"] = {"delta_db": delta_db, "e_p": 0.1, "e_s": 0.2, "gamma": 0.15}
+            return stats, report
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
+        out = tmp_path / "tables"
+        assert main(["presets", "all", "--out", str(out), "--seed", "5", "--trials", "1"]) == 0
+        assert [c.resolved_label() for c in configs] == preset_names()
+        assert all(c.out_dir == str(out) for c in configs)
+        assert all((c.master_seed, c.trials, c.workers) == (5, 1, 1) for c in configs)
+        assert "fir-10: delta_db=-inf " in capsys.readouterr().out
+
+        cells = [
+            "10,250,20", "10,250,40", "10,250,80",
+            "20,375,20", "20,375,40", "20,375,80",
+            "30,500,20", "30,500,40", "30,500,80",
+        ]
+        tail = ",0.5,0.30000000000000004,0.3333333333333333\n"
+        for first, name in ((0, "rastrigin"), (9, "rosenbrock"), (18, "sphere"), (27, "griewank")):
+            expected = "dim,iters,pop,mean,std,best,worst\n" + "".join(
+                f"{cell},{first + i}.0{tail}" for i, cell in enumerate(cells)
+            )
+            assert (out / f"{name}.csv").read_text() == expected
+        assert (out / "fir.csv").read_text() == (
+            "order,pop,iters,gamma_mean,gamma_std,gamma_best,gamma_worst,delta_db\n"
+            "10,1000,250,36.0,0.5,0.30000000000000004,0.3333333333333333,-inf\n"
+            "20,1000,500,37.0,0.5,0.30000000000000004,0.3333333333333333,-17.25\n"
+        )
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fir.csv", "griewank.csv", "rastrigin.csv", "rosenbrock.csv", "sphere.csv"
+        ]
 
 
 class TestUsageErrors:

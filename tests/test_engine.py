@@ -18,7 +18,6 @@ from qdds.engine import (
 )
 from qdds.objectives import make_benchmark
 from qdds.well import (
-    WellParams,
     delta_of_r,
     delta_update_arrays,
     learning_rate,
@@ -28,7 +27,7 @@ from qdds.well import (
 
 def config(**kwargs):
     defaults = dict(
-        well=WellParams(max_iter=20),
+        max_iter=20,
         population=4,
         dimension=3,
         init_range=(-2.0, 2.0),
@@ -53,7 +52,7 @@ class TestSwarmConfig:
 
     def test_guard_halfwidth(self):
         assert config().guard_halfwidth() == pytest.approx(70.0)
-        assert config(well=WellParams(k=1.0)).guard_halfwidth() == pytest.approx(350.0)
+        assert config(k=1.0).guard_halfwidth() == pytest.approx(350.0)
 
     def test_init_range_clipped_to_guard(self):
         cfg = config(init_range=(-600.0, 600.0))
@@ -128,7 +127,7 @@ class TestInit:
         cfg = config(init_range=(0.1, 0.1))
         obj = make_benchmark("sphere", cfg.dimension)
         swarm = init_swarm(cfg, obj)
-        expected = delta_of_r(0.1, cfg.well.k)
+        expected = delta_of_r(0.1, cfg.k)
         assert np.all(swarm.delta_prev == expected)
         assert np.all(swarm.delta_prev2 == expected)
         assert np.all(swarm.positions == 0.1)
@@ -148,12 +147,12 @@ class TestInit:
             init_swarm(config(dimension=3), make_benchmark("sphere", 4))
 
     def test_explicit_lam_honored(self):
-        cfg = config(well=WellParams(lam=-0.25, max_iter=20))
+        cfg = config(lam=-0.25, max_iter=20)
         swarm = init_swarm(cfg, make_benchmark("sphere", cfg.dimension))
         assert swarm.lam == -0.25
 
     def test_lambda_abs_flips_negative_lam(self):
-        cfg = config(well=WellParams(lam=-0.25, max_iter=20), lambda_abs=True)
+        cfg = config(lam=-0.25, max_iter=20, lambda_abs=True)
         swarm = init_swarm(cfg, make_benchmark("sphere", cfg.dimension))
         assert swarm.lam == 0.25
 
@@ -214,15 +213,15 @@ class TestStep:
         rho = float(rng.uniform())
         assert 0 <= p < cfg.population
         assert 0.0 <= rho <= 1.0
-        theta = learning_rate(3, cfg.well.max_iter, cfg.well.epsilon)
+        theta = learning_rate(3, cfg.max_iter, cfg.epsilon)
         delta_new, _ = delta_update_arrays(dp[p], dp2[p], theta, swarm.lam)
-        r_raw, solved, _ = solve_r_batch(delta_new, cfg.well.k)
+        r_raw, solved, _ = solve_r_batch(delta_new, cfg.k)
         assert solved.all()
         assert np.array_equal(swarm.positions[p], blend_with_gbest(r_raw, gbest, rho))
         assert np.flatnonzero(np.any(swarm.positions != before, axis=1)).tolist() == [p]
 
     def test_step_past_max_iter_rejected(self):
-        cfg = config(well=WellParams(max_iter=4))
+        cfg = config(max_iter=4)
         obj = make_benchmark("sphere", cfg.dimension)
         swarm = init_swarm(cfg, obj)
         step(swarm, obj)
@@ -235,7 +234,7 @@ class TestStep:
         swarm = init_swarm(cfg, obj)
         for _ in range(10):
             step(swarm, obj)
-        assert np.array_equal(swarm.delta_prev, delta_of_r(swarm.positions, cfg.well.k))
+        assert np.array_equal(swarm.delta_prev, delta_of_r(swarm.positions, cfg.k))
 
     def test_in_band_pre_rebind_freezes_raw_positions(self):
         # degenerate init: grad = 0, every dimension in-band, so the
@@ -243,7 +242,7 @@ class TestStep:
         cfg = config(init_range=(0.1, 0.1), rebind="pre", seed=2)
         obj = make_benchmark("sphere", cfg.dimension)
         swarm = init_swarm(cfg, obj)
-        expected = delta_of_r(0.1, cfg.well.k)
+        expected = delta_of_r(0.1, cfg.k)
         for _ in range(10):
             step(swarm, obj)
         assert np.all(swarm.delta_prev == expected)
@@ -258,7 +257,7 @@ class TestStep:
 
 class TestRun:
     def test_max_iter_three_is_init_only(self):
-        cfg = config(well=WellParams(max_iter=3), seed=8)
+        cfg = config(max_iter=3, seed=8)
         obj = make_benchmark("sphere", cfg.dimension)
         res = run(cfg, obj)
         swarm = init_swarm(cfg, obj)
@@ -267,7 +266,7 @@ class TestRun:
         assert len(res.trace) == 3
 
     def test_trace_shape_and_monotonicity(self):
-        cfg = config(well=WellParams(max_iter=40), seed=1)
+        cfg = config(max_iter=40, seed=1)
         obj = make_benchmark("rastrigin", cfg.dimension)
         res = run(cfg, obj)
         assert len(res.trace) == 40
@@ -277,10 +276,10 @@ class TestRun:
         assert res.best_cost == costs[-1]
 
     def test_eval_accounting(self):
-        cfg = config(well=WellParams(max_iter=25), seed=4)
+        cfg = config(max_iter=25, seed=4)
         obj = make_benchmark("sphere", cfg.dimension)
         assert run(cfg, obj).eval_count == 2 * cfg.population + (25 - 3)
-        cfg_sweep = config(well=WellParams(max_iter=25), seed=4, mode="sweep")
+        cfg_sweep = config(max_iter=25, seed=4, mode="sweep")
         assert run(cfg_sweep, obj).eval_count == 2 * cfg.population + (25 - 3) * cfg.population
 
     def test_best_cost_matches_best_solution(self):
@@ -290,7 +289,7 @@ class TestRun:
         assert obj.evaluate(res.best_solution) == res.best_cost
 
     def test_bitwise_determinism(self):
-        cfg = config(seed=[2023, 6], well=WellParams(max_iter=30))
+        cfg = config(seed=[2023, 6], max_iter=30)
         obj = make_benchmark("rastrigin", cfg.dimension)
         a = run(cfg, obj)
         b = run(cfg, obj)
@@ -302,18 +301,18 @@ class TestRun:
 
     def test_positions_stay_within_guard(self):
         cfg = config(
-            init_range=(-100.0, 100.0), seed=21, well=WellParams(max_iter=30)
+            init_range=(-100.0, 100.0), seed=21, max_iter=30
         )
         obj = make_benchmark("sphere", cfg.dimension)
         swarm = init_swarm(cfg, obj)
         hw = cfg.guard_halfwidth()
-        while swarm.iteration < cfg.well.max_iter:
+        while swarm.iteration < cfg.max_iter:
             step(swarm, obj)
             assert np.all(np.abs(swarm.positions) <= hw + 1e-9)
 
     def test_tight_sphere_converges(self):
         cfg = SwarmConfig(
-            well=WellParams(max_iter=250),
+            max_iter=250,
             population=4,
             dimension=1,
             init_range=(-0.01, 0.01),
@@ -323,7 +322,7 @@ class TestRun:
         assert res.best_cost <= 1e-4
 
     def test_event_counters_bounded(self):
-        cfg = config(seed=17, well=WellParams(max_iter=30))
+        cfg = config(seed=17, max_iter=30)
         obj = make_benchmark("rastrigin", cfg.dimension)
         res = run(cfg, obj)
         updates = 30 - 3
@@ -353,12 +352,12 @@ class TestRun:
 
     def test_frozen_dynamics_with_zero_lam(self):
         cfg = config(
-            well=WellParams(lam=0.0, max_iter=30), rebind="pre", seed=23
+            lam=0.0, max_iter=30, rebind="pre", seed=23
         )
         obj = make_benchmark("rastrigin", cfg.dimension)
         swarm = init_swarm(cfg, obj)
         initial_prev = swarm.delta_prev.copy()
-        while swarm.iteration < cfg.well.max_iter:
+        while swarm.iteration < cfg.max_iter:
             step(swarm, obj)
         assert np.array_equal(swarm.delta_prev, initial_prev)
         # the two-deep window shifts once per particle, then freezes

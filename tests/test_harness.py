@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from qdds import harness
 from qdds.filters import read_coefficients
 from qdds.harness import (
     EMIT_KINDS,
@@ -101,6 +102,22 @@ class TestExperimentConfig:
             tiny_config(trials=0)
         with pytest.raises(ValueError):
             tiny_config(workers=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"iterations": 2},
+            {"k": 0.0},
+            {"k": math.inf},
+            {"population": 0},
+            {"init_range": (-math.inf, math.inf)},
+            {"objective": "fir", "wp": 0.7, "ws": 0.2},
+            {"objective": "rosenbrock", "dimension": 1},
+        ],
+    )
+    def test_engine_and_filter_values_checked_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            tiny_config(**kwargs)
 
     def test_unknown_emit_kind_rejected(self):
         with pytest.raises(ValueError, match="emit"):
@@ -243,6 +260,22 @@ class TestReport:
         assert fir["coefficients"] == fir["coefficients"][::-1]
         assert {"best_trial", "e_p", "e_s", "gamma", "delta_db"} <= set(fir)
 
+    def test_zero_filter_delta_db_is_null(self):
+        cfg = ExperimentConfig(
+            objective="fir", order=10, population=3, iterations=5, trials=1,
+            init_range=(0.0, 0.0),
+        )
+        results = [run_trial(cfg, 0)]
+        report = build_report(cfg, aggregate_stats([results[0].best_cost]), results)
+        assert report["fir"]["coefficients"] == [0.0] * 10
+        assert report["fir"]["delta_db"] is None
+        assert json.loads(canonical_json(report)) == report
+
+    def test_canonical_json_is_strict(self):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                canonical_json({"x": value})
+
     def test_timing_only_with_elapsed(self):
         cfg = tiny_config(trials=1)
         results = [run_trial(cfg, 0)]
@@ -299,6 +332,30 @@ class TestRunExperiment:
             rep["config"].pop("out_dir")
         pooled["config"]["workers"] = 1
         assert seq == pooled
+
+    @pytest.mark.parametrize("workers, trials, pool_size", [(8, 2, 2), (2, 3, 2), (4, 1, None)])
+    def test_pool_size_clipped_to_trials(self, tmp_path, monkeypatch, workers, trials, pool_size):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        cfg = tiny_config(out_dir=str(tmp_path), workers=workers, trials=trials)
+        _, report = run_experiment(cfg)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert len(report["trials"]) == trials
+        assert report["config"]["workers"] == workers
 
     def test_fir_artifacts(self, tmp_path):
         cfg = ExperimentConfig(

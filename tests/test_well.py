@@ -6,19 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qdds.engine import SwarmConfig
 from qdds.well import (
     DELTA_MAX,
     DELTA_MIN,
     EXP_ARG_LIMIT,
-    UnsolvableDeltaError,
     WaveProbe,
-    WellParams,
     confinement_integral,
     delta_of_r,
     delta_update_arrays,
     learning_rate,
-    psi_even,
-    r_of_delta,
     solve_r_batch,
 )
 
@@ -97,50 +94,53 @@ class TestDeltaOfR:
             assert d == 0.0
 
 
+def r_of_delta(delta, k):
+    """The inverse map at one delta, with its solved flag."""
+    r, solved, _ = solve_r_batch(np.array([delta]), k)
+    return float(r[0]), bool(solved[0])
+
+
 class TestROfDelta:
+    """The inverse map r(delta) as solve_r_batch computes it."""
+
     def test_zero(self):
-        assert r_of_delta(0.0, 5.0) == 0.0
+        assert r_of_delta(0.0, 5.0) == (0.0, True)
 
     def test_frozen_round_trip(self):
-        assert r_of_delta(6.878884622601833, 5.0) == pytest.approx(0.1, abs=1e-12)
+        r, solved = r_of_delta(6.878884622601833, 5.0)
+        assert solved
+        assert r == pytest.approx(0.1, abs=1e-12)
 
     def test_negative_branch(self):
-        r = r_of_delta(-3.0, 5.0)
+        r, _ = r_of_delta(-3.0, 5.0)
         assert r < 0
         assert delta_of_r(r, 5.0) == pytest.approx(-3.0, abs=1e-10)
 
-    def test_unsolvable_raises(self):
-        for bad in (DELTA_MAX * 1.01, DELTA_MIN * 1.01, float("inf")):
-            with pytest.raises(UnsolvableDeltaError):
-                r_of_delta(bad, 5.0)
-
     def test_range_extremes_solvable(self):
         for d in (DELTA_MAX, DELTA_MIN):
-            r = r_of_delta(d, 5.0)
+            r, solved = r_of_delta(d, 5.0)
+            assert solved
             assert abs(2 * 5.0 * r) <= EXP_ARG_LIMIT + 1e-9
-
-    def test_bad_params(self):
-        with pytest.raises(ValueError):
-            r_of_delta(1.0, -5.0)
-        with pytest.raises(ValueError):
-            r_of_delta(1.0, 5.0, tol=0.0)
 
     @given(r=st.floats(-5, 5), k=st.floats(1, 10))
     def test_round_trip_property(self, r, k):
-        r_hat = r_of_delta(delta_of_r(r, k), k)
+        r_hat, solved = r_of_delta(delta_of_r(r, k), k)
+        assert solved
         assert abs(r_hat - r) <= 1e-9 * max(1.0, abs(r))
 
     def test_batch_matches_scalar(self):
+        # each element is solved under its own mask, so batching changes no bit
         rng = np.random.default_rng(3)
         deltas = rng.uniform(-50, 50, 64)
         r_batch, solved, _ = solve_r_batch(deltas, 5.0)
         assert solved.all()
-        for d, r in zip(deltas, r_batch):
-            assert r == pytest.approx(r_of_delta(float(d), 5.0), abs=1e-14)
+        assert r_batch.tolist() == [r_of_delta(float(d), 5.0)[0] for d in deltas]
 
     def test_batch_flags_unsolvable(self):
-        r, solved, _ = solve_r_batch(np.array([0.0, DELTA_MAX * 2]), 5.0)
-        assert solved.tolist() == [True, False]
+        bad = [DELTA_MAX * 1.01, DELTA_MIN * 1.01, float("inf"), DELTA_MAX * 2]
+        r, solved, _ = solve_r_batch(np.array([0.0, *bad]), 5.0)
+        assert solved.tolist() == [True, False, False, False, False]
+        assert r[1:].tolist() == [0.0] * len(bad)
 
 
 class TestLearningRate:
@@ -228,9 +228,14 @@ class TestDeltaUpdate:
 
 
 class TestWellParams:
+    """The well constants k, epsilon, lam and max_iter of SwarmConfig."""
+
+    def config(self, **kwargs):
+        return SwarmConfig(population=4, dimension=3, init_range=(-2.0, 2.0), **kwargs)
+
     def test_defaults_valid(self):
-        p = WellParams()
-        assert p.k == 5.0 and p.epsilon == 0.3 and p.max_iter == 250
+        p = self.config()
+        assert p.k == 5.0 and p.epsilon == 0.3 and p.lam is None and p.max_iter == 250
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -241,11 +246,12 @@ class TestWellParams:
             {"epsilon": -0.1},
             {"max_iter": 2},
             {"lam": float("nan")},
+            {"k": float("inf")},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
-            WellParams(**kwargs)
+            self.config(**kwargs)
 
 
 class TestWaveProbe:
@@ -268,38 +274,6 @@ class TestWaveProbe:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             WaveProbe(**kwargs)
-
-
-def _unit_amplitude_probe():
-    # choose r so that delta(r) = k*g, making b_squared exactly 1
-    k, g = 5.0, 1.5
-    r = r_of_delta(k * g, k)
-    return WaveProbe(r_boundary=r, g=g, k=k)
-
-
-class TestPsiEven:
-    def test_right_of_origin(self):
-        probe = _unit_amplitude_probe()
-        assert psi_even(0.05, probe) == pytest.approx(2 * math.exp(-0.25), rel=1e-9)
-
-    def test_left_of_origin(self):
-        probe = _unit_amplitude_probe()
-        expected = math.exp(0.25) + math.exp(-0.25)
-        assert psi_even(-0.05, probe) == pytest.approx(expected, rel=1e-9)
-
-    def test_continuous_at_origin(self):
-        probe = _unit_amplitude_probe()
-        two_b = 2.0 * math.sqrt(probe.b_squared)
-        assert psi_even(0.0, probe) == pytest.approx(two_b, rel=1e-15)
-        assert psi_even(1e-12, probe) == pytest.approx(two_b, rel=1e-9)
-        assert psi_even(-1e-12, probe) == pytest.approx(two_b, rel=1e-9)
-
-    def test_outside_vicinity_raises(self):
-        probe = _unit_amplitude_probe()
-        with pytest.raises(ValueError):
-            psi_even(probe.r_boundary, probe)
-        with pytest.raises(ValueError):
-            psi_even(-2.0 * probe.r_boundary, probe)
 
 
 class TestConfinementIntegral:
