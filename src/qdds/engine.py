@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .objectives import Objective
+from .objectives import Objective, check_int
 from .well import (
     EXP_ARG_LIMIT,
     delta_of_r,
@@ -47,8 +47,8 @@ REBINDS = ("post", "pre")
 class SwarmConfig:
     """Run configuration for one seeded swarm.
 
-    seed may be an int or a sequence of ints (a harness passes
-    [master_seed, trial_index]). init_range is intersected with the
+    seed may be a non-negative int or a sequence of them (a harness
+    passes [master_seed, trial_index]). init_range is intersected with the
     solvable interval of the state map, |r| <= 700/(2k), before any
     position is drawn; configs whose range lies entirely outside that
     interval are rejected.
@@ -83,10 +83,11 @@ class SwarmConfig:
     lambda_abs: bool = False
 
     def __post_init__(self) -> None:
-        if self.population < 1:
-            raise ValueError(f"population must be >= 1, got {self.population}")
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        check_int("population", self.population, 1)
+        check_int("dimension", self.dimension, 1)
+        check_int("max_iter", self.max_iter, 3)
+        for seed in self.seed if np.ndim(self.seed) else (self.seed,):
+            check_int("seed", seed, 0)
         lo, hi = self.init_range
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"init_range ends must be finite, got {self.init_range}")
@@ -96,8 +97,6 @@ class SwarmConfig:
             raise ValueError(f"k must be finite and > 0, got {self.k}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        if self.max_iter < 3:
-            raise ValueError(f"max_iter must be >= 3, got {self.max_iter}")
         if self.lam is not None and not math.isfinite(self.lam):
             raise ValueError(f"lam must be finite, got {self.lam}")
         if self.mode not in MODES:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import Objective
+from ._atomic import atomic_open
+from .objectives import Objective, check_int
 
 __all__ = [
     "FilterSpec",
@@ -59,8 +60,8 @@ class FilterSpec:
     symmetric: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_coeff < 1:
-            raise ValueError(f"n_coeff must be >= 1, got {self.n_coeff}")
+        check_int("n_coeff", self.n_coeff, 1)
+        check_int("grid_points", self.grid_points, 2)
         if not 0.0 < self.omega_p < self.omega_s < math.pi:
             raise ValueError(
                 f"band edges must satisfy 0 < omega_p < omega_s < pi, "
@@ -68,8 +69,6 @@ class FilterSpec:
             )
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
-        if self.grid_points < 2:
-            raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
 
     @property
     def free_dimension(self) -> int:
@@ -106,34 +105,56 @@ class FilterEval:
     delta_db: float
 
 
+def _basis(w, taps):
+    """exp(-j w n) for every (w, n) with n = 0..taps-1, built in place."""
+    b = -1j * np.multiply.outer(w, np.arange(taps))
+    np.exp(b, out=b)
+    return b
+
+
 def fir_response_magnitude(h, omega):
     """|H(w)| = |sum_n h(n) exp(-j w n)| for scalar or array omega in [0, pi]."""
     h = np.asarray(h, dtype=float)
     w = np.asarray(omega, dtype=float)
     if np.any(w < 0.0) or np.any(w > np.pi):
         raise ValueError("omega must lie in [0, pi]")
-    n = np.arange(h.size)
-    mag = np.abs(np.exp(-1j * np.multiply.outer(w, n)) @ h)
+    mag = np.abs(_basis(w, h.size) @ h)
     if np.ndim(omega) == 0:
         return float(mag)
     return mag
 
 
-def fir_band_errors(h, spec: FilterSpec) -> tuple[float, float]:
-    """Trapezoid band errors (E_p, E_s) on spec.grid_points samples per band."""
+def _band_bases(spec: FilterSpec, taps: int):
+    """[(w_pass, B_pass), (w_stop, B_stop)]: each band's grid and response basis."""
     w_pass = np.linspace(0.0, spec.omega_p, spec.grid_points)
     w_stop = np.linspace(spec.omega_s, np.pi, spec.grid_points)
-    h_pass = fir_response_magnitude(h, w_pass)
-    h_stop = fir_response_magnitude(h, w_stop)
+    return [(w_pass, _basis(w_pass, taps)), (w_stop, _basis(w_stop, taps))]
+
+
+def _band_errors(h, bases) -> tuple[float, float]:
+    """Trapezoid band errors (E_p, E_s) of float taps h on bases from _band_bases."""
+    (w_pass, b_pass), (w_stop, b_stop) = bases
+    h_pass = np.abs(b_pass @ h)
+    h_stop = np.abs(b_stop @ h)
     e_p = float(np.trapezoid((1.0 - h_pass) ** 2, w_pass) / np.pi)
     e_s = float(np.trapezoid(h_stop**2, w_stop) / np.pi)
     return e_p, e_s
 
 
+def _gamma(spec: FilterSpec, e_p: float, e_s: float) -> float:
+    """Weighted design cost gamma = eta*E_p + (1 - eta)*E_s."""
+    return spec.eta * e_p + (1.0 - spec.eta) * e_s
+
+
+def fir_band_errors(h, spec: FilterSpec) -> tuple[float, float]:
+    """Trapezoid band errors (E_p, E_s) on spec.grid_points samples per band."""
+    h = np.asarray(h, dtype=float)
+    return _band_errors(h, _band_bases(spec, h.size))
+
+
 def fir_cost(h, spec: FilterSpec) -> float:
     """Weighted design cost gamma = eta*E_p + (1 - eta)*E_s."""
-    e_p, e_s = fir_band_errors(h, spec)
-    return spec.eta * e_p + (1.0 - spec.eta) * e_s
+    return _gamma(spec, *fir_band_errors(h, spec))
 
 
 def stopband_attenuation_db(h, spec: FilterSpec, grid_points: int | None = None) -> float:
@@ -177,16 +198,24 @@ def evaluate_filter(h, spec: FilterSpec) -> FilterEval:
     return FilterEval(
         e_p=e_p,
         e_s=e_s,
-        gamma=spec.eta * e_p + (1.0 - spec.eta) * e_s,
+        gamma=_gamma(spec, e_p, e_s),
         delta_db=stopband_attenuation_db(h, spec),
     )
 
 
 def make_filter_objective(spec: FilterSpec) -> Objective:
-    """Wrap a design spec as an engine objective over the free variables."""
+    """Wrap a design spec as an engine objective over the free variables.
+
+    The band bases are built on the first evaluation and reused by every
+    later one, so building an objective that never runs costs nothing.
+    """
+    bases = None
 
     def evaluate(x) -> float:
-        return fir_cost(spec.taps(x), spec)
+        nonlocal bases
+        if bases is None:
+            bases = _band_bases(spec, spec.n_coeff)
+        return _gamma(spec, *_band_errors(spec.taps(x), bases))
 
     return Objective(
         name=f"fir-{spec.n_coeff}",
@@ -200,7 +229,7 @@ def make_filter_objective(spec: FilterSpec) -> Objective:
 def write_coefficients(h, path) -> None:
     """Write the full coefficient vector, one per line, 17 significant digits."""
     h = np.asarray(h, dtype=float)
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path) as fh:
         for c in h:
             fh.write(f"{c:.17g}\n")
 

@@ -7,7 +7,7 @@ a convergence SVG (plus a response SVG and coefficient CSV for filter
 designs), and a canonical JSON report that echoes every resolved design
 switch; a preset sweep adds one summary table per function. Identical
 configs produce byte-identical artifacts except for the report's timing
-block.
+block. Every writer replaces its file atomically.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from itertools import repeat
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .engine import RunResult, SwarmConfig, run
 from .filters import FilterSpec, evaluate_filter, make_filter_objective, write_coefficients
-from .objectives import BENCHMARK_NAMES, Objective, make_benchmark
+from .objectives import BENCHMARK_NAMES, Objective, check_int, make_benchmark
 from .svg import line_plot
 
 __all__ = [
@@ -45,6 +46,15 @@ __all__ = [
 ]
 
 EMIT_KINDS = ("traces", "plots", "report")
+_INT_FIELDS = (
+    ("population", None),
+    ("iterations", None),
+    ("trials", 1),
+    ("master_seed", None),
+    ("order", None),
+    ("grid", None),
+    ("workers", 1),
+)
 
 
 @dataclass(frozen=True)
@@ -90,12 +100,12 @@ class ExperimentConfig:
                 f"objective must be 'fir' or one of {', '.join(BENCHMARK_NAMES)}, "
                 f"got {self.objective!r}"
             )
-        if self.objective != "fir" and (self.dimension is None or self.dimension < 1):
-            raise ValueError("benchmark experiments need dimension >= 1")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.objective != "fir":
+            object.__setattr__(self, "dimension", check_int("dimension", self.dimension, 1))
+        # integer fields are stored as Python ints so the report serializes;
+        # the ranges of the ones passed on are checked where they are used
+        for name, minimum in _INT_FIELDS:
+            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         unknown = set(self.emit) - set(EMIT_KINDS)
         if unknown:
             raise ValueError(f"unknown emit kinds {sorted(unknown)}; allowed: {EMIT_KINDS}")
@@ -186,7 +196,7 @@ def emit_stacked_traces(traces, path) -> None:
     parses back bit-exactly.
     """
     try:
-        with open(path, "w", encoding="ascii") as fh:
+        with atomic_open(path) as fh:
             fh.write("trial,iter,best_cost,eval_count\n")
             for trial, rows in enumerate(traces):
                 for iteration, best_cost, eval_count in rows:
@@ -310,7 +320,7 @@ def build_report(
 def emit_report(report: dict, path) -> None:
     """Write a report document built by build_report as canonical JSON."""
     try:
-        with open(path, "w", encoding="ascii") as fh:
+        with atomic_open(path) as fh:
             fh.write(canonical_json(report))
     except OSError as exc:
         raise OSError(f"writing report to {path}: {exc}") from exc
@@ -343,7 +353,7 @@ def emit_tables(reports, out_dir) -> list[str]:
     for name, lines in tables.items():
         path = os.path.join(out_dir, f"{name}.csv")
         try:
-            with open(path, "w", encoding="ascii") as fh:
+            with atomic_open(path) as fh:
                 fh.writelines(lines)
         except OSError as exc:
             raise OSError(f"writing table to {path}: {exc}") from exc

@@ -7,6 +7,7 @@ separately in :mod:`qdds.filters` and share the same Objective shape.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,6 +22,18 @@ __all__ = [
     "BENCHMARK_NAMES",
     "make_benchmark",
 ]
+
+
+def check_int(name: str, value, minimum: int | None = None) -> int:
+    """value as a Python int; ValueError unless it is an integer >= minimum.
+
+    Python and numpy integers pass; bool and integral floats (10.0) do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -39,8 +52,7 @@ class Objective:
     known_min: tuple[np.ndarray, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        check_int("dimension", self.dimension, 1)
         lo, hi = self.init_range
         if not lo <= hi:
             raise ValueError(f"init_range must be non-empty, got {self.init_range}")

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+from ._atomic import atomic_open
+
 __all__ = ["line_plot"]
 
 _PALETTE = (
@@ -138,5 +140,5 @@ def line_plot(
         )
 
     lines.append("</svg>")
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")

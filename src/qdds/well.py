@@ -124,7 +124,8 @@ def solve_r_batch(deltas, k, tol=1e-12):
     r : ndarray
         Solutions where solvable, 0.0 placeholder elsewhere.
     solved : ndarray of bool
-        False where delta lies outside [DELTA_MIN, DELTA_MAX].
+        False where delta lies outside [DELTA_MIN, DELTA_MAX] and where
+        the residual still exceeds tol after the 200-round cap.
     fallback_count : int
         Number of elements whose solve needed at least one bisection
         substitution.
@@ -158,6 +159,7 @@ def solve_r_batch(deltas, k, tol=1e-12):
         bad = active & ((z_newton <= lo) | (z_newton >= hi) | ~np.isfinite(z_newton))
         used_fallback |= bad
         z = np.where(active, np.where(bad, 0.5 * (lo + hi), z_newton), z)
+    solved &= ~active
     k_flat = np.broadcast_to(np.asarray(k, dtype=float), d.shape).ravel()
     r = np.where(solved, z, 0.0) / (2.0 * k_flat)
     return r.reshape(d.shape), solved.reshape(d.shape), int(used_fallback.sum())

@@ -5,21 +5,25 @@ perfbench/spans.LAYERS, wraps objective evaluation by replacing
 harness.build_problem, and counts engine.updates as calls of
 engine.blend_with_gbest; its worker times trials by replacing
 harness.run_trial. Each name must stay a module attribute that its
-caller looks up at call time. perfbench/ is only read here.
+caller looks up at call time, and the FIR response counters read the
+wrapped call's second positional argument as omega. perfbench/ is only
+read here.
 """
 
 import importlib
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qdds import engine, harness
+from qdds import engine, filters, harness, svg
 from qdds.objectives import make_benchmark
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 # run_path compiles from source, so no bytecode cache is written under perfbench/
-LAYERS = runpy.run_path(str(SPANS))["LAYERS"]
+SPANS = runpy.run_path(str(SPANS_PATH))
+LAYERS = SPANS["LAYERS"]
 
 
 @pytest.mark.parametrize("module, attr", [(layer[0], layer[1]) for layer in LAYERS])
@@ -79,3 +83,38 @@ def test_blend_called_once_per_update(monkeypatch, mode, per_iteration):
     updates = (config.max_iter - 3) * per_iteration
     assert len(calls) == updates
     assert result.eval_count == 2 * config.population + updates
+
+
+def test_fir_response_called_through_module_with_omega(tmp_path, monkeypatch):
+    calls = []
+    response = filters.fir_response_magnitude
+
+    def recording(*args):
+        calls.append(args)
+        return response(*args)
+
+    monkeypatch.setattr(filters, "fir_response_magnitude", recording)
+    spec = filters.FilterSpec(n_coeff=4)
+    h = np.array([0.1, 0.4, 0.4, 0.1])
+    filters.stopband_attenuation_db(h, spec)
+    harness.emit_response_plot(h, tmp_path / "r.svg", points=33)
+    assert [len(args) for args in calls] == [2, 2]
+    assert [np.shape(args[1]) for args in calls] == [(filters.ATTENUATION_GRID,), (33,)]
+    assert calls[0][1][0] == spec.omega_s and calls[1][1][-1] == np.pi
+
+
+def test_tracer_spans_the_fir_objective(tmp_path):
+    tracer = SPANS["Tracer"]()
+    tracer.install({"engine": engine, "filters": filters, "harness": harness, "svg": svg})
+    config = harness.ExperimentConfig(
+        objective="fir", order=6, population=4, iterations=10, trials=1, out_dir=str(tmp_path)
+    )
+    try:
+        _, report = harness.run_experiment(config)
+    finally:
+        tracer.restore()
+    metrics = SPANS["layer_metrics"](tracer, 1.0)
+    assert metrics["objectives.evaluate.calls"] == report["trials"][0]["eval_count"]
+    # evaluations reuse their bases; only the attenuation and the response plot
+    # compute a response through fir_response_magnitude
+    assert metrics["filters.response.calls"] == 2

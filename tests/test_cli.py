@@ -197,6 +197,26 @@ class TestBadSettings:
         assert "bad configuration" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("iterations", 10.5),
+            ("workers", 1.5),
+            ("population", 2.0),
+            ("trials", True),
+            ("master_seed", 1.5),
+        ],
+    )
+    def test_non_integer_config_file_values(self, tmp_path, capsys, field, value):
+        out = tmp_path / "out"
+        config = tmp_path / "cfg.json"
+        settings = {"objective": "sphere", "dimension": 2, "population": 2, "trials": 1}
+        settings.update({"out_dir": str(out), field: value})
+        config.write_text(json.dumps(settings))
+        assert main(["bench", "--config", str(config)]) == 1
+        assert "bad configuration" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_file_provides_base_flags_override(self, tmp_path):

@@ -50,6 +50,27 @@ class TestSwarmConfig:
         with pytest.raises(ValueError):
             config(rebind="mid")
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"population": 2.0},
+            {"population": True},
+            {"dimension": 2.5},
+            {"max_iter": 10.5},
+            {"seed": 1.5},
+            {"seed": [2023, 1.5]},
+            {"seed": [2023, False]},
+            {"seed": -1},
+        ],
+    )
+    def test_counts_and_seeds_must_be_integers(self, kwargs):
+        with pytest.raises(ValueError, match="population|dimension|max_iter|seed"):
+            config(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = config(population=np.int64(3), max_iter=np.int32(10), seed=[np.uint64(5), 2])
+        assert cfg.population == 3
+
     def test_guard_halfwidth(self):
         assert config().guard_halfwidth() == pytest.approx(70.0)
         assert config(k=1.0).guard_halfwidth() == pytest.approx(350.0)

@@ -1,12 +1,14 @@
 """Filter design objective: response, band errors, attenuation, symmetry."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdds import filters
 from qdds.filters import (
     ATTENUATION_GRID,
     FilterSpec,
@@ -35,6 +37,35 @@ def impulse(n=10):
     h = np.zeros(n)
     h[0] = 1.0
     return h
+
+
+# Reference oracle: the response, cost and attenuation computed directly,
+# building exp(-j w n) on every call. The objective's cached band bases
+# must reproduce these bit for bit.
+def direct_response(h, w):
+    return np.abs(np.exp(-1j * np.multiply.outer(w, np.arange(h.size))) @ h)
+
+
+def direct_cost(h, spec):
+    w_pass = np.linspace(0.0, spec.omega_p, spec.grid_points)
+    w_stop = np.linspace(spec.omega_s, np.pi, spec.grid_points)
+    h_pass = direct_response(h, w_pass)
+    h_stop = direct_response(h, w_stop)
+    e_p = float(np.trapezoid((1.0 - h_pass) ** 2, w_pass) / np.pi)
+    e_s = float(np.trapezoid(h_stop**2, w_stop) / np.pi)
+    return spec.eta * e_p + (1.0 - spec.eta) * e_s
+
+
+def direct_attenuation_db(h, spec):
+    m = direct_response(h, np.linspace(spec.omega_s, np.pi, ATTENUATION_GRID))
+    top = float(m.max())
+    if top == 0.0:
+        return float("-inf")
+    interior = m[1:-1]
+    peaks = (interior > m[:-2]) & (interior > m[2:])
+    if peaks.any():
+        top = float(interior[peaks].max())
+    return float(20.0 * np.log10(top))
 
 
 class TestFilterSpec:
@@ -78,6 +109,24 @@ class TestFilterSpec:
         with pytest.raises(ValueError):
             FilterSpec(n_coeff=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_coeff": 10.5},
+            {"n_coeff": 10.0},
+            {"n_coeff": True},
+            {"grid_points": 64.5},
+            {"grid_points": 64.0},
+        ],
+    )
+    def test_counts_must_be_integers(self, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            FilterSpec(**kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = FilterSpec(n_coeff=np.int64(11), grid_points=np.int32(64))
+        assert spec.free_dimension == 6
+
 
 class TestResponseMagnitude:
     def test_single_tap_is_allpass(self):
@@ -99,6 +148,13 @@ class TestResponseMagnitude:
             fir_response_magnitude([1.0], -0.1)
         with pytest.raises(ValueError):
             fir_response_magnitude([1.0], math.pi + 0.1)
+
+    @given(coeff_vectors)
+    def test_matches_direct_expression(self, h):
+        h = np.asarray(h)
+        w = np.linspace(0.0, math.pi, 257)
+        assert np.array_equal(fir_response_magnitude(h, w), direct_response(h, w))
+        assert fir_response_magnitude(h, 0.7) == float(direct_response(h, np.asarray(0.7)))
 
     @given(coeff_vectors)
     def test_dc_equals_abs_coefficient_sum(self, h):
@@ -190,6 +246,13 @@ class TestAttenuation:
         fine = stopband_attenuation_db(h, spec, grid_points=16384)
         assert coarse == pytest.approx(fine, abs=0.05)
 
+    @settings(max_examples=25, deadline=None)
+    @given(coeff_vectors)
+    def test_matches_direct_expression(self, h):
+        h = np.asarray(h)
+        spec = FilterSpec(n_coeff=h.size, symmetric=False)
+        assert stopband_attenuation_db(h, spec) == direct_attenuation_db(h, spec)
+
     def test_tiny_grid_rejected(self):
         with pytest.raises(ValueError):
             stopband_attenuation_db(impulse(), FilterSpec(), grid_points=2)
@@ -228,7 +291,69 @@ class TestEvaluateFilter:
         assert ev.delta_db == stopband_attenuation_db(impulse(), spec)
 
 
+objective_cases = st.integers(min_value=1, max_value=24).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.booleans(),
+        st.sampled_from([2, 3, 64, 257, 2048]),
+        st.lists(
+            st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+            min_size=n,
+            max_size=n,
+        ),
+    )
+)
+
+
 class TestObjectiveWrapper:
+    @settings(max_examples=60, deadline=None)
+    @given(objective_cases)
+    def test_cost_matches_direct_expression(self, case):
+        n_coeff, symmetric, grid, values = case
+        spec = FilterSpec(n_coeff=n_coeff, symmetric=symmetric, grid_points=grid)
+        obj = make_filter_objective(spec)
+        # a second point checks the bases the first evaluation cached
+        for x in (values[: spec.free_dimension], values[::-1][: spec.free_dimension]):
+            h = spec.taps(x)
+            assert obj.evaluate(np.asarray(x)) == direct_cost(h, spec)
+            assert fir_cost(h, spec) == direct_cost(h, spec)
+
+    def test_bases_built_once_on_first_evaluation(self, monkeypatch):
+        calls = []
+        band_bases = filters._band_bases
+
+        def counting(spec, taps):
+            calls.append((spec, taps))
+            return band_bases(spec, taps)
+
+        monkeypatch.setattr(filters, "_band_bases", counting)
+        spec = FilterSpec(n_coeff=20)
+        obj = make_filter_objective(spec)
+        assert calls == []
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            obj.evaluate(rng.uniform(-1.0, 1.0, obj.dimension))
+        assert calls == [(spec, 20)]
+
+    def test_building_an_experiment_builds_no_bases(self, monkeypatch):
+        from qdds.harness import ExperimentConfig, build_problem
+
+        calls = []
+        monkeypatch.setattr(filters, "_band_bases", lambda *args: calls.append(args))
+        config = ExperimentConfig(objective="fir", order=20, population=4, iterations=5)
+        build_problem(config)
+        assert calls == []
+
+    def test_importing_presets_builds_no_bases(self, monkeypatch):
+        from qdds import presets
+
+        calls = []
+        monkeypatch.setattr(filters, "_band_bases", lambda *args: calls.append(args))
+        # re-runs the module body, which builds every preset's config
+        importlib.reload(presets)
+        assert "fir-20" in presets.PRESETS
+        assert calls == []
+
     def test_symmetric_searches_half(self):
         spec = FilterSpec(n_coeff=10)
         obj = make_filter_objective(spec)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qdds import harness
+from qdds._atomic import atomic_open
 from qdds.filters import read_coefficients
 from qdds.harness import (
     EMIT_KINDS,
@@ -119,6 +120,35 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             tiny_config(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"iterations": 10.5},
+            {"workers": 1.5},
+            {"population": 2.0},
+            {"trials": 1.5},
+            {"master_seed": 1.5},
+            {"objective": "fir", "order": 10.5},
+            {"objective": "fir", "grid": 64.5},
+            {"trials": True},
+            {"iterations": True},
+            {"dimension": 2.0},
+            {"master_seed": -1},
+        ],
+    )
+    def test_integer_fields_must_be_integers(self, kwargs):
+        with pytest.raises(ValueError, match="must be an integer|seed"):
+            tiny_config(**kwargs)
+
+    def test_numpy_integers_stored_as_ints(self):
+        cfg = tiny_config(
+            population=np.int64(3), iterations=np.int32(12), master_seed=np.uint16(5)
+        )
+        assert type(cfg.population) is int and type(cfg.master_seed) is int
+        stats = aggregate_stats([1.0])
+        report = build_report(cfg, stats, [run_trial(cfg, 0)])
+        assert json.loads(canonical_json(report))["config"]["iterations"] == 12
+
     def test_unknown_emit_kind_rejected(self):
         with pytest.raises(ValueError, match="emit"):
             tiny_config(emit=("traces", "movies"))
@@ -198,6 +228,39 @@ class TestEmitTrace:
         missing = tmp_path / "nope" / "trace.csv"
         with pytest.raises(OSError, match="trace"):
             emit_stacked_traces(traces, missing)
+
+
+class TestAtomicWrites:
+    """A writer that fails part way leaves the previous file as it was."""
+
+    def test_traces_failing_mid_write(self, tmp_path):
+        path = tmp_path / "t.csv"
+        trace = run_trial(tiny_config(), 0).trace
+        emit_stacked_traces([trace, trace], path)
+        before = path.read_bytes()
+        # the second trace's malformed row raises after the first is written
+        with pytest.raises(ValueError):
+            emit_stacked_traces([trace, [(0, 1.0)]], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_report_failing_mid_write(self, tmp_path):
+        path = tmp_path / "r.json"
+        emit_report({"a": 1.0}, path)
+        with pytest.raises(ValueError):
+            emit_report({"a": math.nan}, path)
+        assert path.read_text() == canonical_json({"a": 1.0})
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+    def test_interrupt_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_text("old\n")
+        with pytest.raises(KeyboardInterrupt):
+            with atomic_open(path) as fh:
+                fh.write("partial")
+                raise KeyboardInterrupt
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]
 
 
 class TestPlots:

@@ -136,6 +136,19 @@ class TestROfDelta:
         assert solved.all()
         assert r_batch.tolist() == [r_of_delta(float(d), 5.0)[0] for d in deltas]
 
+    @given(st.floats(min_value=DELTA_MIN, max_value=DELTA_MAX))
+    def test_whole_solvable_range_converges(self, delta):
+        # the round cap is never what stops a solve in range
+        r, solved, _ = solve_r_batch(np.array([delta]), 5.0)
+        assert solved[0]
+        assert delta_of_r(r[0], 5.0) == pytest.approx(delta, rel=1e-12, abs=1e-12)
+
+    def test_round_cap_reports_unsolved(self):
+        # a negative tolerance is never met, so every element hits the cap
+        r, solved, _ = solve_r_batch(np.array([0.0, 3.0, -40.0]), 5.0, tol=-1.0)
+        assert solved.tolist() == [False, False, False]
+        assert r.tolist() == [0.0, 0.0, 0.0]
+
     def test_batch_flags_unsolvable(self):
         bad = [DELTA_MAX * 1.01, DELTA_MIN * 1.01, float("inf"), DELTA_MAX * 2]
         r, solved, _ = solve_r_batch(np.array([0.0, *bad]), 5.0)
@@ -247,6 +260,8 @@ class TestWellParams:
             {"max_iter": 2},
             {"lam": float("nan")},
             {"k": float("inf")},
+            {"max_iter": 10.5},
+            {"max_iter": True},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
