@@ -92,7 +92,7 @@ def _build_config(args: argparse.Namespace, forced: dict) -> ExperimentConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 base = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
             raise _CliError(1, f"config file {args.config}: {exc}")
         if not isinstance(base, dict):
             raise _CliError(1, f"config file {args.config}: expected a JSON object")
@@ -224,10 +224,7 @@ def main(argv=None) -> int:
         if exc.message:
             print(exc.message, file=sys.stderr)
         return exc.code
-    except (ValueError, KeyError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # I/O and anything unexpected mid-run
+    except Exception as exc:  # settings are all checked before a run, so the run failed
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,11 @@ so far using a single uniformly drawn weight per update. Scheduling is
 either "literal" (one randomly selected particle per iteration, the
 default) or "sweep" (all particles in index order per iteration).
 
+The gate, the inverse solve and the delta rebind each run once per step
+on the (rows, dimension) block of the particles it updates, and the blend
+weights come from one draw. Blending, evaluation and the gbest update stay
+sequential in index order: each blend reads the gbest the rows before it left.
+
 All randomness flows from one numpy Generator seeded by the config, so
 identical (config, objective, seed) produce bitwise identical runs.
 """
@@ -14,7 +19,7 @@ identical (config, objective, seed) produce bitwise identical runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -129,11 +134,7 @@ class EventCounters:
     guard_clamp: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "in_band": self.in_band,
-            "solver_fallback": self.solver_fallback,
-            "guard_clamp": self.guard_clamp,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -199,25 +200,15 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
             f"objective dimension {objective.dimension} != config dimension {config.dimension}"
         )
     rng = np.random.default_rng(config.seed)
-    if config.lam is None:
-        lam = float(rng.normal(0.0, 0.5) * 1e-3)
-    else:
-        lam = float(config.lam)
+    lam = float(rng.normal(0.0, 0.5) * 1e-3) if config.lam is None else float(config.lam)
     if config.lambda_abs:
         lam = abs(lam)
     lo, hi = config.effective_init_range()
-    shape = (config.population, config.dimension)
-    r1 = rng.uniform(lo, hi, shape)
-    r2 = rng.uniform(lo, hi, shape)
-    k = config.k
-    delta_prev2 = delta_of_r(r1, k)
-    delta_prev = delta_of_r(r2, k)
-
-    costs1 = np.array([objective.evaluate(r1[p]) for p in range(config.population)])
-    costs2 = np.array([objective.evaluate(r2[p]) for p in range(config.population)])
+    r = rng.uniform(lo, hi, (2, config.population, config.dimension))
+    costs = np.array([[objective.evaluate(x) for x in rows] for rows in r])
     # np.argmin picks a NaN, and no later cost compares below NaN
-    costs1[np.isnan(costs1)] = np.inf
-    costs2[np.isnan(costs2)] = np.inf
+    costs[np.isnan(costs)] = np.inf
+    (r1, r2), (costs1, costs2) = r, costs
     best1 = int(np.argmin(costs1))
     if costs2.min() < costs1[best1]:
         best2 = int(np.argmin(costs2))
@@ -228,8 +219,8 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
     swarm = Swarm(
         config=config,
         positions=r2.copy(),
-        delta_prev=np.asarray(delta_prev, dtype=float).reshape(shape),
-        delta_prev2=np.asarray(delta_prev2, dtype=float).reshape(shape),
+        delta_prev=delta_of_r(r2, config.k),
+        delta_prev2=delta_of_r(r1, config.k),
         best_cost=best_cost,
         best_solution=best_solution,
         iteration=3,
@@ -243,36 +234,36 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
     return swarm
 
 
-def _update_particle(swarm: Swarm, objective: Objective, p: int, theta: float) -> None:
+def _update(swarm: Swarm, objective: Objective, rows: slice, theta: float) -> None:
     cfg = swarm.config
-    k = cfg.k
-    dp = swarm.delta_prev[p]
-    dp2 = swarm.delta_prev2[p]
+    positions = swarm.positions[rows]
+    dp = swarm.delta_prev[rows]
+    dp2 = swarm.delta_prev2[rows]
     delta_new, fired = delta_update_arrays(dp, dp2, theta, swarm.lam)
-    swarm.events.in_band += int(cfg.dimension - fired.sum())
-
-    r_raw, solved, fallbacks = solve_r_batch(delta_new, k)
+    r_raw, solved, fallbacks = solve_r_batch(delta_new, cfg.k)
+    swarm.events.in_band += fired.size - int(np.count_nonzero(fired))
     swarm.events.solver_fallback += fallbacks
-    swarm.events.guard_clamp += int((~solved).sum())
-    # unsolvable target deltas: that dimension's raw position stays put
-    r_raw = np.where(solved, r_raw, swarm.positions[p])
-    delta_new = np.where(solved, delta_new, dp)
+    if not solved.all():
+        swarm.events.guard_clamp += solved.size - int(np.count_nonzero(solved))
+        # unsolvable target deltas: that dimension's raw position stays put
+        r_raw = np.where(solved, r_raw, positions)
+        delta_new = np.where(solved, delta_new, dp)
 
-    rho = float(swarm.rng.uniform())
-    blended = blend_with_gbest(r_raw, swarm.best_solution, rho)
+    # in index order: each blend sees the gbest its predecessors left
+    for i, rho in enumerate(swarm.rng.uniform(size=len(r_raw)).tolist()):
+        blended = blend_with_gbest(r_raw[i], swarm.best_solution, rho)
+        cost = objective.evaluate(blended)
+        swarm.eval_count += 1
+        if cost < swarm.best_cost:
+            swarm.best_cost = float(cost)
+            swarm.best_solution = blended.copy()
+        positions[i] = blended
 
-    cost = objective.evaluate(blended)
-    swarm.eval_count += 1
-    if cost < swarm.best_cost:
-        swarm.best_cost = float(cost)
-        swarm.best_solution = blended.copy()
-
-    swarm.positions[p] = blended
-    swarm.delta_prev2[p] = dp
+    swarm.delta_prev2[rows] = dp
     if cfg.rebind == "post":
-        swarm.delta_prev[p] = delta_of_r(blended, k)
+        swarm.delta_prev[rows] = delta_of_r(positions, cfg.k)
     else:
-        swarm.delta_prev[p] = delta_new
+        swarm.delta_prev[rows] = delta_new
 
 
 def step(swarm: Swarm, objective: Objective) -> Swarm:
@@ -284,11 +275,11 @@ def step(swarm: Swarm, objective: Objective) -> Swarm:
         )
     theta = learning_rate(swarm.iteration, cfg.max_iter, cfg.epsilon)
     if cfg.mode == "literal":
-        indices = [int(swarm.rng.integers(cfg.population))]
+        p = int(swarm.rng.integers(cfg.population))
+        rows = slice(p, p + 1)
     else:
-        indices = range(cfg.population)
-    for p in indices:
-        _update_particle(swarm, objective, p, theta)
+        rows = slice(None)
+    _update(swarm, objective, rows, theta)
     swarm.iteration += 1
     swarm.trace.append((swarm.iteration, swarm.best_cost, swarm.eval_count))
     return swarm

@@ -87,7 +87,8 @@ def delta_of_r(r, k):
     every element.
     """
     z = 2.0 * np.asarray(k, dtype=float) * np.asarray(r, dtype=float)
-    if np.any(np.abs(z) > EXP_ARG_LIMIT) or not np.all(np.isfinite(z)):
+    # one reduction: NaN fails the comparison, so it is caught with +-inf
+    if not (np.abs(z) <= EXP_ARG_LIMIT).all():
         raise ValueError(
             f"|2*k*r| exceeds the overflow guard {EXP_ARG_LIMIT} for r={r!r}, k={k!r}"
         )
@@ -117,6 +118,9 @@ def solve_r_batch(deltas, k, tol=1e-12):
     convergent since f is strictly increasing. tol is relative in delta
     (absolute near zero).
 
+    Each element iterates on its own and leaves the working set in the
+    round its residual meets tol, so no result depends on the batch.
+
     k may be a scalar or an array broadcastable to deltas' shape.
 
     Returns
@@ -132,37 +136,45 @@ def solve_r_batch(deltas, k, tol=1e-12):
     """
     d = np.asarray(deltas, dtype=float)
     flat = d.ravel()
-    solved = np.isfinite(flat) & (flat >= DELTA_MIN) & (flat <= DELTA_MAX)
-    z = np.where(solved, _initial_z(np.where(solved, flat, 0.0)), 0.0)
-    z = np.clip(z, -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
-    lo = np.full_like(flat, -EXP_ARG_LIMIT)
-    hi = np.full_like(flat, EXP_ARG_LIMIT)
-    target = np.where(solved, flat, 0.0)
-    scale = np.maximum(1.0, np.abs(target))
-    used_fallback = np.zeros(flat.shape, dtype=bool)
-    active = solved.copy()
+    # NaN fails both comparisons, and +-inf lies outside the range
+    solved = (flat >= DELTA_MIN) & (flat <= DELTA_MAX)
+    at = solved.nonzero()[0]
+    target = flat[at]
+    z = np.minimum(np.maximum(_initial_z(target), -EXP_ARG_LIMIT), EXP_ARG_LIMIT)
+    lo, hi = np.full((2, at.size), [[-EXP_ARG_LIMIT], [EXP_ARG_LIMIT]])
+    atol = tol * np.maximum(1.0, np.abs(target))
+    z_out = np.zeros_like(flat)
+    fell_back = np.zeros(flat.shape, dtype=bool)
     for _ in range(200):
-        if not active.any():
+        if not at.size:
             break
-        f = _z_forward(z) - target
+        ez = np.exp(z)
+        emz5 = 5.0 * np.exp(-z)
+        f = ez - emz5 + 2.0 * z + 4.0 - target
+        conv = np.abs(f) <= atol
         # tighten the bracket around the increasing root
         pos = f > 0.0
-        hi = np.where(active & pos, np.minimum(hi, z), hi)
-        lo = np.where(active & ~pos, np.maximum(lo, z), lo)
-        conv = np.abs(f) <= tol * scale
-        active &= ~conv
-        if not active.any():
-            break
-        fp = np.exp(z) + 5.0 * np.exp(-z) + 2.0
-        step = np.where(active, f / fp, 0.0)
-        z_newton = z - step
-        bad = active & ((z_newton <= lo) | (z_newton >= hi) | ~np.isfinite(z_newton))
-        used_fallback |= bad
-        z = np.where(active, np.where(bad, 0.5 * (lo + hi), z_newton), z)
-    solved &= ~active
-    k_flat = np.broadcast_to(np.asarray(k, dtype=float), d.shape).ravel()
-    r = np.where(solved, z, 0.0) / (2.0 * k_flat)
-    return r.reshape(d.shape), solved.reshape(d.shape), int(used_fallback.sum())
+        np.minimum(hi, z, out=hi, where=pos)
+        np.maximum(lo, z, out=lo, where=~pos)
+        z_newton = z - f / (ez + emz5 + 2.0)
+        if np.count_nonzero(conv):
+            z_out[at[conv]] = z[conv]
+            keep = (~conv).nonzero()[0]
+            at, target, z_newton = at[keep], target[keep], z_newton[keep]
+            lo, hi, atol = lo[keep], hi[keep], atol[keep]
+            if not at.size:
+                break
+        # the comparisons are False for NaN, so a non-finite step bisects too
+        inside = (z_newton > lo) & (z_newton < hi)
+        if np.count_nonzero(inside) == inside.size:
+            z = z_newton
+        else:
+            fell_back[at[~inside]] = True
+            z = np.where(inside, z_newton, 0.5 * (lo + hi))
+    solved[at] = False
+    r = z_out.reshape(d.shape)
+    r /= 2.0 * np.asarray(k, dtype=float)
+    return r, solved.reshape(d.shape), int(np.count_nonzero(fell_back))
 
 
 def learning_rate(iteration, max_iter, epsilon):
@@ -198,13 +210,13 @@ def delta_update_arrays(delta_prev, delta_prev2, theta, lam):
     step = theta * grad * lam
     above = dp > 2.0 * dp2
     below = dp < 0.5 * dp2
-    c1 = above & (grad > 0.0)
-    c2 = above & (grad < 0.0)
-    c3 = below & (grad < 0.0)
-    c4 = below & (grad > 0.0)
-    # np.select takes the first matching condition, preserving branch order
-    out = np.select([c1, c2, c3, c4], [dp - step, dp + step, dp - step, dp + step], dp)
-    return out, c1 | c2 | c3 | c4
+    rising = grad > 0.0
+    falling = grad < 0.0
+    minus = np.where(above, rising, below & falling)
+    plus = np.where(above, falling, below & rising)
+    out = np.where(plus, dp + step, dp)
+    np.subtract(dp, step, out=out, where=minus)
+    return out, minus | plus
 
 
 def confinement_integral(probe: WaveProbe, quad_points: int = 10**5) -> float:

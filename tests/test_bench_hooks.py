@@ -6,8 +6,10 @@ harness.build_problem, and counts engine.updates as calls of
 engine.blend_with_gbest; its worker times trials by replacing
 harness.run_trial. Each name must stay a module attribute that its
 caller looks up at call time, and the FIR response counters read the
-wrapped call's second positional argument as omega. perfbench/ is only
-read here.
+wrapped call's second positional argument as omega. The per-layer call
+counts rest on how a step batches its work: one gate, one solve and one
+rebind per step, on the (updated rows, dimension) block, and one blend per
+update. perfbench/ is only read here.
 """
 
 import importlib
@@ -83,6 +85,39 @@ def test_blend_called_once_per_update(monkeypatch, mode, per_iteration):
     updates = (config.max_iter - 3) * per_iteration
     assert len(calls) == updates
     assert result.eval_count == 2 * config.population + updates
+
+
+@pytest.mark.parametrize("mode, rows", [("literal", 1), ("sweep", 4)])
+@pytest.mark.parametrize("rebind", ["post", "pre"])
+def test_well_kernels_called_once_per_step_on_its_rows(monkeypatch, mode, rows, rebind):
+    shapes = {"delta_update_arrays": [], "solve_r_batch": [], "delta_of_r": []}
+
+    def recording(name):
+        fn = getattr(engine, name)
+
+        def wrapped(*args, **kwargs):
+            shapes[name].append(np.shape(args[0]))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in shapes:
+        monkeypatch.setattr(engine, name, recording(name))
+    config = engine.SwarmConfig(
+        population=4, dimension=3, init_range=(-1.0, 1.0), max_iter=9, mode=mode,
+        rebind=rebind,
+    )
+    objective = make_benchmark("sphere", 3)
+    swarm = engine.init_swarm(config, objective)
+    for name in shapes:
+        shapes[name].clear()
+    steps = config.max_iter - swarm.iteration
+    for _ in range(steps):
+        engine.step(swarm, objective)
+    block = [(rows, config.dimension)] * steps
+    assert shapes["delta_update_arrays"] == block
+    assert shapes["solve_r_batch"] == block
+    assert shapes["delta_of_r"] == (block if rebind == "post" else [])
 
 
 def test_fir_response_called_through_module_with_omega(tmp_path, monkeypatch):

@@ -75,6 +75,21 @@ class TestBench:
         assert main(bench_args(blocker)) == 2
         assert "runtime failure" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_run_without_finite_cost_is_runtime_failure(self, tmp_path, capsys):
+        # a valid config whose every cost overflows: the run fails, not the settings
+        out = tmp_path / "out"
+        config = tmp_path / "cfg.json"
+        settings = {
+            "objective": "sphere", "dimension": 2, "population": 3, "iterations": 5,
+            "trials": 1, "k": 1e-300, "init_range": [-1e300, 1e300], "out_dir": str(out),
+        }
+        config.write_text(json.dumps(settings))
+        assert main(["bench", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "runtime failure: no finite cost" in err
+        assert "configuration error" not in err
+
 
 class TestFir:
     def test_happy_path(self, tmp_path, capsys):
@@ -246,6 +261,12 @@ class TestConfigFile:
     def test_malformed_file(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text("{not json")
+        assert main(["bench", "--config", str(config)]) == 1
+        assert "config file" in capsys.readouterr().err
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b'{"objective": "\xff"}')
         assert main(["bench", "--config", str(config)]) == 1
         assert "config file" in capsys.readouterr().err
 

@@ -18,6 +18,7 @@ from qdds.engine import (
 )
 from qdds.objectives import make_benchmark
 from qdds.well import (
+    DELTA_MAX,
     delta_of_r,
     delta_update_arrays,
     learning_rate,
@@ -144,6 +145,19 @@ class TestInit:
         swarm = init_swarm(cfg, obj)
         assert swarm.best_cost == min(obj.evaluate(r1[0]), obj.evaluate(r2[0]))
 
+    @pytest.mark.parametrize("seed", [[2023, 0], 5])
+    def test_histories_come_from_two_sequential_draws(self, seed):
+        cfg = config(seed=seed, population=5)
+        swarm = init_swarm(cfg, make_benchmark("rastrigin", cfg.dimension))
+        rng = np.random.default_rng(seed)
+        rng.normal(0.0, 0.5)  # lam
+        r1 = rng.uniform(-2.0, 2.0, (cfg.population, cfg.dimension))
+        r2 = rng.uniform(-2.0, 2.0, (cfg.population, cfg.dimension))
+        assert swarm.positions.tobytes() == r2.tobytes()
+        assert swarm.delta_prev.tobytes() == delta_of_r(r2, cfg.k).tobytes()
+        assert swarm.delta_prev2.tobytes() == delta_of_r(r1, cfg.k).tobytes()
+        assert swarm.rng.bit_generator.state == rng.bit_generator.state
+
     def test_degenerate_range_pins_histories(self):
         cfg = config(init_range=(0.1, 0.1))
         obj = make_benchmark("sphere", cfg.dimension)
@@ -182,6 +196,97 @@ class TestInit:
         swarm = init_swarm(cfg, make_benchmark("sphere", cfg.dimension))
         rng = np.random.default_rng(11)
         assert swarm.lam == float(rng.normal(0.0, 0.5) * 1e-3)
+
+
+# Reference oracle for step: the per-particle update loop the engine ran
+# before it batched the gate, the solve and the rebind over a step's rows.
+def _update_particle_reference(swarm, objective, p, theta):
+    cfg = swarm.config
+    dp = swarm.delta_prev[p]
+    dp2 = swarm.delta_prev2[p]
+    delta_new, fired = delta_update_arrays(dp, dp2, theta, swarm.lam)
+    swarm.events.in_band += int(cfg.dimension - fired.sum())
+    r_raw, solved, fallbacks = solve_r_batch(delta_new, cfg.k)
+    swarm.events.solver_fallback += fallbacks
+    swarm.events.guard_clamp += int((~solved).sum())
+    r_raw = np.where(solved, r_raw, swarm.positions[p])
+    delta_new = np.where(solved, delta_new, dp)
+    rho = float(swarm.rng.uniform())
+    blended = blend_with_gbest(r_raw, swarm.best_solution, rho)
+    cost = objective.evaluate(blended)
+    swarm.eval_count += 1
+    if cost < swarm.best_cost:
+        swarm.best_cost = float(cost)
+        swarm.best_solution = blended.copy()
+    swarm.positions[p] = blended
+    swarm.delta_prev2[p] = dp
+    if cfg.rebind == "post":
+        swarm.delta_prev[p] = delta_of_r(blended, cfg.k)
+    else:
+        swarm.delta_prev[p] = delta_new
+
+
+def step_reference(swarm, objective):
+    cfg = swarm.config
+    theta = learning_rate(swarm.iteration, cfg.max_iter, cfg.epsilon)
+    if cfg.mode == "literal":
+        indices = [int(swarm.rng.integers(cfg.population))]
+    else:
+        indices = range(cfg.population)
+    for p in indices:
+        _update_particle_reference(swarm, objective, p, theta)
+    swarm.iteration += 1
+    swarm.trace.append((swarm.iteration, swarm.best_cost, swarm.eval_count))
+
+
+def assert_same_swarm(a, b):
+    for name in ("positions", "delta_prev", "delta_prev2", "best_solution"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert np.float64(a.best_cost).tobytes() == np.float64(b.best_cost).tobytes()
+    assert a.trace == b.trace
+    assert a.events.as_dict() == b.events.as_dict()
+    assert (a.iteration, a.eval_count) == (b.iteration, b.eval_count)
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+class TestStepMatchesReference:
+    """step leaves every bit the per-particle reference loop leaves."""
+
+    @pytest.mark.parametrize("mode", ["literal", "sweep"])
+    @pytest.mark.parametrize("rebind", ["post", "pre"])
+    @pytest.mark.parametrize("seed", [[2023, 0], [77, 3], 5])
+    @pytest.mark.parametrize("function", ["rastrigin", "rosenbrock"])
+    def test_run(self, mode, rebind, seed, function):
+        cfg = config(
+            mode=mode, rebind=rebind, seed=seed, population=6, dimension=5, max_iter=60
+        )
+        obj = make_benchmark(function, cfg.dimension)
+        swarm, ref = init_swarm(cfg, obj), init_swarm(cfg, obj)
+        while swarm.iteration < cfg.max_iter:
+            step(swarm, obj)
+            step_reference(ref, obj)
+            assert_same_swarm(swarm, ref)
+
+    @pytest.mark.parametrize("mode", ["literal", "sweep"])
+    @pytest.mark.parametrize("rebind", ["post", "pre"])
+    def test_unsolved_rows(self, mode, rebind):
+        # dimension 0 sits above its band near DELTA_MAX; a negative lam
+        # pushes it past the solvable range, so it comes back unsolved
+        cfg = config(mode=mode, rebind=rebind, lam=-1.0, seed=9)
+        obj = make_benchmark("sphere", cfg.dimension)
+        swarm, ref = init_swarm(cfg, obj), init_swarm(cfg, obj)
+        for s in (swarm, ref):
+            s.delta_prev[:, 0] = 0.9 * DELTA_MAX
+            s.delta_prev2[:, 0] = 0.1 * DELTA_MAX
+        step(swarm, obj)
+        step_reference(ref, obj)
+        assert swarm.events.guard_clamp > 0
+        assert_same_swarm(swarm, ref)
+        while swarm.iteration < cfg.max_iter:
+            step(swarm, obj)
+            step_reference(ref, obj)
+            assert_same_swarm(swarm, ref)
 
 
 class TestStep:

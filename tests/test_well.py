@@ -51,6 +51,172 @@ def delta_update(hist: DeltaHistory, theta: float, lam: float) -> float:
     return dp
 
 
+# Array reference oracles for the two kernels, as written before they
+# dropped converged elements and np.select: every element is masked in
+# every round, and the gate takes the first matching of four conditions.
+def _z_forward(z):
+    return np.exp(z) - 5.0 * np.exp(-z) + 2.0 * z + 4.0
+
+
+def solve_r_batch_reference(deltas, k, tol=1e-12):
+    d = np.asarray(deltas, dtype=float)
+    flat = d.ravel()
+    solved = np.isfinite(flat) & (flat >= DELTA_MIN) & (flat <= DELTA_MAX)
+    safe = np.where(solved, flat, 0.0)
+    initial = np.where(
+        safe >= 8.0,
+        np.log(np.maximum(safe, 8.0)),
+        np.where(safe <= -8.0, -np.log(np.maximum(-safe, 8.0) / 5.0), safe / 8.0),
+    )
+    z = np.clip(np.where(solved, initial, 0.0), -EXP_ARG_LIMIT, EXP_ARG_LIMIT)
+    lo = np.full_like(flat, -EXP_ARG_LIMIT)
+    hi = np.full_like(flat, EXP_ARG_LIMIT)
+    target = np.where(solved, flat, 0.0)
+    scale = np.maximum(1.0, np.abs(target))
+    used_fallback = np.zeros(flat.shape, dtype=bool)
+    active = solved.copy()
+    for _ in range(200):
+        if not active.any():
+            break
+        f = _z_forward(z) - target
+        pos = f > 0.0
+        hi = np.where(active & pos, np.minimum(hi, z), hi)
+        lo = np.where(active & ~pos, np.maximum(lo, z), lo)
+        conv = np.abs(f) <= tol * scale
+        active &= ~conv
+        if not active.any():
+            break
+        fp = np.exp(z) + 5.0 * np.exp(-z) + 2.0
+        step = np.where(active, f / fp, 0.0)
+        z_newton = z - step
+        bad = active & ((z_newton <= lo) | (z_newton >= hi) | ~np.isfinite(z_newton))
+        used_fallback |= bad
+        z = np.where(active, np.where(bad, 0.5 * (lo + hi), z_newton), z)
+    solved &= ~active
+    k_flat = np.broadcast_to(np.asarray(k, dtype=float), d.shape).ravel()
+    r = np.where(solved, z, 0.0) / (2.0 * k_flat)
+    return r.reshape(d.shape), solved.reshape(d.shape), int(used_fallback.sum())
+
+
+def delta_update_arrays_reference(delta_prev, delta_prev2, theta, lam):
+    dp = np.asarray(delta_prev, dtype=float)
+    dp2 = np.asarray(delta_prev2, dtype=float)
+    grad = dp - dp2
+    step = theta * grad * lam
+    above = dp > 2.0 * dp2
+    below = dp < 0.5 * dp2
+    c1 = above & (grad > 0.0)
+    c2 = above & (grad < 0.0)
+    c3 = below & (grad < 0.0)
+    c4 = below & (grad > 0.0)
+    out = np.select([c1, c2, c3, c4], [dp - step, dp + step, dp - step, dp + step], dp)
+    return out, c1 | c2 | c3 | c4
+
+
+# the ends of the solvable range and just past them, the +-8 switch of the
+# initial guess and its neighbours, signed zeros, subnormals, non-finite
+EDGE_DELTAS = [
+    DELTA_MIN,
+    DELTA_MAX,
+    np.nextafter(DELTA_MIN, -np.inf),
+    np.nextafter(DELTA_MAX, np.inf),
+    DELTA_MAX * 2.0,
+    8.0,
+    -8.0,
+    np.nextafter(8.0, 0.0),
+    np.nextafter(8.0, np.inf),
+    np.nextafter(-8.0, 0.0),
+    np.nextafter(-8.0, -np.inf),
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+]
+deltas = st.one_of(
+    st.floats(),
+    st.floats(-60.0, 60.0),
+    st.floats(DELTA_MIN, DELTA_MAX),
+    st.sampled_from(EDGE_DELTAS),
+)
+delta_arrays = st.lists(deltas, max_size=40).map(lambda xs: np.array(xs, dtype=float))
+
+
+def assert_bytes_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+
+
+# NaN and infinite inputs warn in the kernels and the oracles alike
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestKernelsMatchReference:
+    """Bit for bit: the kernels against the reference oracles above."""
+
+    @settings(max_examples=300)
+    @given(d=delta_arrays, k=st.sampled_from([5.0, 0.5, 3.7]))
+    def test_solve(self, d, k):
+        assert_bytes_equal(solve_r_batch(d, k), solve_r_batch_reference(d, k))
+
+    @given(d=delta_arrays)
+    def test_solve_round_cap(self, d):
+        # tol = -1 is never met: every solvable element runs all 200 rounds
+        assert_bytes_equal(
+            solve_r_batch(d, 5.0, tol=-1.0), solve_r_batch_reference(d, 5.0, tol=-1.0)
+        )
+
+    def test_solve_edges_in_one_batch(self):
+        d = np.array(EDGE_DELTAS * 2).reshape(6, 6)
+        k = np.linspace(0.5, 6.0, 6)
+        assert_bytes_equal(solve_r_batch(d, k), solve_r_batch_reference(d, k))
+        assert_bytes_equal(solve_r_batch(d[0, 0], 5.0), solve_r_batch_reference(d[0, 0], 5.0))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_solve_counts_fallbacks(self, tol):
+        # an exact tolerance lets Newton stall on a bracket end and bisect
+        d = np.array([0.0, 3.0, -40.0, 1e200, DELTA_MAX, DELTA_MIN, 7.0])
+        got = solve_r_batch(d, 5.0, tol=tol)
+        assert got[2] > 0
+        assert_bytes_equal(got, solve_r_batch_reference(d, 5.0, tol=tol))
+
+    @settings(max_examples=300)
+    @given(
+        pairs=st.lists(st.tuples(deltas, deltas), max_size=30),
+        theta=st.floats(0.0, 1.0),
+        lam=st.one_of(st.floats(-0.01, 0.01), st.sampled_from([0.0, -0.0])),
+    )
+    def test_gate(self, pairs, theta, lam):
+        dp = np.array([a for a, _ in pairs], dtype=float)
+        dp2 = np.array([b for _, b in pairs], dtype=float)
+        got = delta_update_arrays(dp, dp2, theta, lam)
+        assert_bytes_equal(got, delta_update_arrays_reference(dp, dp2, theta, lam))
+
+    def test_gate_both_bands_hold(self):
+        # dp2 < 0 puts dp above 2*dp2 and below 0.5*dp2 at once, both signs of grad
+        dp = np.array([1.0, -1.5, -2.5, 0.0, -0.0])
+        dp2 = np.array([-1.0, -1.0, -1.0, -1.0, -1.0])
+        got = delta_update_arrays(dp, dp2, 0.8, 1e-3)
+        assert_bytes_equal(got, delta_update_arrays_reference(dp, dp2, 0.8, 1e-3))
+        assert got[1].tolist() == [True, True, True, True, True]
+        for a, b in zip(dp, dp2):
+            got = delta_update_arrays(a, b, 0.8, 1e-3)
+            assert_bytes_equal(got, delta_update_arrays_reference(a, b, 0.8, 1e-3))
+
+    def test_gate_does_not_write_its_inputs(self):
+        dp = np.array([2.5, 0.4, 1.0])
+        dp2 = np.array([1.0, 1.0, 0.9])
+        before = dp.copy(), dp2.copy()
+        delta_update_arrays(dp, dp2, 1.0, 0.5)
+        assert np.array_equal(dp, before[0]) and np.array_equal(dp2, before[1])
+
+
 class TestDeltaOfR:
     def test_zero(self):
         assert delta_of_r(0.0, 5.0) == 0.0
@@ -71,6 +237,14 @@ class TestDeltaOfR:
         out = delta_of_r(r, 5.0)
         assert out.shape == (3,)
         assert out[0] == 0.0
+
+    def test_guard_catches_nan_and_passes_empty(self):
+        with pytest.raises(ValueError, match="overflow guard"):
+            delta_of_r(np.array([0.1, float("nan")]), 5.0)
+        with pytest.raises(ValueError, match="overflow guard"):
+            delta_of_r(np.array([float("-inf")]), 5.0)
+        assert delta_of_r(np.empty((0, 3)), 5.0).shape == (0, 3)
+        assert delta_of_r(70.0, 5.0) == delta_of_r(np.array([70.0]), 5.0)[0]
 
     @given(
         r1=st.floats(-5, 5),
