@@ -9,67 +9,9 @@ linear-phase low-pass FIR design objective, a seeded experiment harness
 with CSV/SVG/JSON artifacts, and a CLI (`qdds`).
 """
 
-from .engine import (
-    EventCounters,
-    RunResult,
-    Swarm,
-    SwarmConfig,
-    blend_with_gbest,
-    init_swarm,
-    run,
-    step,
-)
-from .filters import (
-    ATTENUATION_GRID,
-    FilterEval,
-    FilterSpec,
-    evaluate_filter,
-    expand_symmetric,
-    fir_band_errors,
-    fir_cost,
-    fir_response_magnitude,
-    make_filter_objective,
-    read_coefficients,
-    stopband_attenuation_db,
-    write_coefficients,
-)
-from .harness import (
-    EMIT_KINDS,
-    ExperimentConfig,
-    TrialStats,
-    aggregate_stats,
-    build_problem,
-    build_report,
-    canonical_json,
-    emit_plot,
-    emit_report,
-    emit_response_plot,
-    emit_stacked_traces,
-    emit_tables,
-    run_experiment,
-    run_trial,
-)
-from .objectives import (
-    BENCHMARK_NAMES,
-    Objective,
-    griewank,
-    make_benchmark,
-    rastrigin,
-    rosenbrock,
-    sphere,
-)
-from .presets import PRESETS, get_preset, preset_names
-from .validate import OracleResult, run_validation
-from .well import (
-    DELTA_MAX,
-    DELTA_MIN,
-    EXP_ARG_LIMIT,
-    WaveProbe,
-    confinement_integral,
-    delta_of_r,
-    delta_update_arrays,
-    learning_rate,
-    solve_r_batch,
-)
+from .engine import SwarmConfig, run
+from .objectives import make_benchmark
+
+__all__ = ["SwarmConfig", "make_benchmark", "run"]
 
 __version__ = "0.1.0"

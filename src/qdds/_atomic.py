@@ -13,6 +13,7 @@ def atomic_open(path):
     Writes go to a temporary file in path's directory, which os.replace
     moves over path on a clean exit; on any exception, KeyboardInterrupt
     included, the temporary file is removed and path is left untouched.
+    An OSError is raised again with path in its message.
     """
     path = os.fspath(path)
     head, tail = os.path.split(path)
@@ -21,7 +22,9 @@ def atomic_open(path):
         with open(tmp, "w", encoding="ascii") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(f"writing {path}: {exc}") from exc
         raise

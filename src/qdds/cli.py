@@ -100,10 +100,6 @@ def _build_config(args: argparse.Namespace, forced: dict) -> ExperimentConfig:
     if getattr(args, "emit", None) is not None:
         base["emit"] = tuple(part for part in args.emit.split(",") if part)
     base.update(forced)
-    if "emit" in base:
-        base["emit"] = tuple(base["emit"])
-    if "init_range" in base and base["init_range"] is not None:
-        base["init_range"] = tuple(base["init_range"])
     try:
         return ExperimentConfig(**base)
     except (TypeError, ValueError) as exc:

@@ -19,7 +19,7 @@ identical (config, objective, seed) produce bitwise identical runs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -35,9 +35,7 @@ from .well import (
 
 __all__ = [
     "SwarmConfig",
-    "EventCounters",
     "RunResult",
-    "Swarm",
     "init_swarm",
     "step",
     "run",
@@ -104,6 +102,8 @@ class SwarmConfig:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
         if self.lam is not None and not math.isfinite(self.lam):
             raise ValueError(f"lam must be finite, got {self.lam}")
+        if not isinstance(self.lambda_abs, bool):
+            raise ValueError(f"lambda_abs must be true or false, got {self.lambda_abs!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.rebind not in REBINDS:
@@ -126,33 +126,23 @@ class SwarmConfig:
 
 
 @dataclass
-class EventCounters:
-    """Diagnostic tallies, all counted per dimension occurrence."""
-
-    in_band: int = 0
-    solver_fallback: int = 0
-    guard_clamp: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return asdict(self)
-
-
-@dataclass
 class RunResult:
     """Outcome of one seeded run.
 
     trace holds one (iteration, best_cost, eval_count) row per
     iteration: rows 1 and 2 record the two initialization sweeps, row 3
     marks the optimization start, and each step appends one row, for
-    max_iter rows total. lam is the step scale actually used (drawn or
-    configured), recorded for reproducibility.
+    max_iter rows total. events maps each diagnostic tally (in_band,
+    solver_fallback, guard_clamp) to its count over every dimension
+    updated. lam is the step scale actually used (drawn or configured),
+    recorded for reproducibility.
     """
 
     best_cost: float
     best_solution: np.ndarray
     trace: list[tuple[int, float, int]]
     eval_count: int
-    events: EventCounters
+    events: dict[str, int]
     lam: float
 
 
@@ -170,7 +160,9 @@ class Swarm:
     eval_count: int
     lam: float
     rng: np.random.Generator
-    events: EventCounters = field(default_factory=EventCounters)
+    events: dict[str, int] = field(
+        default_factory=lambda: {"in_band": 0, "solver_fallback": 0, "guard_clamp": 0}
+    )
     trace: list[tuple[int, float, int]] = field(default_factory=list)
 
 
@@ -241,10 +233,10 @@ def _update(swarm: Swarm, objective: Objective, rows: slice, theta: float) -> No
     dp2 = swarm.delta_prev2[rows]
     delta_new, fired = delta_update_arrays(dp, dp2, theta, swarm.lam)
     r_raw, solved, fallbacks = solve_r_batch(delta_new, cfg.k)
-    swarm.events.in_band += fired.size - int(np.count_nonzero(fired))
-    swarm.events.solver_fallback += fallbacks
+    swarm.events["in_band"] += fired.size - int(np.count_nonzero(fired))
+    swarm.events["solver_fallback"] += fallbacks
     if not solved.all():
-        swarm.events.guard_clamp += solved.size - int(np.count_nonzero(solved))
+        swarm.events["guard_clamp"] += solved.size - int(np.count_nonzero(solved))
         # unsolvable target deltas: that dimension's raw position stays put
         r_raw = np.where(solved, r_raw, positions)
         delta_new = np.where(solved, delta_new, dp)
@@ -303,6 +295,6 @@ def run(config: SwarmConfig, objective: Objective) -> RunResult:
         best_solution=swarm.best_solution.copy(),
         trace=list(swarm.trace),
         eval_count=swarm.eval_count,
-        events=swarm.events,
+        events=dict(swarm.events),
         lam=swarm.lam,
     )

@@ -24,17 +24,12 @@ from .objectives import Objective, check_int
 
 __all__ = [
     "FilterSpec",
-    "FilterEval",
     "fir_response_magnitude",
-    "fir_band_errors",
-    "fir_cost",
     "stopband_attenuation_db",
     "expand_symmetric",
     "evaluate_filter",
     "make_filter_objective",
     "write_coefficients",
-    "read_coefficients",
-    "ATTENUATION_GRID",
 ]
 
 # attenuation is a max statistic and needs a denser grid than the integrals
@@ -152,11 +147,6 @@ def fir_band_errors(h, spec: FilterSpec) -> tuple[float, float]:
     return _band_errors(h, _band_bases(spec, h.size))
 
 
-def fir_cost(h, spec: FilterSpec) -> float:
-    """Weighted design cost gamma = eta*E_p + (1 - eta)*E_s."""
-    return _gamma(spec, *fir_band_errors(h, spec))
-
-
 def stopband_attenuation_db(h, spec: FilterSpec, grid_points: int | None = None) -> float:
     """Attenuation of the tallest stopband lobe, in dB.
 
@@ -222,7 +212,6 @@ def make_filter_objective(spec: FilterSpec) -> Objective:
         dimension=spec.free_dimension,
         evaluate=evaluate,
         init_range=(-1.0, 1.0),
-        known_min=None,
     )
 
 
@@ -232,12 +221,3 @@ def write_coefficients(h, path) -> None:
     with atomic_open(path) as fh:
         for c in h:
             fh.write(f"{c:.17g}\n")
-
-
-def read_coefficients(path) -> np.ndarray:
-    """Read a coefficient vector written by write_coefficients."""
-    with open(path, "r", encoding="ascii") as fh:
-        values = [float(line) for line in fh if line.strip()]
-    if not values:
-        raise ValueError(f"no coefficients found in {path}")
-    return np.asarray(values, dtype=float)

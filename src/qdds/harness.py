@@ -30,19 +30,12 @@ from .svg import line_plot
 
 __all__ = [
     "ExperimentConfig",
-    "TrialStats",
-    "EMIT_KINDS",
-    "aggregate_stats",
     "build_problem",
     "run_trial",
     "run_experiment",
-    "emit_stacked_traces",
     "emit_plot",
-    "emit_response_plot",
-    "emit_report",
     "emit_tables",
     "build_report",
-    "canonical_json",
 ]
 
 EMIT_KINDS = ("traces", "plots", "report")
@@ -65,9 +58,10 @@ class ExperimentConfig:
     dimension is derived from order/symmetric and the dimension field is
     ignored. wp and ws are band edges as fractions of pi (0.3 means
     0.3*pi radians). lam = None draws the step scale per run; emit
-    selects which artifact kinds are written. Construction builds trial
-    0's engine config, so a bad engine or filter value raises ValueError
-    here rather than mid-run.
+    selects which artifact kinds are written; label, when set, replaces
+    the artifact basename and so holds no path separator. Construction
+    builds trial 0's engine config, so a bad engine or filter value
+    raises ValueError here rather than mid-run.
     """
 
     objective: str
@@ -106,6 +100,13 @@ class ExperimentConfig:
         # the ranges of the ones passed on are checked where they are used
         for name, minimum in _INT_FIELDS:
             object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
+        if not isinstance(self.symmetric, bool):
+            raise ValueError(f"symmetric must be true or false, got {self.symmetric!r}")
+        for name in ("k", "epsilon", "lam", "wp", "ws", "eta"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if self.label is not None and os.path.basename(self.label) != self.label:
+            raise ValueError(f"label must not contain a path separator, got {self.label!r}")
         unknown = set(self.emit) - set(EMIT_KINDS)
         if unknown:
             raise ValueError(f"unknown emit kinds {sorted(unknown)}; allowed: {EMIT_KINDS}")
@@ -195,41 +196,33 @@ def emit_stacked_traces(traces, path) -> None:
     indexed by trial; costs are written in repr precision so the file
     parses back bit-exactly.
     """
-    try:
-        with atomic_open(path) as fh:
-            fh.write("trial,iter,best_cost,eval_count\n")
-            for trial, rows in enumerate(traces):
-                for iteration, best_cost, eval_count in rows:
-                    fh.write(f"{trial},{iteration},{best_cost!r},{eval_count}\n")
-    except OSError as exc:
-        raise OSError(f"writing traces to {path}: {exc}") from exc
+    with atomic_open(path) as fh:
+        fh.write("trial,iter,best_cost,eval_count\n")
+        for trial, rows in enumerate(traces):
+            for iteration, best_cost, eval_count in rows:
+                fh.write(f"{trial},{iteration},{best_cost!r},{eval_count}\n")
 
 
-def emit_plot(traces, path, *, title: str = "", log_y: bool | None = None) -> None:
+def emit_plot(traces, path, *, title: str = "") -> None:
     """Convergence SVG, one polyline per trace.
 
-    traces is a sequence of trace row lists as stored on RunResult.
-    log_y = None auto-selects log scale when every best cost is
-    positive.
+    traces is a sequence of trace row lists as stored on RunResult. The
+    vertical axis is log-scaled when every best cost is positive.
     """
     if not traces:
         raise ValueError("need at least one trace to plot")
     series = []
     for rows in traces:
         series.append(([row[0] for row in rows], [row[1] for row in rows]))
-    if log_y is None:
-        log_y = all(y > 0.0 for _, ys in series for y in ys)
-    try:
-        line_plot(
-            series,
-            path,
-            title=title,
-            x_label="iteration",
-            y_label="best cost",
-            log_y=log_y,
-        )
-    except OSError as exc:
-        raise OSError(f"writing plot to {path}: {exc}") from exc
+    log_y = all(y > 0.0 for _, ys in series for y in ys)
+    line_plot(
+        series,
+        path,
+        title=title,
+        x_label="iteration",
+        y_label="best cost",
+        log_y=log_y,
+    )
 
 
 def emit_response_plot(h, path, *, title: str = "", points: int = 1025) -> None:
@@ -239,17 +232,13 @@ def emit_response_plot(h, path, *, title: str = "", points: int = 1025) -> None:
     w = np.linspace(0.0, math.pi, points)
     mag = fir_response_magnitude(h, w)
     db = 20.0 * np.log10(np.maximum(mag, 1e-6))
-    try:
-        line_plot(
-            [(list(w / math.pi), list(db))],
-            path,
-            title=title,
-            x_label="omega / pi",
-            y_label="magnitude (dB)",
-            log_y=False,
-        )
-    except OSError as exc:
-        raise OSError(f"writing plot to {path}: {exc}") from exc
+    line_plot(
+        [(list(w / math.pi), list(db))],
+        path,
+        title=title,
+        x_label="omega / pi",
+        y_label="magnitude (dB)",
+    )
 
 
 def canonical_json(payload) -> str:
@@ -288,13 +277,12 @@ def build_report(
                 "best_solution": [float(v) for v in r.best_solution],
                 "lam": r.lam,
                 "eval_count": r.eval_count,
-                "events": r.events.as_dict(),
+                "events": dict(r.events),
             }
             for i, r in enumerate(results)
         ],
         "events_total": {
-            key: sum(r.events.as_dict()[key] for r in results)
-            for key in ("in_band", "solver_fallback", "guard_clamp")
+            key: sum(r.events[key] for r in results) for key in results[0].events
         },
     }
     if spec is not None:
@@ -319,11 +307,8 @@ def build_report(
 
 def emit_report(report: dict, path) -> None:
     """Write a report document built by build_report as canonical JSON."""
-    try:
-        with atomic_open(path) as fh:
-            fh.write(canonical_json(report))
-    except OSError as exc:
-        raise OSError(f"writing report to {path}: {exc}") from exc
+    with atomic_open(path) as fh:
+        fh.write(canonical_json(report))
 
 
 def emit_tables(reports, out_dir) -> list[str]:
@@ -352,11 +337,8 @@ def emit_tables(reports, out_dir) -> list[str]:
     paths = []
     for name, lines in tables.items():
         path = os.path.join(out_dir, f"{name}.csv")
-        try:
-            with atomic_open(path) as fh:
-                fh.writelines(lines)
-        except OSError as exc:
-            raise OSError(f"writing table to {path}: {exc}") from exc
+        with atomic_open(path) as fh:
+            fh.writelines(lines)
         paths.append(path)
     return paths
 

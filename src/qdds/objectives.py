@@ -15,12 +15,9 @@ import numpy as np
 
 __all__ = [
     "Objective",
-    "rastrigin",
-    "rosenbrock",
-    "sphere",
-    "griewank",
     "BENCHMARK_NAMES",
     "make_benchmark",
+    "check_int",
 ]
 
 
@@ -40,16 +37,13 @@ def check_int(name: str, value, minimum: int | None = None) -> int:
 class Objective:
     """Named cost function with the metadata the engine needs.
 
-    init_range is the canonical per-dimension initialization interval;
-    known_min, when present, is a (location, value) pair the evaluator
-    reproduces to machine precision.
+    init_range is the canonical per-dimension initialization interval.
     """
 
     name: str
     dimension: int
     evaluate: Callable[[np.ndarray], float]
     init_range: tuple[float, float]
-    known_min: tuple[np.ndarray, float] | None = None
 
     def __post_init__(self) -> None:
         check_int("dimension", self.dimension, 1)
@@ -103,11 +97,9 @@ def make_benchmark(name: str, dimension: int) -> Objective:
     if name == "rosenbrock" and dimension < 2:
         raise ValueError(f"rosenbrock needs dimension >= 2, got {dimension}")
     fn, init_range = _BENCHMARKS[name]
-    optimum = np.ones(dimension) if name == "rosenbrock" else np.zeros(dimension)
     return Objective(
         name=name,
         dimension=dimension,
         evaluate=fn,
         init_range=init_range,
-        known_min=(optimum, 0.0),
     )

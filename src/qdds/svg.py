@@ -26,17 +26,19 @@ _PALETTE = (
     "#17becf",
 )
 
+_WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 18, 36, 46
+_TICKS = 5
 
 
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi == lo:
         return [lo]
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    return [lo + (hi - lo) * i / (_TICKS - 1) for i in range(_TICKS)]
 
 
 def line_plot(
@@ -47,10 +49,8 @@ def line_plot(
     x_label: str = "",
     y_label: str = "",
     log_y: bool = False,
-    width: int = 640,
-    height: int = 420,
 ) -> None:
-    """Write a polyline plot of one or more (xs, ys) series.
+    """Write a polyline plot of one or more (xs, ys) series, 640x420 px.
 
     series is a sequence of (xs, ys) pairs of equal-length sequences.
     With log_y the vertical axis is log10-scaled; non-positive values
@@ -77,8 +77,8 @@ def line_plot(
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x: float) -> float:
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -87,20 +87,20 @@ def line_plot(
         return _MARGIN_T + (y_hi - tf(y)) / (y_hi - y_lo) * plot_h
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="black" stroke-width="1"/>',
     ]
     if title:
         lines.append(
-            f'<text x="{width / 2:.2f}" y="22" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.2f}" y="22" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{title}</text>'
         )
     if x_label:
         lines.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{height - 10}" '
+            f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{_HEIGHT - 10}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12">{x_label}</text>'
         )
     if y_label:

@@ -11,27 +11,22 @@ where k > 0 is the well stiffness. The swarm recursion drives delta
 values directly (a gated gradient nudge) and maps them back to positions
 through the numerical inverse of this strictly increasing function.
 
-This module owns the forward map, its safeguarded-Newton inverse, the
-linear learning-rate schedule, the gated delta update, and a quadrature
-check of the confinement identity that the closed form is derived from.
+This module owns what the engine calls: the forward map, its
+safeguarded-Newton inverse, the linear learning-rate schedule and the
+gated delta update. The quadrature check of the confinement identity
+that the closed form is derived from lives in :mod:`qdds.validate`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "EXP_ARG_LIMIT",
-    "DELTA_MIN",
-    "DELTA_MAX",
-    "WaveProbe",
     "delta_of_r",
     "solve_r_batch",
     "learning_rate",
     "delta_update_arrays",
-    "confinement_integral",
 ]
 
 # exp argument cap keeping exp(2kr) inside double range (exp(709.78) overflows)
@@ -46,37 +41,6 @@ def _z_forward(z):
 # solvable delta range, set by the overflow guard at z = +-EXP_ARG_LIMIT
 DELTA_MIN = float(_z_forward(-EXP_ARG_LIMIT))
 DELTA_MAX = float(_z_forward(EXP_ARG_LIMIT))
-
-
-@dataclass(frozen=True)
-class WaveProbe:
-    """Evaluation context for the even bound state near the origin.
-
-    ``b_squared`` is derived, not supplied: the normalization constant
-    satisfies B^2 = k*g / delta(r_boundary), which is what ties the
-    confinement probability 0.5*g to the state map. g = 1 is the exact
-    50% confinement boundary; physically meaningful confinement has
-    g in the open interval (1, 2).
-    """
-
-    r_boundary: float
-    g: float
-    k: float
-    b_squared: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.r_boundary > 0:
-            raise ValueError(f"r_boundary must be > 0, got {self.r_boundary}")
-        if not 1.0 <= self.g <= 2.0:
-            raise ValueError(f"g must be in [1, 2], got {self.g}")
-        if not self.k > 0:
-            raise ValueError(f"k must be > 0, got {self.k}")
-        d = delta_of_r(self.r_boundary, self.k)
-        if not d > 0:
-            raise ValueError(
-                f"delta(r_boundary) must be > 0 for a valid probe, got {d}"
-            )
-        object.__setattr__(self, "b_squared", self.k * self.g / d)
 
 
 def delta_of_r(r, k):
@@ -217,23 +181,3 @@ def delta_update_arrays(delta_prev, delta_prev2, theta, lam):
     out = np.where(plus, dp + step, dp)
     np.subtract(dp, step, out=out, where=minus)
     return out, minus | plus
-
-
-def confinement_integral(probe: WaveProbe, quad_points: int = 10**5) -> float:
-    """Probability mass of psi^2 over (-r_boundary, r_boundary).
-
-    Composite trapezoid split at x = 0, where psi is only C0; splitting
-    restores the rule's order. With B^2 = k*g/delta(r_boundary) the
-    result equals 0.5*g up to quadrature error, which is the independent
-    check that the closed-form state map encodes the confinement
-    condition correctly.
-    """
-    if quad_points < 2:
-        raise ValueError(f"quad_points must be >= 2, got {quad_points}")
-    r, k, b2 = probe.r_boundary, probe.k, probe.b_squared
-    n_side = max(2, quad_points // 2)
-    x_neg = np.linspace(-r, 0.0, n_side)
-    x_pos = np.linspace(0.0, r, n_side)
-    psi2_neg = b2 * (np.exp(-k * x_neg) + np.exp(k * x_neg)) ** 2
-    psi2_pos = 4.0 * b2 * np.exp(-2.0 * k * x_pos)
-    return float(np.trapezoid(psi2_neg, x_neg) + np.trapezoid(psi2_pos, x_pos))

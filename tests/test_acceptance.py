@@ -157,7 +157,7 @@ def test_criterion_5_engine_invariant_suite():
         assert a.best_cost == b.best_cost
         assert np.array_equal(a.best_solution, b.best_solution)
         assert np.array_equal(a.positions, b.positions)
-        assert a.events.as_dict() == b.events.as_dict()
+        assert a.events == b.events
 
         # best-cost monotonicity down the trace
         costs = [row[1] for row in a.trace]

@@ -26,9 +26,18 @@ SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 # run_path compiles from source, so no bytecode cache is written under perfbench/
 SPANS = runpy.run_path(str(SPANS_PATH))
 LAYERS = SPANS["LAYERS"]
+# names perfbench/worker.py reads beyond LAYERS
+WORKER_NAMES = [
+    ("presets", "PRESETS"),
+    ("harness", "build_problem"),
+    ("harness", "run_experiment"),
+    ("harness", "run_trial"),
+]
+# one entry per name: a repeated pair would change every id pytest gives it
+HOOKS = list(dict.fromkeys([(layer[0], layer[1]) for layer in LAYERS] + WORKER_NAMES))
 
 
-@pytest.mark.parametrize("module, attr", [(layer[0], layer[1]) for layer in LAYERS])
+@pytest.mark.parametrize("module, attr", HOOKS)
 def test_layer_hook_exists(module, attr):
     assert hasattr(importlib.import_module(f"qdds.{module}"), attr)
 

@@ -8,7 +8,7 @@ import pytest
 
 from qdds import cli
 from qdds.cli import main
-from qdds.filters import FilterSpec, fir_band_errors, read_coefficients
+from qdds.filters import FilterSpec, fir_band_errors
 from qdds.harness import TrialStats
 from qdds.presets import preset_names
 
@@ -119,7 +119,7 @@ class TestFir:
             "--out", str(tmp_path),
         ]
         assert main(args) == 0
-        h = read_coefficients(tmp_path / "fir-11_coefficients.csv")
+        h = np.loadtxt(tmp_path / "fir-11_coefficients.csv")
         assert h.size == 11
         assert np.array_equal(h, h[::-1])
         report = json.loads((tmp_path / "fir-11_report.json").read_text())
@@ -185,6 +185,7 @@ class TestBadSettings:
             ["fir", "--wp", "0.7", "--ws", "0.2"],
             ["bench", "--function", "rosenbrock", "--dim", "1"],
             ["presets", "sphere-d10-p20", "--trials", "0"],
+            ["bench", "--function", "sphere", "--dim", "2", "--label", "a/b"],
         ],
     )
     def test_flags(self, tmp_path, capsys, args):
@@ -220,6 +221,17 @@ class TestBadSettings:
             ("population", 2.0),
             ("trials", True),
             ("master_seed", 1.5),
+            # values of the wrong type for the other fields
+            ("init_range", 5),
+            ("emit", 5),
+            ("lambda_abs", "false"),
+            ("symmetric", "false"),
+            ("k", True),
+            ("epsilon", False),
+            ("lam", True),
+            ("wp", True),
+            ("ws", True),
+            ("eta", True),
         ],
     )
     def test_non_integer_config_file_values(self, tmp_path, capsys, field, value):

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qdds.engine import (
-    EventCounters,
     SwarmConfig,
     blend_with_gbest,
     init_swarm,
@@ -50,6 +49,8 @@ class TestSwarmConfig:
             config(mode="both")
         with pytest.raises(ValueError):
             config(rebind="mid")
+        with pytest.raises(ValueError, match="lambda_abs"):
+            config(lambda_abs="false")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -67,7 +68,6 @@ class TestSwarmConfig:
     def test_counts_and_seeds_must_be_integers(self, kwargs):
         with pytest.raises(ValueError, match="population|dimension|max_iter|seed"):
             config(**kwargs)
-
     def test_numpy_integers_accepted(self):
         cfg = config(population=np.int64(3), max_iter=np.int32(10), seed=[np.uint64(5), 2])
         assert cfg.population == 3
@@ -205,10 +205,10 @@ def _update_particle_reference(swarm, objective, p, theta):
     dp = swarm.delta_prev[p]
     dp2 = swarm.delta_prev2[p]
     delta_new, fired = delta_update_arrays(dp, dp2, theta, swarm.lam)
-    swarm.events.in_band += int(cfg.dimension - fired.sum())
+    swarm.events["in_band"] += int(cfg.dimension - fired.sum())
     r_raw, solved, fallbacks = solve_r_batch(delta_new, cfg.k)
-    swarm.events.solver_fallback += fallbacks
-    swarm.events.guard_clamp += int((~solved).sum())
+    swarm.events["solver_fallback"] += fallbacks
+    swarm.events["guard_clamp"] += int((~solved).sum())
     r_raw = np.where(solved, r_raw, swarm.positions[p])
     delta_new = np.where(solved, delta_new, dp)
     rho = float(swarm.rng.uniform())
@@ -245,7 +245,7 @@ def assert_same_swarm(a, b):
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
     assert np.float64(a.best_cost).tobytes() == np.float64(b.best_cost).tobytes()
     assert a.trace == b.trace
-    assert a.events.as_dict() == b.events.as_dict()
+    assert a.events == b.events
     assert (a.iteration, a.eval_count) == (b.iteration, b.eval_count)
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
@@ -281,7 +281,7 @@ class TestStepMatchesReference:
             s.delta_prev2[:, 0] = 0.1 * DELTA_MAX
         step(swarm, obj)
         step_reference(ref, obj)
-        assert swarm.events.guard_clamp > 0
+        assert swarm.events["guard_clamp"] > 0
         assert_same_swarm(swarm, ref)
         while swarm.iteration < cfg.max_iter:
             step(swarm, obj)
@@ -422,7 +422,7 @@ class TestRun:
         assert a.best_cost == b.best_cost
         assert np.array_equal(a.best_solution, b.best_solution)
         assert a.trace == b.trace
-        assert a.events.as_dict() == b.events.as_dict()
+        assert a.events == b.events
         assert a.lam == b.lam
 
     def test_positions_stay_within_guard(self):
@@ -452,7 +452,7 @@ class TestRun:
         obj = make_benchmark("rastrigin", cfg.dimension)
         res = run(cfg, obj)
         updates = 30 - 3
-        events = res.events.as_dict()
+        events = res.events
         assert 0 <= events["in_band"] <= updates * cfg.dimension
         assert events["solver_fallback"] >= 0
         assert events["guard_clamp"] >= 0
@@ -489,8 +489,3 @@ class TestRun:
         # the two-deep window shifts once per particle, then freezes
         touched = ~np.all(swarm.delta_prev2 == init_swarm(cfg, obj).delta_prev2, axis=1)
         assert np.array_equal(swarm.delta_prev2[touched], initial_prev[touched])
-
-
-def test_event_counters_dict():
-    counters = EventCounters(in_band=2, solver_fallback=1, guard_clamp=0)
-    assert counters.as_dict() == {"in_band": 2, "solver_fallback": 1, "guard_clamp": 0}

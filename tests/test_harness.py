@@ -9,7 +9,7 @@ import pytest
 
 from qdds import harness
 from qdds._atomic import atomic_open
-from qdds.filters import read_coefficients
+from qdds.filters import write_coefficients
 from qdds.harness import (
     EMIT_KINDS,
     ExperimentConfig,
@@ -114,6 +114,18 @@ class TestExperimentConfig:
             {"init_range": (-math.inf, math.inf)},
             {"objective": "fir", "wp": 0.7, "ws": 0.2},
             {"objective": "rosenbrock", "dimension": 1},
+            {"lambda_abs": "false"},
+            {"lambda_abs": 1},
+            {"symmetric": "false"},
+            {"objective": "fir", "symmetric": 0},
+            {"k": True},
+            {"epsilon": False},
+            {"lam": True},
+            {"wp": True},
+            {"ws": True},
+            {"eta": False},
+            {"label": "a/b"},
+            {"label": "/abs"},
         ],
     )
     def test_engine_and_filter_values_checked_at_construction(self, kwargs):
@@ -251,6 +263,22 @@ class TestAtomicWrites:
             emit_report({"a": math.nan}, path)
         assert path.read_text() == canonical_json({"a": 1.0})
         assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: emit_stacked_traces([[(1, 1.0, 1)]], path),
+            lambda path: emit_plot([[(1, 1.0, 1)]], path),
+            lambda path: emit_response_plot([1.0], path),
+            lambda path: emit_report({"a": 1}, path),
+            lambda path: write_coefficients([1.0], path),
+        ],
+        ids=["traces", "plot", "response", "report", "coefficients"],
+    )
+    def test_every_writer_names_path(self, tmp_path, write):
+        missing = tmp_path / "nope" / "artifact"
+        with pytest.raises(OSError, match=re.escape(f"writing {missing}: ")):
+            write(missing)
 
     def test_interrupt_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "x.txt"
@@ -431,7 +459,7 @@ class TestRunExperiment:
         )
         _, report = run_experiment(cfg)
         assert (tmp_path / "fir-10_response.svg").exists()
-        coeffs = read_coefficients(tmp_path / "fir-10_coefficients.csv")
+        coeffs = np.loadtxt(tmp_path / "fir-10_coefficients.csv")
         assert np.allclose(coeffs, report["fir"]["coefficients"], rtol=0, atol=1e-16)
 
     def test_output_dir_collision_fails_before_running(self, tmp_path):

@@ -7,12 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdds.engine import SwarmConfig
+from qdds.validate import WaveProbe, confinement_integral
 from qdds.well import (
     DELTA_MAX,
     DELTA_MIN,
     EXP_ARG_LIMIT,
-    WaveProbe,
-    confinement_integral,
     delta_of_r,
     delta_update_arrays,
     learning_rate,
