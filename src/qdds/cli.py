@@ -14,13 +14,14 @@ explicit command-line flags override file values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 from .harness import ExperimentConfig, emit_tables, run_experiment
 from .objectives import BENCHMARK_NAMES
-from .presets import get_preset, preset_names
+from .presets import PRESETS
 from .validate import run_validation
 
 __all__ = ["main", "main_entry"]
@@ -41,52 +42,37 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pop", type=int, default=None, help="particle count")
-    p.add_argument("--iters", type=int, default=None, help="iteration budget")
-    p.add_argument("--trials", type=int, default=None, help="independent seeded runs")
-    p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument("--mode", choices=["literal", "sweep"], default=None,
+    p.add_argument("--pop", dest="population", metavar="POP", type=int, help="particle count")
+    p.add_argument("--iters", dest="iterations", metavar="ITERS", type=int,
+                   help="iteration budget")
+    p.add_argument("--trials", type=int, help="independent seeded runs")
+    p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, help="master seed")
+    p.add_argument("--mode", choices=["literal", "sweep"],
                    help="one random particle per iteration, or all particles")
-    p.add_argument("--rebind", choices=["post", "pre"], default=None,
+    p.add_argument("--rebind", choices=["post", "pre"],
                    help="delta history source after blending")
-    p.add_argument("--lambda-abs", dest="lambda_abs",
-                   action=argparse.BooleanOptionalAction, default=None,
+    p.add_argument("--lambda-abs", action=argparse.BooleanOptionalAction,
                    help="force the per-run step scale to be non-negative")
-    p.add_argument("--k", type=float, default=None, help="well stiffness")
-    p.add_argument("--epsilon", type=float, default=None, help="learning-rate floor")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--emit", default=None,
+    p.add_argument("--k", type=float, help="well stiffness")
+    p.add_argument("--epsilon", type=float, help="learning-rate floor")
+    p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
+    p.add_argument("--emit", type=lambda text: tuple(filter(None, text.split(","))),
                    help="comma-separated artifact kinds: traces,plots,report")
-    p.add_argument("--workers", type=int, default=None, help="parallel trial workers")
-    p.add_argument("--label", default=None, help="artifact basename override")
-    p.add_argument("--config", default=None, help="JSON config file (flags override it)")
+    p.add_argument("--workers", type=int, help="parallel trial workers")
+    p.add_argument("--label", help="artifact basename override")
+    p.add_argument("--config", help="JSON config file (flags override it)")
 
 
-# command-line flag -> ExperimentConfig field
-_FLAG_FIELDS = {
-    "function": "objective",
-    "dim": "dimension",
-    "pop": "population",
-    "iters": "iterations",
-    "seed": "master_seed",
-    "out": "out_dir",
-    **{
-        name: name
-        for name in (
-            "trials", "mode", "rebind", "lambda_abs", "k", "epsilon",
-            "order", "wp", "ws", "eta", "grid", "symmetric", "workers", "label",
-        )
-    },
-}
+# each flag's dest is the name of the ExperimentConfig field it sets
+_FIELDS = {field.name for field in dataclasses.fields(ExperimentConfig)}
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict:
     """Config fields set by the flags given on the command line."""
-    values = {field: getattr(args, flag, None) for flag, field in _FLAG_FIELDS.items()}
-    return {field: value for field, value in values.items() if value is not None}
+    return {k: v for k, v in vars(args).items() if k in _FIELDS and v is not None}
 
 
-def _build_config(args: argparse.Namespace, forced: dict) -> ExperimentConfig:
+def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     base: dict = {}
     if getattr(args, "config", None):
         try:
@@ -97,19 +83,17 @@ def _build_config(args: argparse.Namespace, forced: dict) -> ExperimentConfig:
         if not isinstance(base, dict):
             raise _CliError(1, f"config file {args.config}: expected a JSON object")
     base.update(_flag_overrides(args))
-    if getattr(args, "emit", None) is not None:
-        base["emit"] = tuple(part for part in args.emit.split(",") if part)
-    base.update(forced)
     try:
         return ExperimentConfig(**base)
     except (TypeError, ValueError) as exc:
         raise _CliError(1, f"bad configuration: {exc}")
 
 
-def _print_summary(label: str, stats, report: dict, out_dir: str) -> None:
+def _print_summary(label: str, report: dict) -> None:
+    stats = report["stats"]
     print(
-        f"{label}: mean={stats.mean:.6g} std={stats.std:.6g} "
-        f"best={stats.best:.6g} worst={stats.worst:.6g}"
+        f"{label}: mean={stats['mean']:.6g} std={stats['std']:.6g} "
+        f"best={stats['best']:.6g} worst={stats['worst']:.6g}"
     )
     if "fir" in report:
         fir = report["fir"]
@@ -119,16 +103,15 @@ def _print_summary(label: str, stats, report: dict, out_dir: str) -> None:
             f"{label}: delta_db={delta_db:.4f} "
             f"e_p={fir['e_p']:.6g} e_s={fir['e_s']:.6g} gamma={fir['gamma']:.6g}"
         )
-    print(f"artifacts in {out_dir}")
+    print(f"artifacts in {report['config']['out_dir']}")
 
 
 def _cmd_run(args) -> int:
-    is_fir = args.command == "fir"
-    config = _build_config(args, {"objective": "fir"} if is_fir else {})
-    if not is_fir and config.objective == "fir":
+    config = _build_config(args)
+    if args.command == "bench" and config.objective == "fir":
         raise _CliError(1, "use the fir subcommand for filter experiments")
-    stats, report = run_experiment(config)
-    _print_summary(config.resolved_label(), stats, report, config.out_dir)
+    _, report = run_experiment(config)
+    _print_summary(config.resolved_label(), report)
     return 0
 
 
@@ -147,23 +130,22 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_presets(args) -> int:
-    names = preset_names()
     if args.name is None:
-        for name in names:
+        for name in PRESETS:
             print(name)
         return 0
-    if args.name != "all" and args.name not in names:
+    if args.name != "all" and args.name not in PRESETS:
         raise _CliError(1, f"unknown preset {args.name!r}; run `qdds presets` to list")
-    targets = names if args.name == "all" else [args.name]
+    targets = list(PRESETS) if args.name == "all" else [args.name]
     overrides = _flag_overrides(args)
     try:
-        configs = [get_preset(name, **overrides) for name in targets]
-    except ValueError as exc:
+        configs = [dataclasses.replace(PRESETS[name], **overrides) for name in targets]
+    except (TypeError, ValueError) as exc:
         raise _CliError(1, f"bad configuration: {exc}")
     reports = []
     for name, config in zip(targets, configs):
-        stats, report = run_experiment(config)
-        _print_summary(name, stats, report, config.out_dir)
+        _, report = run_experiment(config)
+        _print_summary(name, report)
         reports.append(report)
     if args.name == "all":
         for path in emit_tables(reports, configs[0].out_dir):
@@ -176,24 +158,24 @@ def _make_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bench = sub.add_parser("bench", help="run a benchmark experiment")
-    p_bench.add_argument("--function", choices=list(BENCHMARK_NAMES), default=None,
+    p_bench.add_argument("--function", dest="objective", choices=list(BENCHMARK_NAMES),
                          help="benchmark objective")
-    p_bench.add_argument("--dim", type=int, default=None, help="search dimension")
+    p_bench.add_argument("--dim", dest="dimension", metavar="DIM", type=int,
+                         help="search dimension")
     _add_engine_flags(p_bench)
     p_bench.set_defaults(handler=_cmd_run)
 
     p_fir = sub.add_parser("fir", help="run a filter design experiment")
-    p_fir.add_argument("--order", type=int, default=None, help="total coefficient count")
-    p_fir.add_argument("--wp", type=float, default=None,
-                       help="passband edge as a fraction of pi")
-    p_fir.add_argument("--ws", type=float, default=None,
-                       help="stopband edge as a fraction of pi")
-    p_fir.add_argument("--eta", type=float, default=None, help="passband error weight")
-    p_fir.add_argument("--grid", type=int, default=None, help="integration grid per band")
+    p_fir.add_argument("--order", type=int, help="total coefficient count")
+    p_fir.add_argument("--wp", type=float, help="passband edge as a fraction of pi")
+    p_fir.add_argument("--ws", type=float, help="stopband edge as a fraction of pi")
+    p_fir.add_argument("--eta", type=float, help="passband error weight")
+    p_fir.add_argument("--grid", type=int, help="integration grid per band")
     p_fir.add_argument("--symmetric", action=argparse.BooleanOptionalAction,
-                       default=None, help="enforce linear-phase symmetry")
+                       help="enforce linear-phase symmetry")
     _add_engine_flags(p_fir)
-    p_fir.set_defaults(handler=_cmd_run)
+    # the fir subcommand's objective outranks a config file's
+    p_fir.set_defaults(handler=_cmd_run, objective="fir")
 
     p_val = sub.add_parser("validate", help="run the math-identity oracle suite")
     p_val.add_argument("--quick", action="store_true",
@@ -201,12 +183,12 @@ def _make_parser() -> _Parser:
     p_val.set_defaults(handler=_cmd_validate)
 
     p_pre = sub.add_parser("presets", help="list or run canned experiments")
-    p_pre.add_argument("name", nargs="?", default=None,
-                       help="preset name, 'all', or omit to list")
-    p_pre.add_argument("--out", default=None, help="output directory")
-    p_pre.add_argument("--seed", type=int, default=None, help="master seed override")
-    p_pre.add_argument("--trials", type=int, default=None, help="trial count override")
-    p_pre.add_argument("--workers", type=int, default=None, help="parallel trial workers")
+    p_pre.add_argument("name", nargs="?", help="preset name, 'all', or omit to list")
+    p_pre.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
+    p_pre.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
+                       help="master seed override")
+    p_pre.add_argument("--trials", type=int, help="trial count override")
+    p_pre.add_argument("--workers", type=int, help="parallel trial workers")
     p_pre.set_defaults(handler=_cmd_presets)
     return parser
 
@@ -227,3 +209,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .objectives import Objective, check_int
+from .objectives import Objective, check_int, check_real
 from .well import (
     EXP_ARG_LIMIT,
     delta_of_r,
@@ -91,11 +91,22 @@ class SwarmConfig:
         check_int("max_iter", self.max_iter, 3)
         for seed in self.seed if np.ndim(self.seed) else (self.seed,):
             check_int("seed", seed, 0)
-        lo, hi = self.init_range
+        try:
+            lo, hi = self.init_range
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"init_range must be a pair of numbers, got {self.init_range!r}"
+            ) from None
+        check_real("init_range", lo)
+        check_real("init_range", hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"init_range ends must be finite, got {self.init_range}")
         if not lo <= hi:
             raise ValueError(f"init_range must be non-empty, got {self.init_range}")
+        check_real("k", self.k)
+        check_real("epsilon", self.epsilon)
+        if self.lam is not None:
+            check_real("lam", self.lam)
         if not (math.isfinite(self.k) and self.k > 0):
             raise ValueError(f"k must be finite and > 0, got {self.k}")
         if not 0.0 <= self.epsilon < 1.0:

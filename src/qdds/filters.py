@@ -26,7 +26,6 @@ __all__ = [
     "FilterSpec",
     "fir_response_magnitude",
     "stopband_attenuation_db",
-    "expand_symmetric",
     "evaluate_filter",
     "make_filter_objective",
     "write_coefficients",
@@ -85,9 +84,7 @@ class FilterSpec:
             )
         if not self.symmetric:
             return x
-        if self.n_coeff % 2:
-            return np.concatenate([x, x[-2::-1]])
-        return expand_symmetric(x)
+        return np.concatenate([x, x[::-1][self.n_coeff % 2 :]])
 
 
 @dataclass(frozen=True)
@@ -172,14 +169,6 @@ def stopband_attenuation_db(h, spec: FilterSpec, grid_points: int | None = None)
     if peaks.any():
         top = float(interior[peaks].max())
     return float(20.0 * np.log10(top))
-
-
-def expand_symmetric(half):
-    """Mirror the free half into a full even-length linear-phase vector."""
-    half = np.asarray(half, dtype=float)
-    if half.size == 0:
-        raise ValueError("free coefficient half must be non-empty")
-    return np.concatenate([half, half[::-1]])
 
 
 def evaluate_filter(h, spec: FilterSpec) -> FilterEval:

@@ -1,11 +1,13 @@
-"""Experiment harness: seeded trials, aggregate stats, artifacts on disk.
+"""Experiment harness: seeded trials, one report, artifacts on disk.
 
 An experiment is `trials` independent runs of one objective, each seeded
-deterministically from (master_seed, trial_index), aggregated into the
-mean/std/best/worst table row format. Artifacts are a stacked trace CSV,
-a convergence SVG (plus a response SVG and coefficient CSV for filter
-designs), and a canonical JSON report that echoes every resolved design
-switch; a preset sweep adds one summary table per function. Identical
+deterministically from (master_seed, trial_index). Its result is the
+report document: the resolved config, the mean/std/best/worst table row
+of the trials' final best costs, each trial's seed and outcome, and for
+filter designs the best design's scores. Artifacts are a stacked trace
+CSV, a convergence SVG (plus a response SVG and coefficient CSV for
+filter designs), and the report as canonical JSON; a preset sweep adds
+one summary table per function, built from the reports. Identical
 configs produce byte-identical artifacts except for the report's timing
 block. Every writer replaces its file atomically.
 """
@@ -25,7 +27,7 @@ import numpy as np
 from ._atomic import atomic_open
 from .engine import RunResult, SwarmConfig, run
 from .filters import FilterSpec, evaluate_filter, make_filter_objective, write_coefficients
-from .objectives import BENCHMARK_NAMES, Objective, check_int, make_benchmark
+from .objectives import BENCHMARK_NAMES, Objective, check_int, check_real, make_benchmark
 from .svg import line_plot
 
 __all__ = [
@@ -55,13 +57,13 @@ class ExperimentConfig:
     """Everything one experiment needs, JSON-mirrorable.
 
     objective is a benchmark name or "fir". For "fir" the search
-    dimension is derived from order/symmetric and the dimension field is
-    ignored. wp and ws are band edges as fractions of pi (0.3 means
-    0.3*pi radians). lam = None draws the step scale per run; emit
-    selects which artifact kinds are written; label, when set, replaces
-    the artifact basename and so holds no path separator. Construction
-    builds trial 0's engine config, so a bad engine or filter value
-    raises ValueError here rather than mid-run.
+    dimension is derived from order/symmetric and a dimension, if given,
+    is checked but unused. wp and ws are band edges as fractions of pi
+    (0.3 means 0.3*pi radians). lam = None draws the step scale per run;
+    emit selects which artifact kinds are written; label, when set,
+    replaces the artifact basename and so holds no path separator.
+    Construction builds trial 0's engine config, so a bad engine or
+    filter value raises ValueError here rather than mid-run.
     """
 
     objective: str
@@ -94,7 +96,7 @@ class ExperimentConfig:
                 f"objective must be 'fir' or one of {', '.join(BENCHMARK_NAMES)}, "
                 f"got {self.objective!r}"
             )
-        if self.objective != "fir":
+        if self.objective != "fir" or self.dimension is not None:
             object.__setattr__(self, "dimension", check_int("dimension", self.dimension, 1))
         # integer fields are stored as Python ints so the report serializes;
         # the ranges of the ones passed on are checked where they are used
@@ -102,19 +104,27 @@ class ExperimentConfig:
             object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         if not isinstance(self.symmetric, bool):
             raise ValueError(f"symmetric must be true or false, got {self.symmetric!r}")
-        for name in ("k", "epsilon", "lam", "wp", "ws", "eta"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        # every report echoes the filter values, and build_problem scales wp and ws
+        for name in ("wp", "ws", "eta"):
+            check_real(name, getattr(self, name))
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
+        if self.label is not None and not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
         if self.label is not None and os.path.basename(self.label) != self.label:
             raise ValueError(f"label must not contain a path separator, got {self.label!r}")
+        if not isinstance(self.emit, (list, tuple)) or not all(
+            isinstance(kind, str) for kind in self.emit
+        ):
+            raise ValueError(f"emit must be a list of artifact kinds, got {self.emit!r}")
         unknown = set(self.emit) - set(EMIT_KINDS)
         if unknown:
             raise ValueError(f"unknown emit kinds {sorted(unknown)}; allowed: {EMIT_KINDS}")
         object.__setattr__(self, "emit", tuple(self.emit))
-        if self.init_range is not None:
-            object.__setattr__(self, "init_range", tuple(self.init_range))
         # every engine and filter value is checked here, before any run
         _swarm_config(self, build_problem(self)[0], 0)
+        if self.init_range is not None:
+            object.__setattr__(self, "init_range", tuple(self.init_range))
 
     def resolved_label(self) -> str:
         if self.label:
@@ -122,33 +132,6 @@ class ExperimentConfig:
         if self.objective == "fir":
             return f"fir-{self.order}"
         return f"{self.objective}-d{self.dimension}-p{self.population}"
-
-
-@dataclass(frozen=True)
-class TrialStats:
-    """Aggregate of per-trial final best costs (sample std, n-1)."""
-
-    mean: float
-    std: float
-    best: float
-    worst: float
-    per_trial: tuple[float, ...]
-
-
-def aggregate_stats(final_costs) -> TrialStats:
-    """Mean, sample standard deviation, min and max over trial costs."""
-    costs = [float(c) for c in final_costs]
-    if not costs:
-        raise ValueError("need at least one trial cost to aggregate")
-    arr = np.asarray(costs)
-    std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-    return TrialStats(
-        mean=float(arr.mean()),
-        std=std,
-        best=float(arr.min()),
-        worst=float(arr.max()),
-        per_trial=tuple(costs),
-    )
 
 
 def build_problem(config: ExperimentConfig) -> tuple[Objective, FilterSpec | None]:
@@ -170,7 +153,7 @@ def _swarm_config(config: ExperimentConfig, objective: Objective, trial: int) ->
     return SwarmConfig(
         population=config.population,
         dimension=objective.dimension,
-        init_range=tuple(config.init_range or objective.init_range),
+        init_range=objective.init_range if config.init_range is None else config.init_range,
         seed=[config.master_seed, trial],
         k=config.k,
         epsilon=config.epsilon,
@@ -251,23 +234,27 @@ def canonical_json(payload) -> str:
 
 def build_report(
     config: ExperimentConfig,
-    stats: TrialStats,
     results: list[RunResult],
     elapsed_seconds: float | None = None,
 ) -> dict:
-    """Assemble the report document (pure data, ready for canonical_json)."""
+    """Assemble the report document (pure data, ready for canonical_json).
+
+    stats holds the mean, sample standard deviation (n-1; 0.0 for one
+    trial), best and worst of the trials' final best costs.
+    """
     objective, spec = build_problem(config)
     cfg = asdict(config)
     cfg["emit"] = list(config.emit)
     cfg["init_range"] = list(config.init_range or objective.init_range)
     cfg["resolved_dimension"] = objective.dimension
+    costs = np.array([r.best_cost for r in results], dtype=float)
     report = {
         "config": cfg,
         "stats": {
-            "mean": stats.mean,
-            "std": stats.std,
-            "best": stats.best,
-            "worst": stats.worst,
+            "mean": float(costs.mean()),
+            "std": float(np.std(costs, ddof=1)) if costs.size > 1 else 0.0,
+            "best": float(costs.min()),
+            "worst": float(costs.max()),
         },
         "trials": [
             {
@@ -286,9 +273,8 @@ def build_report(
         },
     }
     if spec is not None:
-        best_idx = int(np.argmin([r.best_cost for r in results]))
-        best = results[best_idx]
-        h = spec.taps(best.best_solution)
+        best_idx = int(np.argmin(costs))
+        h = spec.taps(results[best_idx].best_solution)
         ev = evaluate_filter(h, spec)
         report["fir"] = {
             "best_trial": best_idx,
@@ -343,8 +329,8 @@ def emit_tables(reports, out_dir) -> list[str]:
     return paths
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[TrialStats, dict]:
-    """Run all trials, aggregate, and write the selected artifacts.
+def run_experiment(config: ExperimentConfig) -> tuple[list[RunResult], dict]:
+    """Run all trials, write the selected artifacts, return results and report.
 
     Output directory problems surface before any trial runs. Trials
     execute sequentially for workers = 1, otherwise across a process
@@ -365,7 +351,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[TrialStats, dict]:
             results = list(pool.map(run_trial, repeat(config), range(config.trials)))
     elapsed = time.perf_counter() - started
 
-    stats = aggregate_stats([r.best_cost for r in results])
     label = config.resolved_label()
     traces = [r.trace for r in results]
 
@@ -373,7 +358,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[TrialStats, dict]:
         emit_stacked_traces(traces, os.path.join(out, f"{label}_traces.csv"))
     if "plots" in config.emit:
         emit_plot(traces, os.path.join(out, f"{label}_convergence.svg"), title=label)
-    report = build_report(config, stats, results, elapsed)
+    report = build_report(config, results, elapsed)
     if "report" in config.emit:
         emit_report(report, os.path.join(out, f"{label}_report.json"))
     if config.objective == "fir":
@@ -384,4 +369,4 @@ def run_experiment(config: ExperimentConfig) -> tuple[TrialStats, dict]:
             )
         if "report" in config.emit:
             write_coefficients(h, os.path.join(out, f"{label}_coefficients.csv"))
-    return stats, report
+    return results, report

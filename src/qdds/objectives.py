@@ -18,6 +18,7 @@ __all__ = [
     "BENCHMARK_NAMES",
     "make_benchmark",
     "check_int",
+    "check_real",
 ]
 
 
@@ -31,6 +32,12 @@ def check_int(name: str, value, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def check_real(name: str, value) -> None:
+    """ValueError unless value is a real number; bool and strings are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,10 @@ designs with a 1000-particle swarm.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .harness import ExperimentConfig
 from .objectives import BENCHMARK_NAMES
 
-__all__ = ["PRESETS", "preset_names", "get_preset"]
+__all__ = ["PRESETS"]
 
 _DIM_ITER = ((10, 250), (20, 375), (30, 500))
 _POPULATIONS = (20, 40, 80)
@@ -43,15 +41,3 @@ def _build_presets() -> dict[str, ExperimentConfig]:
 
 
 PRESETS = _build_presets()
-
-
-def preset_names() -> list[str]:
-    return list(PRESETS)
-
-
-def get_preset(name: str, **overrides) -> ExperimentConfig:
-    """Fetch a preset, optionally overriding fields (out_dir, seed, ...)."""
-    if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; see preset_names()")
-    cfg = PRESETS[name]
-    return replace(cfg, **overrides) if overrides else cfg

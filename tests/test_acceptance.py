@@ -19,15 +19,10 @@ import pytest
 
 from qdds.cli import main as cli_main
 from qdds.engine import MODES, REBINDS, SwarmConfig, blend_with_gbest, init_swarm, step
-from qdds.filters import (
-    FilterSpec,
-    expand_symmetric,
-    fir_band_errors,
-    stopband_attenuation_db,
-)
+from qdds.filters import FilterSpec, fir_band_errors, stopband_attenuation_db
 from qdds.harness import ExperimentConfig, canonical_json, run_trial
 from qdds.objectives import BENCHMARK_NAMES, make_benchmark
-from qdds.presets import get_preset, preset_names
+from qdds.presets import PRESETS
 from qdds.validate import (
     REFERENCE_DELTA_DB_10,
     REFERENCE_DELTA_DB_20,
@@ -51,7 +46,9 @@ def test_criterion_1_reference_attenuation_goldens():
         (REFERENCE_HALF_20, 20, REFERENCE_DELTA_DB_20),
     ):
         got = stopband_attenuation_db(
-            expand_symmetric(half), FilterSpec(n_coeff=order), grid_points=8192
+            FilterSpec(n_coeff=order).taps(half),
+            FilterSpec(n_coeff=order),
+            grid_points=8192,
         )
         checks.append((order, got, target, abs(got - target) <= 0.1))
     elapsed = time.perf_counter() - started
@@ -289,7 +286,7 @@ def test_criterion_6_stochastic_reproduction():
 
 def test_criterion_7_preset_sweep_completeness(tmp_path):
     started = time.perf_counter()
-    names = preset_names()
+    names = list(PRESETS)
 
     expected = {
         f"{fn}-d{dim}-p{pop}"
@@ -303,7 +300,7 @@ def test_criterion_7_preset_sweep_completeness(tmp_path):
 
     iters_by_dim = {10: 250, 20: 375, 30: 500}
     for name in names:
-        cfg = get_preset(name)
+        cfg = PRESETS[name]
         assert cfg.trials == 10
         if name.startswith("fir"):
             assert cfg.population == 1000
@@ -318,7 +315,7 @@ def test_criterion_7_preset_sweep_completeness(tmp_path):
     assert cli_main(["presets", "all", "--out", str(tmp_path)]) == 0
 
     for name in names:
-        cfg = get_preset(name)
+        cfg = PRESETS[name]
         trace_path = tmp_path / f"{name}_traces.csv"
         lines = trace_path.read_text().splitlines()
         assert lines[0] == "trial,iter,best_cost,eval_count"

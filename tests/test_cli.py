@@ -1,6 +1,8 @@
 """CLI: subcommands, exit codes, config-file merging, artifact wiring."""
 
 import json
+import runpy
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -9,8 +11,7 @@ import pytest
 from qdds import cli
 from qdds.cli import main
 from qdds.filters import FilterSpec, fir_band_errors
-from qdds.harness import TrialStats
-from qdds.presets import preset_names
+from qdds.presets import PRESETS
 
 
 def bench_args(tmp_path, *extra):
@@ -223,12 +224,20 @@ class TestBadSettings:
             ("master_seed", 1.5),
             # values of the wrong type for the other fields
             ("init_range", 5),
+            ("init_range", [1, 2, 3]),
+            ("init_range", [True, 2]),
             ("emit", 5),
+            ("emit", "traces"),
+            ("label", 5),
+            ("out_dir", 5),
+            ("out_dir", None),
             ("lambda_abs", "false"),
             ("symmetric", "false"),
             ("k", True),
+            ("k", "5"),
             ("epsilon", False),
             ("lam", True),
+            ("lam", "0.1"),
             ("wp", True),
             ("ws", True),
             ("eta", True),
@@ -241,7 +250,7 @@ class TestBadSettings:
         settings.update({"out_dir": str(out), field: value})
         config.write_text(json.dumps(settings))
         assert main(["bench", "--config", str(config)]) == 1
-        assert "bad configuration" in capsys.readouterr().err
+        assert f"bad configuration: {field} must" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -306,7 +315,7 @@ class TestPresets:
     def test_listing(self, capsys):
         assert main(["presets"]) == 0
         listed = capsys.readouterr().out.split()
-        assert listed == preset_names()
+        assert listed == list(PRESETS)
         assert len(listed) == 38
         assert "rastrigin-d10-p20" in listed
         assert "griewank-d30-p80" in listed
@@ -332,25 +341,23 @@ class TestPresets:
         configs = []
 
         def fake_run_experiment(config):
-            # the cell's run index as its mean tells the rows apart
-            stats = TrialStats(float(len(configs)), 0.5, 0.1 + 0.2, 1 / 3, ())
-            configs.append(config)
             report = {
                 "config": asdict(config),
+                # the cell's run index as its mean tells the rows apart
                 "stats": {
-                    "mean": stats.mean, "std": stats.std,
-                    "best": stats.best, "worst": stats.worst,
+                    "mean": float(len(configs)), "std": 0.5, "best": 0.1 + 0.2, "worst": 1 / 3,
                 },
             }
+            configs.append(config)
             if config.objective == "fir":
                 delta_db = None if config.order == 10 else -17.25
                 report["fir"] = {"delta_db": delta_db, "e_p": 0.1, "e_s": 0.2, "gamma": 0.15}
-            return stats, report
+            return [], report
 
         monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
         out = tmp_path / "tables"
         assert main(["presets", "all", "--out", str(out), "--seed", "5", "--trials", "1"]) == 0
-        assert [c.resolved_label() for c in configs] == preset_names()
+        assert [c.resolved_label() for c in configs] == list(PRESETS)
         assert all(c.out_dir == str(out) for c in configs)
         assert all((c.master_seed, c.trials, c.workers) == (5, 1, 1) for c in configs)
         assert "fir-10: delta_db=-inf " in capsys.readouterr().out
@@ -374,6 +381,86 @@ class TestPresets:
         assert sorted(p.name for p in out.iterdir()) == [
             "fir.csv", "griewank.csv", "rastrigin.csv", "rosenbrock.csv", "sphere.csv"
         ]
+
+
+ENGINE_FLAG_FIELDS = [
+    (["--pop", "4"], "population", 4),
+    (["--iters", "7"], "iterations", 7),
+    (["--trials", "2"], "trials", 2),
+    (["--seed", "9"], "master_seed", 9),
+    (["--mode", "sweep"], "mode", "sweep"),
+    (["--rebind", "pre"], "rebind", "pre"),
+    (["--lambda-abs"], "lambda_abs", True),
+    (["--k", "4.5"], "k", 4.5),
+    (["--epsilon", "0.25"], "epsilon", 0.25),
+    (["--out", "elsewhere"], "out_dir", "elsewhere"),
+    (["--emit", "traces,,report"], "emit", ("traces", "report")),
+    (["--workers", "2"], "workers", 2),
+    (["--label", "named"], "label", "named"),
+]
+FLAG_FIELDS = [
+    *(
+        ("bench", *case)
+        for case in [
+            (["--function", "griewank"], "objective", "griewank"),
+            (["--dim", "3"], "dimension", 3),
+            *ENGINE_FLAG_FIELDS,
+        ]
+    ),
+    *(
+        ("fir", *case)
+        for case in [
+            (["--order", "12"], "order", 12),
+            (["--wp", "0.2"], "wp", 0.2),
+            (["--ws", "0.7"], "ws", 0.7),
+            (["--eta", "0.25"], "eta", 0.25),
+            (["--grid", "64"], "grid", 64),
+            (["--no-symmetric"], "symmetric", False),
+            *ENGINE_FLAG_FIELDS,
+        ]
+    ),
+    ("presets", ["--out", "elsewhere"], "out_dir", "elsewhere"),
+    ("presets", ["--seed", "9"], "master_seed", 9),
+    ("presets", ["--trials", "2"], "trials", 2),
+    ("presets", ["--workers", "2"], "workers", 2),
+]
+BASE_ARGS = {
+    "bench": ["bench", "--function", "sphere", "--dim", "2"],
+    "fir": ["fir"],
+    "presets": ["presets", "sphere-d10-p20"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, field, value",
+    FLAG_FIELDS,
+    ids=[f"{command}{''.join(flag[:1])}" for command, flag, _, _ in FLAG_FIELDS],
+)
+def test_flag_sets_its_config_field(monkeypatch, command, flag, field, value):
+    configs = []
+
+    class Captured(Exception):
+        pass
+
+    def capture(config):
+        configs.append(config)
+        raise Captured
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    main([*BASE_ARGS[command], *flag])
+    assert len(configs) == 1
+    assert getattr(configs[0], field) == value
+    if command == "presets":
+        assert getattr(PRESETS["sphere-d10-p20"], field) != value
+
+
+def test_module_entry_point(monkeypatch):
+    # run_module warns when the module it runs as __main__ is already imported
+    monkeypatch.delitem(sys.modules, "qdds.cli")
+    monkeypatch.setattr(sys, "argv", ["qdds", "bench", "--function", "ackley"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("qdds.cli", run_name="__main__")
+    assert exc.value.code == 1
 
 
 class TestUsageErrors:

@@ -13,7 +13,6 @@ from qdds.filters import (
     ATTENUATION_GRID,
     FilterSpec,
     evaluate_filter,
-    expand_symmetric,
     fir_band_errors,
     fir_response_magnitude,
     make_filter_objective,
@@ -229,14 +228,14 @@ class TestAttenuation:
         assert stopband_attenuation_db(np.zeros(10), FilterSpec()) == float("-inf")
 
     def test_twenty_tap_reference(self):
-        h = expand_symmetric(REFERENCE_HALF_20)
+        h = FilterSpec(n_coeff=20).taps(REFERENCE_HALF_20)
         got = stopband_attenuation_db(h, FilterSpec(n_coeff=20))
         assert got == pytest.approx(REFERENCE_DELTA_DB_20, abs=0.1)
 
     def test_lobe_beats_band_edge_rolloff(self):
         # roll-off at the stopband edge dominates the raw max for this
         # reference design; the reported level must be the interior lobe
-        h = expand_symmetric(REFERENCE_HALF_20)
+        h = FilterSpec(n_coeff=20).taps(REFERENCE_HALF_20)
         spec = FilterSpec(n_coeff=20)
         w = np.linspace(spec.omega_s, math.pi, ATTENUATION_GRID)
         edge_db = 20.0 * math.log10(fir_response_magnitude(h, w).max())
@@ -244,7 +243,7 @@ class TestAttenuation:
         assert got < edge_db
 
     def test_grid_override(self):
-        h = expand_symmetric(REFERENCE_HALF_20)
+        h = FilterSpec(n_coeff=20).taps(REFERENCE_HALF_20)
         spec = FilterSpec(n_coeff=20)
         coarse = stopband_attenuation_db(h, spec, grid_points=1024)
         fine = stopband_attenuation_db(h, spec, grid_points=16384)
@@ -262,24 +261,22 @@ class TestAttenuation:
             stopband_attenuation_db(impulse(), FilterSpec(), grid_points=2)
 
 
-class TestExpandSymmetric:
-    def test_pair_mirror(self):
-        assert list(expand_symmetric([1.0, 2.0])) == [1.0, 2.0, 2.0, 1.0]
-
-    def test_reference_half_expands_symmetric(self):
-        for half in (REFERENCE_HALF_10, REFERENCE_HALF_20):
-            full = expand_symmetric(half)
+class TestSymmetricTaps:
+    def test_reference_halves_mirror(self):
+        for half, order in ((REFERENCE_HALF_10, 10), (REFERENCE_HALF_20, 20)):
+            full = FilterSpec(n_coeff=order).taps(half)
             assert np.array_equal(full, full[::-1])
             assert np.array_equal(full[: len(half)], half)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            expand_symmetric([])
-
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
-    def test_mirror_is_exact(self, half):
-        full = expand_symmetric(half)
-        assert full.size == 2 * len(half)
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12),
+        st.booleans(),
+    )
+    def test_mirror_is_exact(self, half, odd):
+        # an odd count shares the last free variable as its centre tap
+        full = FilterSpec(n_coeff=2 * len(half) - odd).taps(half)
+        assert full.size == 2 * len(half) - odd
+        assert np.array_equal(full[: len(half)], half)
         for n in range(full.size):
             assert full[n] == full[full.size - 1 - n]
 
@@ -366,20 +363,20 @@ class TestObjectiveWrapper:
         assert obj.name == "fir-10"
         half = np.asarray(REFERENCE_HALF_10)
         assert obj.evaluate(half) == pytest.approx(
-            evaluate_filter(expand_symmetric(half), spec).gamma, rel=1e-15
+            evaluate_filter(spec.taps(half), spec).gamma, rel=1e-15
         )
 
     def test_unconstrained_searches_full(self):
         spec = FilterSpec(n_coeff=10, symmetric=False)
         obj = make_filter_objective(spec)
         assert obj.dimension == 10
-        h = expand_symmetric(REFERENCE_HALF_10)
+        h = FilterSpec(n_coeff=10).taps(REFERENCE_HALF_10)
         assert obj.evaluate(h) == pytest.approx(evaluate_filter(h, spec).gamma, rel=1e-15)
 
 
 class TestCoefficientFiles:
     def test_round_trip(self, tmp_path):
-        h = expand_symmetric(REFERENCE_HALF_20)
+        h = FilterSpec(n_coeff=20).taps(REFERENCE_HALF_20)
         path = tmp_path / "coeffs.csv"
         write_coefficients(h, path)
         assert np.array_equal(np.loadtxt(path), h)

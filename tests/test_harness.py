@@ -1,4 +1,4 @@
-"""Experiment harness: stats, artifacts, determinism, schema round trips."""
+"""Experiment harness: report stats, artifacts, determinism, schema round trips."""
 
 import json
 import math
@@ -9,11 +9,11 @@ import pytest
 
 from qdds import harness
 from qdds._atomic import atomic_open
+from qdds.engine import RunResult
 from qdds.filters import write_coefficients
 from qdds.harness import (
     EMIT_KINDS,
     ExperimentConfig,
-    aggregate_stats,
     build_problem,
     build_report,
     canonical_json,
@@ -46,41 +46,6 @@ def polyline_points(svg_text):
         pairs = [pair.split(",") for pair in match.group(1).split()]
         out.append([(float(x), float(y)) for x, y in pairs])
     return out
-
-
-class TestAggregateStats:
-    def test_hand_example(self):
-        stats = aggregate_stats([1.0, 2.0, 3.0])
-        assert stats.mean == 2.0
-        assert stats.std == 1.0
-        assert stats.best == 1.0
-        assert stats.worst == 3.0
-        assert stats.per_trial == (1.0, 2.0, 3.0)
-
-    def test_single_sample_convention(self):
-        stats = aggregate_stats([5.0])
-        assert (stats.mean, stats.std, stats.best, stats.worst) == (5.0, 0.0, 5.0, 5.0)
-
-    def test_constant_sample(self):
-        assert aggregate_stats([4.0, 4.0, 4.0]).std == 0.0
-
-    def test_ordering_invariant(self):
-        rng = np.random.default_rng(1)
-        costs = rng.uniform(0.0, 10.0, 7)
-        stats = aggregate_stats(costs)
-        assert stats.best <= stats.mean <= stats.worst
-        assert stats.std >= 0.0
-
-    def test_std_shift_invariance(self):
-        base = [0.5, 1.25, 9.0, 3.5]
-        shifted = [c + 100.0 for c in base]
-        assert aggregate_stats(base).std == pytest.approx(
-            aggregate_stats(shifted).std, rel=1e-12
-        )
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_stats([])
 
 
 class TestExperimentConfig:
@@ -126,6 +91,16 @@ class TestExperimentConfig:
             {"eta": False},
             {"label": "a/b"},
             {"label": "/abs"},
+            # values of the wrong type
+            {"init_range": (1.0, 2.0, 3.0)},
+            {"init_range": (True, 2.0)},
+            {"init_range": []},
+            {"label": 5},
+            {"k": "5"},
+            {"lam": "0.1"},
+            {"emit": "traces"},
+            {"out_dir": 5},
+            {"out_dir": None},
         ],
     )
     def test_engine_and_filter_values_checked_at_construction(self, kwargs):
@@ -145,6 +120,7 @@ class TestExperimentConfig:
             {"trials": True},
             {"iterations": True},
             {"dimension": 2.0},
+            {"objective": "fir", "dimension": "x"},
             {"master_seed": -1},
         ],
     )
@@ -157,8 +133,7 @@ class TestExperimentConfig:
             population=np.int64(3), iterations=np.int32(12), master_seed=np.uint16(5)
         )
         assert type(cfg.population) is int and type(cfg.master_seed) is int
-        stats = aggregate_stats([1.0])
-        report = build_report(cfg, stats, [run_trial(cfg, 0)])
+        report = build_report(cfg, [run_trial(cfg, 0)])
         assert json.loads(canonical_json(report))["config"]["iterations"] == 12
 
     def test_unknown_emit_kind_rejected(self):
@@ -186,7 +161,7 @@ class TestBuildProblem:
 
     def test_init_range_override(self):
         cfg = tiny_config(init_range=(-1.0, 1.0))
-        report = build_report(cfg, aggregate_stats([1.0]), [run_trial(cfg, 0)])
+        report = build_report(cfg, [run_trial(cfg, 0)])
         assert report["config"]["init_range"] == [-1.0, 1.0]
 
 
@@ -319,9 +294,8 @@ class TestReport:
     def test_canonical_round_trip(self, tmp_path):
         cfg = tiny_config()
         results = [run_trial(cfg, t) for t in range(cfg.trials)]
-        stats = aggregate_stats([r.best_cost for r in results])
         path = tmp_path / "report.json"
-        report = build_report(cfg, stats, results)
+        report = build_report(cfg, results)
         emit_report(report, path)
         text = path.read_text()
         assert canonical_json(json.loads(text)) == text
@@ -330,7 +304,7 @@ class TestReport:
     def test_echoes_resolved_lam_and_seeds(self):
         cfg = tiny_config()
         results = [run_trial(cfg, t) for t in range(2)]
-        report = build_report(cfg, aggregate_stats([r.best_cost for r in results]), results)
+        report = build_report(cfg, results)
         for t, entry in enumerate(report["trials"]):
             assert entry["seed"] == [77, t]
             assert entry["lam"] == results[t].lam
@@ -345,7 +319,7 @@ class TestReport:
             objective="fir", order=10, population=6, iterations=10, trials=2
         )
         results = [run_trial(cfg, t) for t in range(2)]
-        report = build_report(cfg, aggregate_stats([r.best_cost for r in results]), results)
+        report = build_report(cfg, results)
         fir = report["fir"]
         assert len(fir["coefficients"]) == 10
         assert fir["coefficients"] == fir["coefficients"][::-1]
@@ -357,10 +331,27 @@ class TestReport:
             init_range=(0.0, 0.0),
         )
         results = [run_trial(cfg, 0)]
-        report = build_report(cfg, aggregate_stats([results[0].best_cost]), results)
+        report = build_report(cfg, results)
         assert report["fir"]["coefficients"] == [0.0] * 10
         assert report["fir"]["delta_db"] is None
         assert json.loads(canonical_json(report)) == report
+
+    def test_stats_from_trial_costs(self):
+        def stats(costs):
+            events = {"in_band": 0, "solver_fallback": 0, "guard_clamp": 0}
+            results = [RunResult(c, np.zeros(2), [], 0, dict(events), 0.0) for c in costs]
+            return build_report(tiny_config(trials=len(costs)), results)["stats"]
+
+        assert stats([1.0, 2.0, 3.0]) == {"mean": 2.0, "std": 1.0, "best": 1.0, "worst": 3.0}
+        # one trial has no sample spread: std is 0 by convention
+        assert stats([5.0]) == {"mean": 5.0, "std": 0.0, "best": 5.0, "worst": 5.0}
+        assert stats([4.0, 4.0, 4.0])["std"] == 0.0
+        base = [0.5, 1.25, 9.0, 3.5]
+        shifted = [c + 100.0 for c in base]
+        assert stats(base)["std"] == pytest.approx(stats(shifted)["std"], rel=1e-12)
+        spread = stats(list(np.random.default_rng(1).uniform(0.0, 10.0, 7)))
+        assert spread["best"] <= spread["mean"] <= spread["worst"]
+        assert spread["std"] >= 0.0
 
     def test_canonical_json_is_strict(self):
         for value in (math.nan, math.inf, -math.inf):
@@ -370,9 +361,8 @@ class TestReport:
     def test_timing_only_with_elapsed(self):
         cfg = tiny_config(trials=1)
         results = [run_trial(cfg, 0)]
-        stats = aggregate_stats([results[0].best_cost])
-        assert "timing" not in build_report(cfg, stats, results)
-        assert build_report(cfg, stats, results, 1.25)["timing"] == {
+        assert "timing" not in build_report(cfg, results)
+        assert build_report(cfg, results, 1.25)["timing"] == {
             "wall_clock_seconds": 1.25
         }
 
@@ -380,9 +370,10 @@ class TestReport:
 class TestRunExperiment:
     def test_artifacts_and_stats(self, tmp_path):
         cfg = tiny_config(out_dir=str(tmp_path), trials=1)
-        stats, report = run_experiment(cfg)
-        assert stats.mean == stats.best == stats.worst
-        assert stats.std == 0.0
+        results, report = run_experiment(cfg)
+        stats = report["stats"]
+        assert stats["mean"] == stats["best"] == stats["worst"] == results[0].best_cost
+        assert stats["std"] == 0.0
         label = cfg.resolved_label()
         assert (tmp_path / f"{label}_traces.csv").exists()
         assert (tmp_path / f"{label}_convergence.svg").exists()
