@@ -7,10 +7,13 @@ so far using a single uniformly drawn weight per update. Scheduling is
 either "literal" (one randomly selected particle per iteration, the
 default) or "sweep" (all particles in index order per iteration).
 
-The gate, the inverse solve and the delta rebind each run once per step
-on the (rows, dimension) block of the particles it updates, and the blend
-weights come from one draw. Blending, evaluation and the gbest update stay
-sequential in index order: each blend reads the gbest the rows before it left.
+A step advances one wave: one iteration in sweep mode; in literal mode the
+longest run of iterations whose picks are distinct, a repeated pick waiting
+on the swarm for the next step. A member reads only what its previous
+update, in an earlier wave, wrote, so the gate, the inverse solve and the
+delta rebind each run once per wave on its (rows, dimension) block.
+Blending, evaluation and the gbest update stay sequential in pick order:
+each blend reads the gbest the updates before it left.
 
 All randomness flows from one numpy Generator seeded by the config, so
 identical (config, objective, seed) produce bitwise identical runs.
@@ -171,6 +174,7 @@ class Swarm:
     eval_count: int
     lam: float
     rng: np.random.Generator
+    pending_pick: int | None = None  # the literal pick that ended the last wave
     events: dict[str, int] = field(
         default_factory=lambda: {"in_band": 0, "solver_fallback": 0, "guard_clamp": 0}
     )
@@ -237,12 +241,12 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
     return swarm
 
 
-def _update(swarm: Swarm, objective: Objective, rows: slice, theta: float) -> None:
+def _update(swarm: Swarm, objective: Objective, rows, thetas, rhos) -> None:
     cfg = swarm.config
     positions = swarm.positions[rows]
     dp = swarm.delta_prev[rows]
     dp2 = swarm.delta_prev2[rows]
-    delta_new, fired = delta_update_arrays(dp, dp2, theta, swarm.lam)
+    delta_new, fired = delta_update_arrays(dp, dp2, np.array(thetas)[:, None], swarm.lam)
     r_raw, solved, fallbacks = solve_r_batch(delta_new, cfg.k)
     swarm.events["in_band"] += fired.size - int(np.count_nonzero(fired))
     swarm.events["solver_fallback"] += fallbacks
@@ -252,8 +256,8 @@ def _update(swarm: Swarm, objective: Objective, rows: slice, theta: float) -> No
         r_raw = np.where(solved, r_raw, positions)
         delta_new = np.where(solved, delta_new, dp)
 
-    # in index order: each blend sees the gbest its predecessors left
-    for i, rho in enumerate(swarm.rng.uniform(size=len(r_raw)).tolist()):
+    # in pick order: each blend sees the gbest its predecessors left
+    for i, rho in enumerate(rhos):
         blended = blend_with_gbest(r_raw[i], swarm.best_solution, rho)
         cost = objective.evaluate(blended)
         swarm.eval_count += 1
@@ -261,7 +265,12 @@ def _update(swarm: Swarm, objective: Objective, rows: slice, theta: float) -> No
             swarm.best_cost = float(cost)
             swarm.best_solution = blended.copy()
         positions[i] = blended
+        # literal mode takes one iteration per update, sweep mode one per wave
+        if cfg.mode == "literal" or i == len(rhos) - 1:
+            swarm.iteration += 1
+            swarm.trace.append((swarm.iteration, swarm.best_cost, swarm.eval_count))
 
+    swarm.positions[rows] = positions
     swarm.delta_prev2[rows] = dp
     if cfg.rebind == "post":
         swarm.delta_prev[rows] = delta_of_r(positions, cfg.k)
@@ -269,22 +278,40 @@ def _update(swarm: Swarm, objective: Objective, rows: slice, theta: float) -> No
         swarm.delta_prev[rows] = delta_new
 
 
+def _draw_wave(swarm: Swarm) -> tuple[list[int], list[float], list[float]]:
+    # per iteration one integers(P) then one uniform(), the order a
+    # one-pick-per-step loop draws them in; nothing is drawn past max_iter
+    cfg, rng = swarm.config, swarm.rng
+    rows, thetas, rhos = [], [], []
+    for iteration in range(swarm.iteration, cfg.max_iter):
+        p = swarm.pending_pick
+        if p is None:
+            p = int(rng.integers(cfg.population))
+        if p in rows:
+            swarm.pending_pick = p
+            break
+        swarm.pending_pick = None
+        rows.append(p)
+        thetas.append(learning_rate(iteration, cfg.max_iter, cfg.epsilon))
+        rhos.append(float(rng.uniform()))
+    return rows, thetas, rhos
+
+
 def step(swarm: Swarm, objective: Objective) -> Swarm:
-    """Advance one iteration: update one particle (literal) or all (sweep)."""
+    """Advance one wave: in literal mode the longest run of iterations whose
+    picks are distinct, each adding a trace row; in sweep mode one iteration."""
     cfg = swarm.config
     if swarm.iteration >= cfg.max_iter:
         raise ValueError(
             f"iteration {swarm.iteration} already reached max_iter {cfg.max_iter}"
         )
-    theta = learning_rate(swarm.iteration, cfg.max_iter, cfg.epsilon)
     if cfg.mode == "literal":
-        p = int(swarm.rng.integers(cfg.population))
-        rows = slice(p, p + 1)
+        rows, thetas, rhos = _draw_wave(swarm)
     else:
         rows = slice(None)
-    _update(swarm, objective, rows, theta)
-    swarm.iteration += 1
-    swarm.trace.append((swarm.iteration, swarm.best_cost, swarm.eval_count))
+        thetas = [learning_rate(swarm.iteration, cfg.max_iter, cfg.epsilon)] * cfg.population
+        rhos = swarm.rng.uniform(size=cfg.population).tolist()
+    _update(swarm, objective, rows, thetas, rhos)
     return swarm
 
 

@@ -109,14 +109,15 @@ class ExperimentConfig:
             check_real(name, getattr(self, name))
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
-        if self.label is not None and not isinstance(self.label, str):
-            raise ValueError(f"label must be a string, got {self.label!r}")
+        # every artifact writer writes ASCII, the label included
+        if self.label is not None and not (isinstance(self.label, str) and self.label.isascii()):
+            raise ValueError(f"label must be an ASCII string, got {self.label!r}")
         if self.label is not None and os.path.basename(self.label) != self.label:
             raise ValueError(f"label must not contain a path separator, got {self.label!r}")
-        if not isinstance(self.emit, (list, tuple)) or not all(
+        if not self.emit or not isinstance(self.emit, (list, tuple)) or not all(
             isinstance(kind, str) for kind in self.emit
         ):
-            raise ValueError(f"emit must be a list of artifact kinds, got {self.emit!r}")
+            raise ValueError(f"emit must be a non-empty list of artifact kinds, got {self.emit!r}")
         unknown = set(self.emit) - set(EMIT_KINDS)
         if unknown:
             raise ValueError(f"unknown emit kinds {sorted(unknown)}; allowed: {EMIT_KINDS}")

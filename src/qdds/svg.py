@@ -29,6 +29,8 @@ _PALETTE = (
 _WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 18, 36, 46
 _TICKS = 5
+# XML text escapes (xml.sax.saxutils would import urllib.request and ssl)
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _fmt(value: float) -> str:
@@ -77,6 +79,7 @@ def line_plot(
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
 
+    title, x_label, y_label = (text.translate(_XML_TEXT) for text in (title, x_label, y_label))
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 

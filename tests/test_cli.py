@@ -4,6 +4,7 @@ import json
 import runpy
 import sys
 from dataclasses import asdict
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -44,6 +45,13 @@ class TestBench:
     def test_label_override(self, tmp_path):
         assert main(bench_args(tmp_path, "--label", "smoke")) == 0
         assert (tmp_path / "smoke_report.json").exists()
+
+    def test_label_markup_escaped_in_svg(self, tmp_path):
+        label = "a&b<c>"
+        assert main(bench_args(tmp_path, "--label", label)) == 0
+        svg = minidom.parse(str(tmp_path / f"{label}_convergence.svg"))
+        texts = [node.firstChild.data for node in svg.getElementsByTagName("text")]
+        assert texts[0] == label
 
     def test_switches_echoed_in_report(self, tmp_path):
         args = bench_args(
@@ -187,6 +195,8 @@ class TestBadSettings:
             ["bench", "--function", "rosenbrock", "--dim", "1"],
             ["presets", "sphere-d10-p20", "--trials", "0"],
             ["bench", "--function", "sphere", "--dim", "2", "--label", "a/b"],
+            ["bench", "--function", "sphere", "--dim", "2", "--emit", ","],
+            ["bench", "--function", "sphere", "--dim", "2", "--label", "caf\u00e9"],
         ],
     )
     def test_flags(self, tmp_path, capsys, args):
@@ -228,7 +238,9 @@ class TestBadSettings:
             ("init_range", [True, 2]),
             ("emit", 5),
             ("emit", "traces"),
+            ("emit", []),
             ("label", 5),
+            ("label", "caf\u00e9"),
             ("out_dir", 5),
             ("out_dir", None),
             ("lambda_abs", "false"),

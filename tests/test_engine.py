@@ -198,8 +198,8 @@ class TestInit:
         assert swarm.lam == float(rng.normal(0.0, 0.5) * 1e-3)
 
 
-# Reference oracle for step: the per-particle update loop the engine ran
-# before it batched the gate, the solve and the rebind over a step's rows.
+# Reference oracle for step: the per-iteration loop the engine ran before it
+# batched the gate, the solve and the rebind over a wave's rows.
 def _update_particle_reference(swarm, objective, p, theta):
     cfg = swarm.config
     dp = swarm.delta_prev[p]
@@ -239,6 +239,13 @@ def step_reference(swarm, objective):
     swarm.trace.append((swarm.iteration, swarm.best_cost, swarm.eval_count))
 
 
+def step_both(swarm, ref, objective):
+    """One step, then the reference iterations up to the wave's end."""
+    step(swarm, objective)
+    while ref.iteration < swarm.iteration:
+        step_reference(ref, objective)
+
+
 def assert_same_swarm(a, b):
     for name in ("positions", "delta_prev", "delta_prev2", "best_solution"):
         x, y = getattr(a, name), getattr(b, name)
@@ -247,11 +254,13 @@ def assert_same_swarm(a, b):
     assert a.trace == b.trace
     assert a.events == b.events
     assert (a.iteration, a.eval_count) == (b.iteration, b.eval_count)
-    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+    # a pending pick is drawn but not yet used, so the reference lags it
+    if a.pending_pick is None:
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
 class TestStepMatchesReference:
-    """step leaves every bit the per-particle reference loop leaves."""
+    """step leaves every bit the per-iteration reference loop leaves."""
 
     @pytest.mark.parametrize("mode", ["literal", "sweep"])
     @pytest.mark.parametrize("rebind", ["post", "pre"])
@@ -264,9 +273,9 @@ class TestStepMatchesReference:
         obj = make_benchmark(function, cfg.dimension)
         swarm, ref = init_swarm(cfg, obj), init_swarm(cfg, obj)
         while swarm.iteration < cfg.max_iter:
-            step(swarm, obj)
-            step_reference(ref, obj)
+            step_both(swarm, ref, obj)
             assert_same_swarm(swarm, ref)
+        assert swarm.pending_pick is None
 
     @pytest.mark.parametrize("mode", ["literal", "sweep"])
     @pytest.mark.parametrize("rebind", ["post", "pre"])
@@ -279,28 +288,32 @@ class TestStepMatchesReference:
         for s in (swarm, ref):
             s.delta_prev[:, 0] = 0.9 * DELTA_MAX
             s.delta_prev2[:, 0] = 0.1 * DELTA_MAX
-        step(swarm, obj)
-        step_reference(ref, obj)
+        step_both(swarm, ref, obj)
         assert swarm.events["guard_clamp"] > 0
         assert_same_swarm(swarm, ref)
         while swarm.iteration < cfg.max_iter:
-            step(swarm, obj)
-            step_reference(ref, obj)
+            step_both(swarm, ref, obj)
             assert_same_swarm(swarm, ref)
+        assert swarm.pending_pick is None
 
 
 class TestStep:
     def test_literal_updates_exactly_one_particle(self):
-        cfg = config(seed=3)
+        # per iteration one particle: a wave's updated rows are distinct,
+        # one per iteration it advances
+        cfg = config(seed=3, population=8, max_iter=60)
         obj = make_benchmark("rastrigin", cfg.dimension)
         swarm = init_swarm(cfg, obj)
-        before = swarm.positions.copy()
-        step(swarm, obj)
-        changed = np.any(swarm.positions != before, axis=1)
-        assert changed.sum() == 1
-        assert swarm.eval_count == 2 * cfg.population + 1
-        assert swarm.iteration == 4
-        assert len(swarm.trace) == 4
+        while swarm.iteration < cfg.max_iter:
+            before, iteration = swarm.positions.copy(), swarm.iteration
+            evals = swarm.eval_count
+            step(swarm, obj)
+            advanced = swarm.iteration - iteration
+            changed = np.any(swarm.positions != before, axis=1)
+            assert 1 <= advanced <= cfg.population
+            assert changed.sum() == advanced
+            assert swarm.eval_count == evals + advanced
+            assert len(swarm.trace) == swarm.iteration
 
     def test_sweep_updates_all_particles(self):
         cfg = config(mode="sweep", seed=3)
@@ -328,23 +341,36 @@ class TestStep:
         swarm = init_swarm(cfg, obj)
         before = swarm.positions.copy()
         dp, dp2 = swarm.delta_prev.copy(), swarm.delta_prev2.copy()
-        gbest = swarm.best_solution.copy()
+        gbest, best_cost = swarm.best_solution.copy(), swarm.best_cost
         step(swarm, obj)
 
         rng = np.random.default_rng(cfg.seed)
         rng.normal(0.0, 0.5)  # lam
         rng.uniform(-2.0, 2.0, (cfg.population, cfg.dimension))  # r1
         rng.uniform(-2.0, 2.0, (cfg.population, cfg.dimension))  # r2
+        # one (pick, rho) per iteration, up to the first repeated pick
+        picks, rhos = [], []
         p = int(rng.integers(cfg.population))
-        rho = float(rng.uniform())
-        assert 0 <= p < cfg.population
-        assert 0.0 <= rho <= 1.0
-        theta = learning_rate(3, cfg.max_iter, cfg.epsilon)
-        delta_new, _ = delta_update_arrays(dp[p], dp2[p], theta, swarm.lam)
-        r_raw, solved, _ = solve_r_batch(delta_new, cfg.k)
-        assert solved.all()
-        assert np.array_equal(swarm.positions[p], blend_with_gbest(r_raw, gbest, rho))
-        assert np.flatnonzero(np.any(swarm.positions != before, axis=1)).tolist() == [p]
+        while p not in picks:
+            picks.append(p)
+            rhos.append(float(rng.uniform()))
+            p = int(rng.integers(cfg.population))
+        assert swarm.pending_pick == p
+        assert swarm.rng.bit_generator.state == rng.bit_generator.state
+        assert swarm.iteration == 3 + len(picks)
+        for i, (p, rho) in enumerate(zip(picks, rhos)):
+            theta = learning_rate(3 + i, cfg.max_iter, cfg.epsilon)
+            delta_new, _ = delta_update_arrays(dp[p], dp2[p], theta, swarm.lam)
+            r_raw, solved, _ = solve_r_batch(delta_new, cfg.k)
+            assert solved.all()
+            blended = blend_with_gbest(r_raw, gbest, rho)
+            assert np.array_equal(swarm.positions[p], blended)
+            cost = obj.evaluate(blended)
+            if cost < best_cost:
+                gbest, best_cost = blended, cost
+        assert swarm.best_cost == best_cost
+        changed = np.flatnonzero(np.any(swarm.positions != before, axis=1))
+        assert changed.tolist() == sorted(picks)
 
     def test_step_past_max_iter_rejected(self):
         cfg = config(max_iter=4)
@@ -354,13 +380,31 @@ class TestStep:
         with pytest.raises(ValueError, match="max_iter"):
             step(swarm, obj)
 
+    def test_wave_stops_at_max_iter(self):
+        # 1000 particles make a repeat within 5 picks unlikely: the first wave
+        # is cut by max_iter, and no pick or rho is drawn past it
+        cfg = config(population=1000, max_iter=8, seed=6)
+        obj = make_benchmark("sphere", cfg.dimension)
+        swarm = init_swarm(cfg, obj)
+        rng = np.random.default_rng(cfg.seed)
+        rng.bit_generator.state = swarm.rng.bit_generator.state
+        step(swarm, obj)
+        assert swarm.iteration == cfg.max_iter
+        assert len(swarm.trace) == cfg.max_iter
+        assert swarm.eval_count == 2 * cfg.population + cfg.max_iter - 3
+        assert swarm.pending_pick is None
+        for _ in range(cfg.max_iter - 3):
+            rng.integers(cfg.population)
+            rng.uniform()
+        assert swarm.rng.bit_generator.state == rng.bit_generator.state
+
     def test_post_rebind_keeps_delta_position_invariant(self):
         cfg = config(seed=19, rebind="post")
         obj = make_benchmark("rastrigin", cfg.dimension)
         swarm = init_swarm(cfg, obj)
-        for _ in range(10):
+        while swarm.iteration < cfg.max_iter:
             step(swarm, obj)
-        assert np.array_equal(swarm.delta_prev, delta_of_r(swarm.positions, cfg.k))
+            assert np.array_equal(swarm.delta_prev, delta_of_r(swarm.positions, cfg.k))
 
     def test_in_band_pre_rebind_freezes_raw_positions(self):
         # degenerate init: grad = 0, every dimension in-band, so the
@@ -369,11 +413,11 @@ class TestStep:
         obj = make_benchmark("sphere", cfg.dimension)
         swarm = init_swarm(cfg, obj)
         expected = delta_of_r(0.1, cfg.k)
-        for _ in range(10):
+        while swarm.iteration < cfg.max_iter:
             step(swarm, obj)
-        assert np.all(swarm.delta_prev == expected)
-        assert np.all(swarm.delta_prev2 == expected)
-        assert np.allclose(swarm.positions, 0.1, atol=1e-9)
+            assert np.all(swarm.delta_prev == expected)
+            assert np.all(swarm.delta_prev2 == expected)
+            assert np.allclose(swarm.positions, 0.1, atol=1e-9)
 
     def test_rho_validation(self):
         for rho in (1.2, -0.1):

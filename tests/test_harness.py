@@ -99,6 +99,9 @@ class TestExperimentConfig:
             {"k": "5"},
             {"lam": "0.1"},
             {"emit": "traces"},
+            {"emit": ()},
+            {"emit": []},
+            {"label": "caf\u00e9"},
             {"out_dir": 5},
             {"out_dir": None},
         ],
