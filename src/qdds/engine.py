@@ -38,7 +38,7 @@ from .well import (
 
 __all__ = [
     "SwarmConfig",
-    "RunResult",
+    "Swarm",
     "init_swarm",
     "step",
     "run",
@@ -102,31 +102,31 @@ class SwarmConfig:
             ) from None
         check_real("init_range", lo)
         check_real("init_range", hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"init_range ends must be finite, got {self.init_range}")
         if not lo <= hi:
             raise ValueError(f"init_range must be non-empty, got {self.init_range}")
         check_real("k", self.k)
         check_real("epsilon", self.epsilon)
         if self.lam is not None:
             check_real("lam", self.lam)
-        if not (math.isfinite(self.k) and self.k > 0):
-            raise ValueError(f"k must be finite and > 0, got {self.k}")
+        if not self.k > 0:
+            raise ValueError(f"k must be > 0, got {self.k}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        if self.lam is not None and not math.isfinite(self.lam):
-            raise ValueError(f"lam must be finite, got {self.lam}")
         if not isinstance(self.lambda_abs, bool):
             raise ValueError(f"lambda_abs must be true or false, got {self.lambda_abs!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.rebind not in REBINDS:
             raise ValueError(f"rebind must be one of {REBINDS}, got {self.rebind!r}")
-        if self.effective_init_range()[0] > self.effective_init_range()[1]:
+        lo, hi = self.effective_init_range()
+        if lo > hi:
             raise ValueError(
                 f"init_range {self.init_range} lies outside the solvable "
                 f"interval [{-self.guard_halfwidth():g}, {self.guard_halfwidth():g}]"
             )
+        # a tiny k widens the solvable interval past the float range
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"init_range {self.init_range} is too wide to draw from")
 
     def guard_halfwidth(self) -> float:
         """Largest |r| the forward map accepts at this stiffness."""
@@ -140,29 +140,18 @@ class SwarmConfig:
 
 
 @dataclass
-class RunResult:
-    """Outcome of one seeded run.
-
-    trace holds one (iteration, best_cost, eval_count) row per
-    iteration: rows 1 and 2 record the two initialization sweeps, row 3
-    marks the optimization start, and each step appends one row, for
-    max_iter rows total. events maps each diagnostic tally (in_band,
-    solver_fallback, guard_clamp) to its count over every dimension
-    updated. lam is the step scale actually used (drawn or configured),
-    recorded for reproducibility.
-    """
-
-    best_cost: float
-    best_solution: np.ndarray
-    trace: list[tuple[int, float, int]]
-    eval_count: int
-    events: dict[str, int]
-    lam: float
-
-
-@dataclass
 class Swarm:
-    """Mutable run state; create via init_swarm, advance via step."""
+    """Mutable run state; create via init_swarm, advance via step.
+
+    run returns the swarm it finished. trace holds one (iteration,
+    best_cost, eval_count) row per iteration: rows 1 and 2 record the two
+    initialization sweeps, row 3 marks the optimization start, and each
+    iteration after it appends one row, for max_iter rows in a finished
+    run. events maps each diagnostic tally (in_band, solver_fallback,
+    guard_clamp) to its count over every dimension updated. lam is the
+    step scale actually used (drawn or configured), recorded for
+    reproducibility.
+    """
 
     config: SwarmConfig
     positions: np.ndarray
@@ -215,13 +204,10 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
     costs = np.array([[objective.evaluate(x) for x in rows] for rows in r])
     # np.argmin picks a NaN, and no later cost compares below NaN
     costs[np.isnan(costs)] = np.inf
-    (r1, r2), (costs1, costs2) = r, costs
-    best1 = int(np.argmin(costs1))
-    if costs2.min() < costs1[best1]:
-        best2 = int(np.argmin(costs2))
-        best_cost, best_solution = float(costs2[best2]), r2[best2].copy()
-    else:
-        best_cost, best_solution = float(costs1[best1]), r1[best1].copy()
+    # the first minimum in row-major order: a tie goes to the first set
+    best = np.unravel_index(np.argmin(costs), costs.shape)
+    best_cost, best_solution = float(costs[best]), r[best].copy()
+    r1, r2 = r
 
     swarm = Swarm(
         config=config,
@@ -235,7 +221,7 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
         lam=lam,
         rng=rng,
     )
-    swarm.trace.append((1, float(costs1[best1]), config.population))
+    swarm.trace.append((1, float(costs[0].min()), config.population))
     swarm.trace.append((2, best_cost, swarm.eval_count))
     swarm.trace.append((3, best_cost, swarm.eval_count))
     return swarm
@@ -315,8 +301,9 @@ def step(swarm: Swarm, objective: Objective) -> Swarm:
     return swarm
 
 
-def run(config: SwarmConfig, objective: Objective) -> RunResult:
-    """Initialize and step until the iteration counter reaches max_iter.
+def run(config: SwarmConfig, objective: Objective) -> Swarm:
+    """Initialize and step until the iteration counter reaches max_iter;
+    returns the finished swarm.
 
     Raises ValueError when no evaluation produced a finite best cost.
     """
@@ -328,11 +315,4 @@ def run(config: SwarmConfig, objective: Objective) -> RunResult:
             f"no finite cost in {swarm.eval_count} evaluations of "
             f"{objective.name!r}: best_cost = {swarm.best_cost!r}"
         )
-    return RunResult(
-        best_cost=swarm.best_cost,
-        best_solution=swarm.best_solution.copy(),
-        trace=list(swarm.trace),
-        eval_count=swarm.eval_count,
-        events=dict(swarm.events),
-        lam=swarm.lam,
-    )
+    return swarm

@@ -87,16 +87,6 @@ class FilterSpec:
         return np.concatenate([x, x[::-1][self.n_coeff % 2 :]])
 
 
-@dataclass(frozen=True)
-class FilterEval:
-    """Evaluated band errors, weighted cost, and stopband attenuation."""
-
-    e_p: float
-    e_s: float
-    gamma: float
-    delta_db: float
-
-
 def _basis(w, taps):
     """exp(-j w n) for every (w, n) with n = 0..taps-1, built in place."""
     b = -1j * np.multiply.outer(w, np.arange(taps))
@@ -171,15 +161,17 @@ def stopband_attenuation_db(h, spec: FilterSpec, grid_points: int | None = None)
     return float(20.0 * np.log10(top))
 
 
-def evaluate_filter(h, spec: FilterSpec) -> FilterEval:
-    """Full scoring of one coefficient vector under a design spec."""
+def evaluate_filter(h, spec: FilterSpec) -> dict[str, float]:
+    """Full scoring of one coefficient vector under a design spec: the band
+    errors e_p and e_s, the weighted cost gamma and the stopband level
+    delta_db."""
     e_p, e_s = fir_band_errors(h, spec)
-    return FilterEval(
-        e_p=e_p,
-        e_s=e_s,
-        gamma=_gamma(spec, e_p, e_s),
-        delta_db=stopband_attenuation_db(h, spec),
-    )
+    return {
+        "e_p": e_p,
+        "e_s": e_s,
+        "gamma": _gamma(spec, e_p, e_s),
+        "delta_db": stopband_attenuation_db(h, spec),
+    }
 
 
 def make_filter_objective(spec: FilterSpec) -> Objective:

@@ -25,7 +25,7 @@ from itertools import repeat
 import numpy as np
 
 from ._atomic import atomic_open
-from .engine import RunResult, SwarmConfig, run
+from .engine import Swarm, SwarmConfig, run
 from .filters import FilterSpec, evaluate_filter, make_filter_objective, write_coefficients
 from .objectives import BENCHMARK_NAMES, Objective, check_int, check_real, make_benchmark
 from .svg import line_plot
@@ -107,8 +107,8 @@ class ExperimentConfig:
         # every report echoes the filter values, and build_problem scales wp and ws
         for name in ("wp", "ws", "eta"):
             check_real(name, getattr(self, name))
-        if not isinstance(self.out_dir, str):
-            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            raise ValueError(f"out_dir must be a non-empty string, got {self.out_dir!r}")
         # every artifact writer writes ASCII, the label included
         if self.label is not None and not (isinstance(self.label, str) and self.label.isascii()):
             raise ValueError(f"label must be an ASCII string, got {self.label!r}")
@@ -166,9 +166,10 @@ def _swarm_config(config: ExperimentConfig, objective: Objective, trial: int) ->
     )
 
 
-def run_trial(config: ExperimentConfig, trial: int) -> RunResult:
-    """One seeded run; rebuilds the objective locally so it can cross
-    a process boundary (only the config and index are pickled)."""
+def run_trial(config: ExperimentConfig, trial: int) -> Swarm:
+    """One seeded run, returned as its finished swarm; rebuilds the objective
+    locally so it can cross a process boundary (only the config and index
+    are pickled)."""
     objective, _ = build_problem(config)
     return run(_swarm_config(config, objective, trial), objective)
 
@@ -176,7 +177,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> RunResult:
 def emit_stacked_traces(traces, path) -> None:
     """Trace CSV of all trials: trial,iter,best_cost,eval_count.
 
-    traces is a sequence of trace row lists as stored on RunResult,
+    traces is a sequence of trace row lists as stored on Swarm,
     indexed by trial; costs are written in repr precision so the file
     parses back bit-exactly.
     """
@@ -190,11 +191,9 @@ def emit_stacked_traces(traces, path) -> None:
 def emit_plot(traces, path, *, title: str = "") -> None:
     """Convergence SVG, one polyline per trace.
 
-    traces is a sequence of trace row lists as stored on RunResult. The
+    traces is a sequence of trace row lists as stored on Swarm. The
     vertical axis is log-scaled when every best cost is positive.
     """
-    if not traces:
-        raise ValueError("need at least one trace to plot")
     series = []
     for rows in traces:
         series.append(([row[0] for row in rows], [row[1] for row in rows]))
@@ -235,20 +234,21 @@ def canonical_json(payload) -> str:
 
 def build_report(
     config: ExperimentConfig,
-    results: list[RunResult],
+    swarms: list[Swarm],
     elapsed_seconds: float | None = None,
 ) -> dict:
     """Assemble the report document (pure data, ready for canonical_json).
 
-    stats holds the mean, sample standard deviation (n-1; 0.0 for one
-    trial), best and worst of the trials' final best costs.
+    swarms are the trials' finished runs, in trial order. stats holds the
+    mean, sample standard deviation (n-1; 0.0 for one trial), best and
+    worst of their final best costs.
     """
     objective, spec = build_problem(config)
     cfg = asdict(config)
     cfg["emit"] = list(config.emit)
     cfg["init_range"] = list(config.init_range or objective.init_range)
     cfg["resolved_dimension"] = objective.dimension
-    costs = np.array([r.best_cost for r in results], dtype=float)
+    costs = np.array([s.best_cost for s in swarms], dtype=float)
     report = {
         "config": cfg,
         "stats": {
@@ -261,31 +261,27 @@ def build_report(
             {
                 "trial": i,
                 "seed": [config.master_seed, i],
-                "best_cost": r.best_cost,
-                "best_solution": [float(v) for v in r.best_solution],
-                "lam": r.lam,
-                "eval_count": r.eval_count,
-                "events": dict(r.events),
+                "best_cost": s.best_cost,
+                "best_solution": [float(v) for v in s.best_solution],
+                "lam": s.lam,
+                "eval_count": s.eval_count,
+                "events": dict(s.events),
             }
-            for i, r in enumerate(results)
+            for i, s in enumerate(swarms)
         ],
         "events_total": {
-            key: sum(r.events[key] for r in results) for key in results[0].events
+            key: sum(s.events[key] for s in swarms) for key in swarms[0].events
         },
     }
     if spec is not None:
         best_idx = int(np.argmin(costs))
-        h = spec.taps(results[best_idx].best_solution)
-        ev = evaluate_filter(h, spec)
-        report["fir"] = {
-            "best_trial": best_idx,
-            "coefficients": [float(c) for c in h],
-            "e_p": ev.e_p,
-            "e_s": ev.e_s,
-            "gamma": ev.gamma,
-            # an all-zero filter has no stopband level: -inf, written as null
-            "delta_db": ev.delta_db if math.isfinite(ev.delta_db) else None,
-        }
+        h = spec.taps(swarms[best_idx].best_solution)
+        fir = {"best_trial": best_idx, "coefficients": [float(c) for c in h]}
+        fir.update(evaluate_filter(h, spec))
+        # an all-zero filter has no stopband level: -inf, written as null
+        if not math.isfinite(fir["delta_db"]):
+            fir["delta_db"] = None
+        report["fir"] = fir
     if elapsed_seconds is not None:
         # excluded from the determinism contract
         report["timing"] = {"wall_clock_seconds": elapsed_seconds}
@@ -330,8 +326,9 @@ def emit_tables(reports, out_dir) -> list[str]:
     return paths
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[list[RunResult], dict]:
-    """Run all trials, write the selected artifacts, return results and report.
+def run_experiment(config: ExperimentConfig) -> tuple[list[Swarm], dict]:
+    """Run all trials, write the selected artifacts, return the trials'
+    finished swarms and the report.
 
     Output directory problems surface before any trial runs. Trials
     execute sequentially for workers = 1, otherwise across a process
@@ -346,20 +343,20 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunResult], dict]:
     # the fork start method starts every worker on the first submit
     workers = min(config.workers, config.trials)
     if workers == 1:
-        results = [run_trial(config, t) for t in range(config.trials)]
+        swarms = [run_trial(config, t) for t in range(config.trials)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_trial, repeat(config), range(config.trials)))
+            swarms = list(pool.map(run_trial, repeat(config), range(config.trials)))
     elapsed = time.perf_counter() - started
 
     label = config.resolved_label()
-    traces = [r.trace for r in results]
+    traces = [s.trace for s in swarms]
 
     if "traces" in config.emit:
         emit_stacked_traces(traces, os.path.join(out, f"{label}_traces.csv"))
     if "plots" in config.emit:
         emit_plot(traces, os.path.join(out, f"{label}_convergence.svg"), title=label)
-    report = build_report(config, results, elapsed)
+    report = build_report(config, swarms, elapsed)
     if "report" in config.emit:
         emit_report(report, os.path.join(out, f"{label}_report.json"))
     if config.objective == "fir":
@@ -370,4 +367,4 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunResult], dict]:
             )
         if "report" in config.emit:
             write_coefficients(h, os.path.join(out, f"{label}_coefficients.csv"))
-    return results, report
+    return swarms, report

@@ -7,6 +7,7 @@ separately in :mod:`qdds.filters` and share the same Objective shape.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -35,9 +36,9 @@ def check_int(name: str, value, minimum: int | None = None) -> int:
 
 
 def check_real(name: str, value) -> None:
-    """ValueError unless value is a real number; bool and strings are not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+    """ValueError unless value is a finite real number; bool and strings are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)

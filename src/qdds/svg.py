@@ -38,8 +38,6 @@ def _fmt(value: float) -> str:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi == lo:
-        return [lo]
     return [lo + (hi - lo) * i / (_TICKS - 1) for i in range(_TICKS)]
 
 
@@ -55,20 +53,14 @@ def line_plot(
     """Write a polyline plot of one or more (xs, ys) series, 640x420 px.
 
     series is a sequence of (xs, ys) pairs of equal-length sequences.
-    With log_y the vertical axis is log10-scaled; non-positive values
-    are clamped to the smallest positive value present (or 1e-300 if
-    none), so traces that bottom out at zero still render.
+    With log_y the vertical axis is log10-scaled, and every y must be
+    positive.
     """
     series = [(list(xs), list(ys)) for xs, ys in series]
     if not series or any(len(xs) == 0 or len(xs) != len(ys) for xs, ys in series):
         raise ValueError("series must be non-empty (xs, ys) pairs of equal length")
 
-    if log_y:
-        positive = [y for _, ys in series for y in ys if y > 0.0]
-        floor = min(positive) if positive else 1e-300
-        tf = lambda y: math.log10(max(y, floor))
-    else:
-        tf = lambda y: y
+    tf = math.log10 if log_y else (lambda y: y)
 
     all_x = [x for xs, _ in series for x in xs]
     all_y = [tf(y) for _, ys in series for y in ys]
@@ -114,7 +106,7 @@ def line_plot(
         )
 
     for tx in _ticks(x_lo, x_hi):
-        gx = _MARGIN_L + (tx - x_lo) / (x_hi - x_lo) * plot_w
+        gx = px(tx)
         lines.append(
             f'<line x1="{gx:.2f}" y1="{_MARGIN_T + plot_h}" x2="{gx:.2f}" '
             f'y2="{_MARGIN_T + plot_h + 5}" stroke="black" stroke-width="1"/>'

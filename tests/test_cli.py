@@ -197,11 +197,13 @@ class TestBadSettings:
             ["bench", "--function", "sphere", "--dim", "2", "--label", "a/b"],
             ["bench", "--function", "sphere", "--dim", "2", "--emit", ","],
             ["bench", "--function", "sphere", "--dim", "2", "--label", "caf\u00e9"],
+            ["bench", "--function", "sphere", "--dim", "2", "--out", ""],
         ],
     )
     def test_flags(self, tmp_path, capsys, args):
         out = tmp_path / "out"
-        assert main([*args, "--out", str(out)]) == 1
+        # an --out in args comes last, so it wins
+        assert main([args[0], "--out", str(out), *args[1:]]) == 1
         assert "bad configuration" in capsys.readouterr().err
         assert not out.exists()
 
@@ -212,6 +214,10 @@ class TestBadSettings:
             '"k": -Infinity',
             '"init_range": [-Infinity, Infinity]',
             '"init_range": [0, Infinity]',
+            '"wp": NaN',
+            '"eta": Infinity',
+            # the solvable interval at this k is wider than the float range
+            '"k": 1e-306, "init_range": [-1e308, 1e308]',
         ],
     )
     def test_non_finite_config_file_values(self, tmp_path, capsys, fields):

@@ -193,12 +193,12 @@ class TestBandErrors:
 
 class TestCost:
     def test_impulse_cost_balanced(self):
-        assert evaluate_filter(impulse(), FilterSpec(eta=0.5)).gamma == pytest.approx(
+        assert evaluate_filter(impulse(), FilterSpec(eta=0.5))["gamma"] == pytest.approx(
             0.2, abs=1e-6
         )
 
     def test_zero_cost_balanced(self):
-        assert evaluate_filter(np.zeros(10), FilterSpec(eta=0.5)).gamma == pytest.approx(
+        assert evaluate_filter(np.zeros(10), FilterSpec(eta=0.5))["gamma"] == pytest.approx(
             0.15, abs=1e-6
         )
 
@@ -206,8 +206,8 @@ class TestCost:
         rng = np.random.default_rng(9)
         h = rng.uniform(-1.0, 1.0, 8)
         e_p, e_s = fir_band_errors(h, FilterSpec(n_coeff=8, eta=0.5))
-        gamma_p = evaluate_filter(h, FilterSpec(n_coeff=8, eta=1.0)).gamma
-        gamma_s = evaluate_filter(h, FilterSpec(n_coeff=8, eta=0.0)).gamma
+        gamma_p = evaluate_filter(h, FilterSpec(n_coeff=8, eta=1.0))["gamma"]
+        gamma_s = evaluate_filter(h, FilterSpec(n_coeff=8, eta=0.0))["gamma"]
         assert gamma_p == pytest.approx(e_p, rel=1e-12)
         assert gamma_s == pytest.approx(e_s, rel=1e-12)
 
@@ -215,7 +215,7 @@ class TestCost:
     def test_gamma_is_convex_combination(self, h, eta):
         spec = FilterSpec(eta=eta, grid_points=64)
         e_p, e_s = fir_band_errors(h, spec)
-        gamma = evaluate_filter(h, spec).gamma
+        gamma = evaluate_filter(h, spec)["gamma"]
         assert min(e_p, e_s) - 1e-12 <= gamma <= max(e_p, e_s) + 1e-12
 
 
@@ -286,10 +286,10 @@ class TestEvaluateFilter:
         spec = FilterSpec()
         ev = evaluate_filter(impulse(), spec)
         e_p, e_s = fir_band_errors(impulse(), spec)
-        assert ev.e_p == e_p
-        assert ev.e_s == e_s
-        assert ev.gamma == pytest.approx(spec.eta * e_p + (1 - spec.eta) * e_s, rel=1e-15)
-        assert ev.delta_db == stopband_attenuation_db(impulse(), spec)
+        assert ev["e_p"] == e_p
+        assert ev["e_s"] == e_s
+        assert ev["gamma"] == pytest.approx(spec.eta * e_p + (1 - spec.eta) * e_s, rel=1e-15)
+        assert ev["delta_db"] == stopband_attenuation_db(impulse(), spec)
 
 
 objective_cases = st.integers(min_value=1, max_value=24).flatmap(
@@ -317,7 +317,7 @@ class TestObjectiveWrapper:
         for x in (values[: spec.free_dimension], values[::-1][: spec.free_dimension]):
             h = spec.taps(x)
             assert obj.evaluate(np.asarray(x)) == direct_cost(h, spec)
-            assert evaluate_filter(h, spec).gamma == direct_cost(h, spec)
+            assert evaluate_filter(h, spec)["gamma"] == direct_cost(h, spec)
 
     def test_bases_built_once_on_first_evaluation(self, monkeypatch):
         calls = []
@@ -363,7 +363,7 @@ class TestObjectiveWrapper:
         assert obj.name == "fir-10"
         half = np.asarray(REFERENCE_HALF_10)
         assert obj.evaluate(half) == pytest.approx(
-            evaluate_filter(spec.taps(half), spec).gamma, rel=1e-15
+            evaluate_filter(spec.taps(half), spec)["gamma"], rel=1e-15
         )
 
     def test_unconstrained_searches_full(self):
@@ -371,7 +371,7 @@ class TestObjectiveWrapper:
         obj = make_filter_objective(spec)
         assert obj.dimension == 10
         h = FilterSpec(n_coeff=10).taps(REFERENCE_HALF_10)
-        assert obj.evaluate(h) == pytest.approx(evaluate_filter(h, spec).gamma, rel=1e-15)
+        assert obj.evaluate(h) == pytest.approx(evaluate_filter(h, spec)["gamma"], rel=1e-15)
 
 
 class TestCoefficientFiles:

@@ -3,13 +3,13 @@
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qdds import harness
 from qdds._atomic import atomic_open
-from qdds.engine import RunResult
 from qdds.filters import write_coefficients
 from qdds.harness import (
     EMIT_KINDS,
@@ -104,6 +104,13 @@ class TestExperimentConfig:
             {"label": "caf\u00e9"},
             {"out_dir": 5},
             {"out_dir": None},
+            {"out_dir": ""},
+            # non-finite values, and a range too wide to draw from
+            {"wp": math.nan},
+            {"wp": math.inf},
+            {"eta": math.nan},
+            {"eta": math.inf},
+            {"k": 1e-306, "init_range": (-1e308, 1e308)},
         ],
     )
     def test_engine_and_filter_values_checked_at_construction(self, kwargs):
@@ -342,8 +349,13 @@ class TestReport:
     def test_stats_from_trial_costs(self):
         def stats(costs):
             events = {"in_band": 0, "solver_fallback": 0, "guard_clamp": 0}
-            results = [RunResult(c, np.zeros(2), [], 0, dict(events), 0.0) for c in costs]
-            return build_report(tiny_config(trials=len(costs)), results)["stats"]
+            swarms = [
+                SimpleNamespace(
+                    best_cost=c, best_solution=np.zeros(2), eval_count=0, events=events, lam=0.0
+                )
+                for c in costs
+            ]
+            return build_report(tiny_config(trials=len(costs)), swarms)["stats"]
 
         assert stats([1.0, 2.0, 3.0]) == {"mean": 2.0, "std": 1.0, "best": 1.0, "worst": 3.0}
         # one trial has no sample spread: std is 0 by convention
