@@ -55,6 +55,8 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                    help="force the per-run step scale to be non-negative")
     p.add_argument("--k", type=float, help="well stiffness")
     p.add_argument("--epsilon", type=float, help="learning-rate floor")
+    p.add_argument("--lam", type=float,
+                   help="step scale of the gated delta update (default: drawn per run)")
     p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
     p.add_argument("--emit", type=lambda text: tuple(filter(None, text.split(","))),
                    help="comma-separated artifact kinds: traces,plots,report")

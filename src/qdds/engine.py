@@ -30,6 +30,7 @@ import numpy as np
 from .objectives import Objective, check_int, check_real
 from .well import (
     EXP_ARG_LIMIT,
+    LAM_MAX,
     delta_of_r,
     delta_update_arrays,
     learning_rate,
@@ -71,9 +72,10 @@ class SwarmConfig:
     learning-rate floor in [0, 1), the schedule decaying linearly from 1
     to it; lam is the step scale of the gated delta update, None meaning
     "draw once per run" (zero-mean normal, scale 0.5, times 1e-3) and an
-    explicit value, 0.0 included, being used verbatim; max_iter is the
-    iteration budget, at least 3 because the optimization phase starts
-    with two initialization sweeps already counted.
+    explicit value, 0.0 included, being used verbatim; |lam| may not exceed
+    LAM_MAX (about 2953), past which the gate step can overflow; max_iter
+    is the iteration budget, at least 3 because the optimization phase
+    starts with two initialization sweeps already counted.
     """
 
     population: int
@@ -108,6 +110,10 @@ class SwarmConfig:
         check_real("epsilon", self.epsilon)
         if self.lam is not None:
             check_real("lam", self.lam)
+            if abs(self.lam) > LAM_MAX:
+                raise ValueError(
+                    f"|lam| must be <= {LAM_MAX:.6g} to keep the gate step finite, got {self.lam}"
+                )
         if not self.k > 0:
             raise ValueError(f"k must be > 0, got {self.k}")
         if not 0.0 <= self.epsilon < 1.0:
@@ -265,7 +271,7 @@ def _update(swarm: Swarm, objective: Objective, rows, thetas, rhos) -> None:
 
 
 def _draw_wave(swarm: Swarm) -> tuple[list[int], list[float], list[float]]:
-    # per iteration one integers(P) then one uniform(), the order a
+    # per iteration one integers(P) then one random(), the order a
     # one-pick-per-step loop draws them in; nothing is drawn past max_iter
     cfg, rng = swarm.config, swarm.rng
     rows, thetas, rhos = [], [], []
@@ -279,7 +285,7 @@ def _draw_wave(swarm: Swarm) -> tuple[list[int], list[float], list[float]]:
         swarm.pending_pick = None
         rows.append(p)
         thetas.append(learning_rate(iteration, cfg.max_iter, cfg.epsilon))
-        rhos.append(float(rng.uniform()))
+        rhos.append(rng.random())
     return rows, thetas, rhos
 
 
@@ -296,7 +302,7 @@ def step(swarm: Swarm, objective: Objective) -> Swarm:
     else:
         rows = slice(None)
         thetas = [learning_rate(swarm.iteration, cfg.max_iter, cfg.epsilon)] * cfg.population
-        rhos = swarm.rng.uniform(size=cfg.population).tolist()
+        rhos = swarm.rng.random(cfg.population).tolist()
     _update(swarm, objective, rows, thetas, rhos)
     return swarm
 

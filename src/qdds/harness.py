@@ -18,7 +18,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import repeat
 
@@ -345,6 +344,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[Swarm], dict]:
     if workers == 1:
         swarms = [run_trial(config, t) for t in range(config.trials)]
     else:
+        # imported here: a sequential run, the common case, skips its start-up cost
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             swarms = list(pool.map(run_trial, repeat(config), range(config.trials)))
     elapsed = time.perf_counter() - started

@@ -62,27 +62,25 @@ class Objective:
 
 def rastrigin(x) -> float:
     x = np.asarray(x, dtype=float)
-    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
+    return float(10.0 * x.size + (x * x - 10.0 * np.cos(2.0 * np.pi * x)).sum())
 
 
 def rosenbrock(x) -> float:
     x = np.asarray(x, dtype=float)
     if x.size < 2:
         raise ValueError(f"rosenbrock needs n >= 2, got n={x.size}")
-    return float(
-        np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
-    )
+    return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2).sum())
 
 
 def sphere(x) -> float:
     x = np.asarray(x, dtype=float)
-    return float(np.sum(x * x))
+    return float((x * x).sum())
 
 
 def griewank(x) -> float:
     x = np.asarray(x, dtype=float)
     i = np.arange(1, x.size + 1, dtype=float)
-    return float(1.0 + np.sum(x * x) / 4000.0 - np.prod(np.cos(x / np.sqrt(i))))
+    return float(1.0 + (x * x).sum() / 4000.0 - np.cos(x / np.sqrt(i)).prod())
 
 
 # canonical initialization domains (community convention, per dimension)

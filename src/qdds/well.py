@@ -23,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "EXP_ARG_LIMIT",
+    "LAM_MAX",
     "delta_of_r",
     "solve_r_batch",
     "learning_rate",
@@ -41,6 +42,9 @@ def _z_forward(z):
 # solvable delta range, set by the overflow guard at z = +-EXP_ARG_LIMIT
 DELTA_MIN = float(_z_forward(-EXP_ARG_LIMIT))
 DELTA_MAX = float(_z_forward(EXP_ARG_LIMIT))
+# largest |lam| whose gate update dp -+ theta*grad*lam (theta <= 1) stays
+# finite for every pair of deltas in [DELTA_MIN, DELTA_MAX]
+LAM_MAX = (float(np.finfo(float).max) - abs(DELTA_MIN)) / (DELTA_MAX - DELTA_MIN)
 
 
 def delta_of_r(r, k):

@@ -218,6 +218,8 @@ class TestBadSettings:
             '"eta": Infinity',
             # the solvable interval at this k is wider than the float range
             '"k": 1e-306, "init_range": [-1e308, 1e308]',
+            # finite, but the gate step theta*grad*lam can overflow
+            '"lam": 1e308',
         ],
     )
     def test_non_finite_config_file_values(self, tmp_path, capsys, fields):
@@ -411,6 +413,7 @@ ENGINE_FLAG_FIELDS = [
     (["--lambda-abs"], "lambda_abs", True),
     (["--k", "4.5"], "k", 4.5),
     (["--epsilon", "0.25"], "epsilon", 0.25),
+    (["--lam", "3"], "lam", 3.0),
     (["--out", "elsewhere"], "out_dir", "elsewhere"),
     (["--emit", "traces,,report"], "emit", ("traces", "report")),
     (["--workers", "2"], "workers", 2),

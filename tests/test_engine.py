@@ -51,6 +51,8 @@ class TestSwarmConfig:
             config(rebind="mid")
         with pytest.raises(ValueError, match="lambda_abs"):
             config(lambda_abs="false")
+        with pytest.raises(ValueError, match="lam"):
+            config(lam=-1e308)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -1,5 +1,6 @@
 """Experiment harness: report stats, artifacts, determinism, schema round trips."""
 
+import concurrent.futures
 import json
 import math
 import re
@@ -447,7 +448,8 @@ class TestRunExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        # run_experiment imports the pool class when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         cfg = tiny_config(out_dir=str(tmp_path), workers=workers, trials=trials)
         _, report = run_experiment(cfg)
         assert sizes == ([] if pool_size is None else [pool_size])

@@ -12,6 +12,7 @@ from qdds.well import (
     DELTA_MAX,
     DELTA_MIN,
     EXP_ARG_LIMIT,
+    LAM_MAX,
     delta_of_r,
     delta_update_arrays,
     learning_rate,
@@ -411,6 +412,16 @@ class TestDeltaUpdate:
         dp, dp2 = 1.0, -1.0  # above 2*dp2 and below 0.5*dp2, grad = 2 > 0
         out = delta_update(DeltaHistory(dp, dp2), 1.0, 0.001)
         assert out == pytest.approx(1.0 - 1.0 * 2.0 * 0.001, rel=1e-15)
+
+    @pytest.mark.parametrize("lam", [LAM_MAX, -LAM_MAX])
+    def test_largest_accepted_lam_stays_finite(self, lam):
+        # every ordered pair of band-edge deltas, so each branch meets its largest step
+        ends = np.array([DELTA_MIN, DELTA_MAX, -1.0, 1.0])
+        dp, dp2 = (a.ravel() for a in np.meshgrid(ends, ends))
+        with np.errstate(over="raise"):
+            out, fired = delta_update_arrays(dp, dp2, 1.0, lam)
+        assert fired.any() and np.isfinite(out).all()
+        SwarmConfig(population=1, dimension=1, init_range=(0.0, 0.0), lam=lam)
 
 
 class TestWellParams:
