@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._atomic import atomic_open
-from .objectives import Objective, check_int
+from .objectives import Objective, check_int, check_real
 
 __all__ = [
     "FilterSpec",
@@ -56,6 +56,10 @@ class FilterSpec:
     def __post_init__(self) -> None:
         check_int("n_coeff", self.n_coeff, 1)
         check_int("grid_points", self.grid_points, 2)
+        if not isinstance(self.symmetric, bool):
+            raise ValueError(f"symmetric must be True or False, got {self.symmetric!r}")
+        for name in ("omega_p", "omega_s", "eta"):
+            check_real(name, getattr(self, name))
         if not 0.0 < self.omega_p < self.omega_s < math.pi:
             raise ValueError(
                 f"band edges must satisfy 0 < omega_p < omega_s < pi, "

@@ -111,6 +111,8 @@ class ExperimentConfig:
         # every artifact writer writes ASCII, the label included
         if self.label is not None and not (isinstance(self.label, str) and self.label.isascii()):
             raise ValueError(f"label must be an ASCII string, got {self.label!r}")
+        if self.label == "":
+            raise ValueError("label must not be empty")
         if self.label is not None and os.path.basename(self.label) != self.label:
             raise ValueError(f"label must not contain a path separator, got {self.label!r}")
         if not self.emit or not isinstance(self.emit, (list, tuple)) or not all(
@@ -190,11 +192,14 @@ def emit_stacked_traces(traces, path) -> None:
 def emit_plot(traces, path, *, title: str = "") -> None:
     """Convergence SVG, one polyline per trace.
 
-    traces is a sequence of trace row lists as stored on Swarm. The
-    vertical axis is log-scaled when every best cost is positive.
+    traces is a sequence of trace row lists as stored on Swarm. Rows
+    whose best cost is not finite (every cost so far overflowed) are
+    left out, and the vertical axis is log-scaled when every plotted
+    best cost is positive.
     """
     series = []
     for rows in traces:
+        rows = [row for row in rows if math.isfinite(row[1])]
         series.append(([row[0] for row in rows], [row[1] for row in rows]))
     log_y = all(y > 0.0 for _, ys in series for y in ys)
     line_plot(
@@ -340,7 +345,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[Swarm], dict]:
 
     started = time.perf_counter()
     # the fork start method starts every worker on the first submit
-    workers = min(config.workers, config.trials)
+    workers = min(config.workers, config.trials, os.cpu_count() or 1)
     if workers == 1:
         swarms = [run_trial(config, t) for t in range(config.trials)]
     else:

@@ -37,6 +37,16 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _fmt_power(exponent: float) -> str:
+    """_fmt(10**exponent), also past the largest float (a flat log axis is
+    padded by a decade each way)."""
+    try:
+        return _fmt(10.0**exponent)
+    except OverflowError:
+        whole = math.floor(exponent)
+        return f"{_fmt(10.0 ** (exponent - whole))}e+{whole}"
+
+
 def _ticks(lo: float, hi: float) -> list[float]:
     return [lo + (hi - lo) * i / (_TICKS - 1) for i in range(_TICKS)]
 
@@ -117,7 +127,7 @@ def line_plot(
         )
     for ty in _ticks(y_lo, y_hi):
         gy = _MARGIN_T + (y_hi - ty) / (y_hi - y_lo) * plot_h
-        label = _fmt(10.0**ty if log_y else ty)
+        label = _fmt_power(ty) if log_y else _fmt(ty)
         lines.append(
             f'<line x1="{_MARGIN_L - 5}" y1="{gy:.2f}" x2="{_MARGIN_L}" '
             f'y2="{gy:.2f}" stroke="black" stroke-width="1"/>'

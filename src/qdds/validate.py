@@ -164,16 +164,6 @@ def check_attenuation_goldens() -> list[OracleResult]:
     return results
 
 
-def run_validation(quick: bool = False) -> list[OracleResult]:
-    """Run every oracle; quick mode shrinks sample counts for smoke use."""
-    if quick:
-        # trapezoid error grows quadratically as the grid coarsens, so the
-        # 10x smaller grid gets a 100x looser bound
-        results = [
-            check_round_trip(samples=10**3),
-            check_confinement(probes=10, quad_points=10**4, rel_tol=1e-4),
-        ]
-    else:
-        results = [check_round_trip(), check_confinement()]
-    results.extend(check_attenuation_goldens())
-    return results
+def run_validation() -> list[OracleResult]:
+    """Run every oracle at its full sample counts."""
+    return [check_round_trip(), check_confinement(), *check_attenuation_goldens()]

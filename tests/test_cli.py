@@ -198,6 +198,7 @@ class TestBadSettings:
             ["bench", "--function", "sphere", "--dim", "2", "--emit", ","],
             ["bench", "--function", "sphere", "--dim", "2", "--label", "caf\u00e9"],
             ["bench", "--function", "sphere", "--dim", "2", "--out", ""],
+            ["bench", "--function", "sphere", "--dim", "2", "--label", ""],
         ],
     )
     def test_flags(self, tmp_path, capsys, args):
@@ -322,7 +323,7 @@ class TestValidate:
     def test_quick_reports_known_inconsistency(self, capsys):
         # the 10-tap reference target disagrees with its own coefficients,
         # so the oracle suite honestly exits 3
-        assert main(["validate", "--quick"]) == 3
+        assert main(["validate"]) == 3
         out = capsys.readouterr().out
         assert "ok   inverse-map round trip" in out
         assert "ok   confinement identity" in out

@@ -105,6 +105,15 @@ class TestFilterSpec:
             FilterSpec(grid_points=1)
         with pytest.raises(ValueError):
             FilterSpec(n_coeff=0)
+        # mistyped values name their field instead of silently changing the design
+        with pytest.raises(ValueError, match="symmetric"):
+            FilterSpec(symmetric="false")
+        with pytest.raises(ValueError, match="symmetric"):
+            FilterSpec(symmetric=0)
+        with pytest.raises(ValueError, match="eta"):
+            FilterSpec(eta=True)
+        with pytest.raises(ValueError, match="omega_p"):
+            FilterSpec(omega_p=True, omega_s=2.0)
 
     @pytest.mark.parametrize(
         "kwargs",

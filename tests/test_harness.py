@@ -112,6 +112,7 @@ class TestExperimentConfig:
             {"eta": math.nan},
             {"eta": math.inf},
             {"k": 1e-306, "init_range": (-1e308, 1e308)},
+            {"label": ""},
         ],
     )
     def test_engine_and_filter_values_checked_at_construction(self, kwargs):
@@ -296,6 +297,22 @@ class TestPlots:
         ys = {y for _, y in polylines[0]}
         assert len(ys) == 1
 
+    def test_non_finite_rows_left_out(self, tmp_path):
+        # rows before the first finite cost have best cost inf
+        path = tmp_path / "overflow.svg"
+        emit_plot([[(1, math.inf, 1), (2, 5.0, 2), (3, 4.0, 3)]], path)
+        text = path.read_text()
+        polylines = polyline_points(text)
+        assert len(polylines) == 1
+        assert len(polylines[0]) == 2
+        assert "nan" not in text and "inf" not in text
+        # a flat log axis near the float maximum is padded past it
+        emit_plot([[(1, math.inf, 1), (2, 1.58e308, 2), (3, 1.58e308, 3)]], path)
+        text = path.read_text()
+        assert len(polyline_points(text)[0]) == 2
+        assert "1.58e+309" in text
+        assert "nan" not in text and "inf" not in text
+
     def test_empty_traces_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_plot([], tmp_path / "x.svg")
@@ -431,9 +448,13 @@ class TestRunExperiment:
         pooled["config"]["workers"] = 1
         assert seq == pooled
 
-    @pytest.mark.parametrize("workers, trials, pool_size", [(8, 2, 2), (2, 3, 2), (4, 1, None)])
+    @pytest.mark.parametrize(
+        "workers, trials, pool_size", [(8, 2, 2), (2, 3, 2), (4, 1, None), (8, 6, 3)]
+    )
     def test_pool_size_clipped_to_trials(self, tmp_path, monkeypatch, workers, trials, pool_size):
         sizes = []
+        # a fixed CPU count keeps the cases independent of the host
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
 
         class InProcessPool:
             def __init__(self, max_workers):
