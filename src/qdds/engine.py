@@ -22,6 +22,7 @@ identical (config, objective, seed) produce bitwise identical runs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -194,8 +195,8 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
     delta window (delta_prev2 from r1, delta_prev from r2); the current
     position is r2. Both full position vectors of every particle are
     evaluated, so eval_count starts at 2*population and best_cost at
-    the minimum seen, with a NaN cost ranked as +inf. The iteration
-    counter starts at 3.
+    the minimum seen, with a NaN cost ranked as +inf. A cost that is not
+    a real scalar raises ValueError. The iteration counter starts at 3.
     """
     if objective.dimension != config.dimension:
         raise ValueError(
@@ -207,7 +208,11 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
         lam = abs(lam)
     lo, hi = config.effective_init_range()
     r = rng.uniform(lo, hi, (2, config.population, config.dimension))
-    costs = np.array([[objective.evaluate(x) for x in rows] for rows in r])
+    costs = [[objective.evaluate(x) for x in rows] for rows in r]
+    for cost in (c for row in costs for c in row):
+        if not isinstance(cost, numbers.Real):
+            raise ValueError(f"objective {objective.name!r} returned {cost!r}, not a real scalar")
+    costs = np.array(costs)
     # np.argmin picks a NaN, and no later cost compares below NaN
     costs[np.isnan(costs)] = np.inf
     # the first minimum in row-major order: a tie goes to the first set

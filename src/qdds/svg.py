@@ -8,6 +8,7 @@ timestamps. Good enough for convergence traces and response curves.
 from __future__ import annotations
 
 import math
+import sys
 
 from ._atomic import atomic_open
 
@@ -51,6 +52,15 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [lo + (hi - lo) * i / (_TICKS - 1) for i in range(_TICKS)]
 
 
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    """A flat range padded by 1.0 each way, or by one ulp where rounding
+    absorbs 1.0 (past 2**53), kept within the finite floats."""
+    if lo != hi:
+        return lo, hi
+    pad = 1.0 if lo - 1.0 != hi + 1.0 else math.ulp(lo)
+    return max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
+
+
 def line_plot(
     series,
     path,
@@ -74,12 +84,8 @@ def line_plot(
 
     all_x = [x for xs, _ in series for x in xs]
     all_y = [tf(y) for _, ys in series for y in ys]
-    x_lo, x_hi = min(all_x), max(all_x)
-    y_lo, y_hi = min(all_y), max(all_y)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    x_lo, x_hi = _widen(min(all_x), max(all_x))
+    y_lo, y_hi = _widen(min(all_y), max(all_y))
 
     title, x_label, y_label = (text.translate(_XML_TEXT) for text in (title, x_label, y_label))
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R

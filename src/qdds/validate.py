@@ -3,8 +3,8 @@
 Three families of checks, each independent of the code paths they
 audit: the inverse state map is checked by round-tripping through the
 forward map, the confinement closed form is checked by quadrature of
-the bound state (WaveProbe, confinement_integral), and the filter
-attenuation metric is checked against two frozen reference designs.
+the bound state (confinement_integral), and the filter attenuation
+metric is checked against two frozen reference designs.
 The 10-coefficient reference target is known-inconsistent with its own
 published coefficient listing (the coefficients' tallest stopband lobe
 sits near -9.24 dB, not -13.65 dB), so that oracle fails by design
@@ -14,7 +14,7 @@ than loosened.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,52 +55,33 @@ class OracleResult:
     detail: str
 
 
-@dataclass(frozen=True)
-class WaveProbe:
-    """Evaluation context for the even bound state near the origin.
-
-    ``b_squared`` is derived, not supplied: the normalization constant
-    satisfies B^2 = k*g / delta(r_boundary), which is what ties the
-    confinement probability 0.5*g to the state map. g = 1 is the exact
-    50% confinement boundary; physically meaningful confinement has
-    g in the open interval (1, 2).
-    """
-
-    r_boundary: float
-    g: float
-    k: float
-    b_squared: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.r_boundary > 0:
-            raise ValueError(f"r_boundary must be > 0, got {self.r_boundary}")
-        if not 1.0 <= self.g <= 2.0:
-            raise ValueError(f"g must be in [1, 2], got {self.g}")
-        if not self.k > 0:
-            raise ValueError(f"k must be > 0, got {self.k}")
-        d = delta_of_r(self.r_boundary, self.k)
-        if not d > 0:
-            raise ValueError(
-                f"delta(r_boundary) must be > 0 for a valid probe, got {d}"
-            )
-        object.__setattr__(self, "b_squared", self.k * self.g / d)
-
-
-def confinement_integral(probe: WaveProbe, quad_points: int = 10**5) -> float:
+def confinement_integral(
+    r_boundary: float, g: float, k: float, quad_points: int = 10**5
+) -> float:
     """Probability mass of psi^2 over (-r_boundary, r_boundary).
 
-    Composite trapezoid split at x = 0, where psi is only C0; splitting
-    restores the rule's order. With B^2 = k*g/delta(r_boundary) the
-    result equals 0.5*g up to quadrature error, which is the independent
-    check that the closed-form state map encodes the confinement
-    condition correctly.
+    The normalization is derived, not supplied: B^2 = k*g/delta(r_boundary),
+    which ties the confinement probability 0.5*g to the state map, so the
+    result equals 0.5*g up to quadrature error. g = 1 is the exact 50%
+    confinement boundary; physically meaningful confinement has g in the
+    open interval (1, 2). The composite trapezoid is split at x = 0, where
+    psi is only C0; splitting restores the rule's order.
     """
+    if not r_boundary > 0:
+        raise ValueError(f"r_boundary must be > 0, got {r_boundary}")
+    if not 1.0 <= g <= 2.0:
+        raise ValueError(f"g must be in [1, 2], got {g}")
+    if not k > 0:
+        raise ValueError(f"k must be > 0, got {k}")
     if quad_points < 2:
         raise ValueError(f"quad_points must be >= 2, got {quad_points}")
-    r, k, b2 = probe.r_boundary, probe.k, probe.b_squared
+    d = delta_of_r(r_boundary, k)
+    if not d > 0:
+        raise ValueError(f"delta(r_boundary) must be > 0 for a valid probe, got {d}")
+    b2 = k * g / d
     n_side = max(2, quad_points // 2)
-    x_neg = np.linspace(-r, 0.0, n_side)
-    x_pos = np.linspace(0.0, r, n_side)
+    x_neg = np.linspace(-r_boundary, 0.0, n_side)
+    x_pos = np.linspace(0.0, r_boundary, n_side)
     psi2_neg = b2 * (np.exp(-k * x_neg) + np.exp(k * x_neg)) ** 2
     psi2_pos = 4.0 * b2 * np.exp(-2.0 * k * x_pos)
     return float(np.trapezoid(psi2_neg, x_neg) + np.trapezoid(psi2_pos, x_pos))
@@ -133,8 +114,7 @@ def check_confinement(
         r = rng.uniform(1e-3, 2.0)
         g = rng.uniform(1.0 + 1e-9, 2.0 - 1e-9)
         k = rng.uniform(1.0, 10.0)
-        probe = WaveProbe(r_boundary=r, g=g, k=k)
-        mass = confinement_integral(probe, quad_points)
+        mass = confinement_integral(r, g, k, quad_points)
         worst = max(worst, abs(mass - 0.5 * g) / (0.5 * g))
     ok = worst <= rel_tol
     return OracleResult(

@@ -15,7 +15,7 @@ from qdds.engine import (
     run,
     step,
 )
-from qdds.objectives import make_benchmark
+from qdds.objectives import Objective, make_benchmark
 from qdds.well import (
     DELTA_MAX,
     delta_of_r,
@@ -182,6 +182,12 @@ class TestInit:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             init_swarm(config(dimension=3), make_benchmark("sphere", 4))
+
+    @pytest.mark.parametrize("cost", [None, "1.0", np.ones(2)], ids=["none", "str", "array"])
+    def test_non_scalar_cost_rejected(self, cost):
+        obj = Objective(name="bad", dimension=3, evaluate=lambda x: cost, init_range=(-2.0, 2.0))
+        with pytest.raises(ValueError, match="^objective 'bad' returned .*, not a real scalar$"):
+            init_swarm(config(), obj)
 
     def test_explicit_lam_honored(self):
         cfg = config(lam=-0.25, max_iter=20)

@@ -25,6 +25,7 @@ from qdds.harness import (
     run_experiment,
     run_trial,
 )
+from qdds.svg import line_plot
 
 
 def tiny_config(**kwargs):
@@ -316,6 +317,25 @@ class TestPlots:
     def test_empty_traces_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_plot([], tmp_path / "x.svg")
+
+    @pytest.mark.parametrize(
+        "xs, ys, flat",
+        [
+            ([1, 2, 3], [-1e17] * 3, 1),
+            ([1e17] * 3, [1, 2, 3], 0),
+            ([1, 2, 3], [1.7976931348623157e308] * 3, 1),
+        ],
+        ids=["flat-y", "flat-x", "flat-y-at-float-max"],
+    )
+    def test_flat_axis_past_two_to_53(self, tmp_path, xs, ys, flat):
+        # a pad of 1.0 is lost to rounding this far from zero
+        path = tmp_path / "flat.svg"
+        line_plot([(xs, ys)], path)
+        text = path.read_text()
+        (points,) = polyline_points(text)
+        assert len(points) == 3
+        assert len({p[flat] for p in points}) == 1
+        assert "nan" not in text and "inf" not in text
 
 
 class TestReport:

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdds.engine import SwarmConfig
-from qdds.validate import WaveProbe, confinement_integral
+from qdds.validate import confinement_integral
 from qdds.well import (
     DELTA_MAX,
     DELTA_MIN,
@@ -453,48 +453,39 @@ class TestWellParams:
             self.config(**kwargs)
 
 
-class TestWaveProbe:
-    def test_b_squared_derived(self):
-        probe = WaveProbe(r_boundary=0.1, g=1.5, k=5.0)
-        assert probe.b_squared == pytest.approx(
-            5.0 * 1.5 / delta_of_r(0.1, 5.0), rel=1e-15
-        )
-
+class TestConfinementIntegral:
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, message",
         [
-            {"r_boundary": 0.0, "g": 1.5, "k": 5.0},
-            {"r_boundary": -1.0, "g": 1.5, "k": 5.0},
-            {"r_boundary": 0.1, "g": 0.5, "k": 5.0},
-            {"r_boundary": 0.1, "g": 2.5, "k": 5.0},
-            {"r_boundary": 0.1, "g": 1.5, "k": 0.0},
+            ({"r_boundary": 0.0}, "r_boundary must be > 0, got 0.0"),
+            ({"r_boundary": -1.0}, "r_boundary must be > 0, got -1.0"),
+            ({"g": 0.5}, r"g must be in \[1, 2\], got 0.5"),
+            ({"g": 2.5}, r"g must be in \[1, 2\], got 2.5"),
+            ({"k": 0.0}, "k must be > 0, got 0.0"),
+            ({"quad_points": 1}, "quad_points must be >= 2, got 1"),
+            # delta(5e-324) rounds to 0.0
+            (
+                {"r_boundary": 5e-324, "k": 1.0},
+                r"delta\(r_boundary\) must be > 0 for a valid probe, got 0.0",
+            ),
         ],
     )
-    def test_rejects_bad_fields(self, kwargs):
-        with pytest.raises(ValueError):
-            WaveProbe(**kwargs)
+    def test_rejects_bad_inputs(self, kwargs, message):
+        args = {"r_boundary": 0.1, "g": 1.5, "k": 5.0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            confinement_integral(**args)
 
-
-class TestConfinementIntegral:
     def test_matches_half_g(self):
-        probe = WaveProbe(r_boundary=0.1, g=1.5, k=5.0)
-        assert confinement_integral(probe, 10**4) == pytest.approx(0.75, abs=1e-6)
+        assert confinement_integral(0.1, 1.5, 5.0, 10**4) == pytest.approx(0.75, abs=1e-6)
 
     def test_exactly_half_at_g_one(self):
-        probe = WaveProbe(r_boundary=0.1, g=1.0, k=5.0)
-        assert confinement_integral(probe, 10**4) == pytest.approx(0.5, abs=1e-6)
+        assert confinement_integral(0.1, 1.0, 5.0, 10**4) == pytest.approx(0.5, abs=1e-6)
 
     def test_quadrature_converges(self):
-        probe = WaveProbe(r_boundary=0.5, g=1.7, k=3.0)
         exact = 0.5 * 1.7
-        err_n = abs(confinement_integral(probe, 2000) - exact)
-        err_2n = abs(confinement_integral(probe, 4000) - exact)
+        err_n = abs(confinement_integral(0.5, 1.7, 3.0, 2000) - exact)
+        err_2n = abs(confinement_integral(0.5, 1.7, 3.0, 4000) - exact)
         assert err_2n < err_n
-
-    def test_rejects_tiny_grid(self):
-        probe = WaveProbe(r_boundary=0.1, g=1.5, k=5.0)
-        with pytest.raises(ValueError):
-            confinement_integral(probe, 1)
 
     @settings(max_examples=20)
     @given(
@@ -503,8 +494,7 @@ class TestConfinementIntegral:
         k=st.floats(1.0, 10.0),
     )
     def test_identity_random_probes(self, r, g, k):
-        probe = WaveProbe(r_boundary=r, g=g, k=k)
-        mass = confinement_integral(probe, 10**4)
+        mass = confinement_integral(r, g, k, 10**4)
         assert abs(mass - 0.5 * g) / (0.5 * g) <= 1e-5
 
 
