@@ -9,7 +9,8 @@ scored by trapezoid-integrated squared band errors
 
 with H the magnitude response, combined as gamma = eta*E_p +
 (1-eta)*E_s. Linear phase is enforced by mirroring the free half of the
-coefficient vector.
+coefficient vector. This module does no file I/O: the harness writes
+the coefficient file.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._atomic import atomic_open
 from .objectives import Objective, check_int, check_real
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "stopband_attenuation_db",
     "evaluate_filter",
     "make_filter_objective",
-    "write_coefficients",
 ]
 
 # attenuation is a max statistic and needs a denser grid than the integrals
@@ -203,11 +202,3 @@ def make_filter_objective(spec: FilterSpec) -> Objective:
         evaluate=evaluate,
         init_range=(-1.0, 1.0),
     )
-
-
-def write_coefficients(h, path) -> None:
-    """Write the full coefficient vector, one per line, 17 significant digits."""
-    h = np.asarray(h, dtype=float)
-    with atomic_open(path) as fh:
-        for c in h:
-            fh.write(f"{c:.17g}\n")

@@ -9,11 +9,13 @@ CSV, a convergence SVG (plus a response SVG and coefficient CSV for
 filter designs), and the report as canonical JSON; a preset sweep adds
 one summary table per function, built from the reports. Identical
 configs produce byte-identical artifacts except for the report's timing
-block. Every writer replaces its file atomically.
+block. This is the only module that writes files: every writer
+replaces its file atomically through atomic_open.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -23,9 +25,8 @@ from itertools import repeat
 
 import numpy as np
 
-from ._atomic import atomic_open
 from .engine import Swarm, SwarmConfig, run
-from .filters import FilterSpec, evaluate_filter, make_filter_objective, write_coefficients
+from .filters import FilterSpec, evaluate_filter, make_filter_objective
 from .objectives import BENCHMARK_NAMES, Objective, check_int, check_real, make_benchmark
 from .svg import line_plot
 
@@ -40,6 +41,9 @@ __all__ = [
 ]
 
 EMIT_KINDS = ("traces", "plots", "report")
+# the longest temporary artifact name, ".{label}_coefficients.csv.{pid}.tmp" with
+# a pid of up to 7 digits, must fit the 255-byte file name limit
+_LABEL_MAX = 255 - len("._coefficients.csv.1234567.tmp")
 _INT_FIELDS = (
     ("population", None),
     ("iterations", None),
@@ -111,8 +115,13 @@ class ExperimentConfig:
         # every artifact writer writes ASCII, the label included
         if self.label is not None and not (isinstance(self.label, str) and self.label.isascii()):
             raise ValueError(f"label must be an ASCII string, got {self.label!r}")
+        for name in ("out_dir", "label"):
+            if "\0" in (getattr(self, name) or ""):
+                raise ValueError(f"{name} must not contain a NUL byte")
         if self.label == "":
             raise ValueError("label must not be empty")
+        if self.label is not None and len(self.label) > _LABEL_MAX:
+            raise ValueError(f"label must be at most {_LABEL_MAX} characters long")
         if self.label is not None and os.path.basename(self.label) != self.label:
             raise ValueError(f"label must not contain a path separator, got {self.label!r}")
         if not self.emit or not isinstance(self.emit, (list, tuple)) or not all(
@@ -175,6 +184,30 @@ def run_trial(config: ExperimentConfig, trial: int) -> Swarm:
     return run(_swarm_config(config, objective, trial), objective)
 
 
+@contextlib.contextmanager
+def atomic_open(path):
+    """Open a text file that replaces path only when the block completes.
+
+    Writes go to a temporary file in path's directory, which os.replace
+    moves over path on a clean exit; on any exception, KeyboardInterrupt
+    included, the temporary file is removed and path is left untouched.
+    An OSError is raised again with path in its message.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(f"writing {path}: {exc}") from exc
+        raise
+
+
 def emit_stacked_traces(traces, path) -> None:
     """Trace CSV of all trials: trial,iter,best_cost,eval_count.
 
@@ -202,30 +235,29 @@ def emit_plot(traces, path, *, title: str = "") -> None:
         rows = [row for row in rows if math.isfinite(row[1])]
         series.append(([row[0] for row in rows], [row[1] for row in rows]))
     log_y = all(y > 0.0 for _, ys in series for y in ys)
-    line_plot(
-        series,
-        path,
-        title=title,
-        x_label="iteration",
-        y_label="best cost",
-        log_y=log_y,
+    text = line_plot(
+        series, title=title, x_label="iteration", y_label="best cost", log_y=log_y
     )
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def emit_response_plot(h, path, *, title: str = "", points: int = 1025) -> None:
     """Magnitude response SVG: 20*log10|H| (floor -120 dB) vs omega/pi."""
+    # looked up at call time: the benchmark tracer patches filters.fir_response_magnitude
     from .filters import fir_response_magnitude
 
     w = np.linspace(0.0, math.pi, points)
     mag = fir_response_magnitude(h, w)
     db = 20.0 * np.log10(np.maximum(mag, 1e-6))
-    line_plot(
+    text = line_plot(
         [(list(w / math.pi), list(db))],
-        path,
         title=title,
         x_label="omega / pi",
         y_label="magnitude (dB)",
     )
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def canonical_json(payload) -> str:
@@ -290,6 +322,14 @@ def build_report(
         # excluded from the determinism contract
         report["timing"] = {"wall_clock_seconds": elapsed_seconds}
     return report
+
+
+def write_coefficients(h, path) -> None:
+    """Write the full coefficient vector, one per line, 17 significant digits."""
+    h = np.asarray(h, dtype=float)
+    with atomic_open(path) as fh:
+        for c in h:
+            fh.write(f"{c:.17g}\n")
 
 
 def emit_report(report: dict, path) -> None:

@@ -1,16 +1,15 @@
-"""Minimal deterministic SVG line plots.
+"""Minimal deterministic SVG line plots, rendered as text.
 
-Plots are written directly as SVG text so artifact bytes depend only on
+Plots are built directly as SVG text so artifact bytes depend only on
 the data passed in: no plotting library, no fonts measured, no
 timestamps. Good enough for convergence traces and response curves.
+This module does no file I/O; the harness writes the text it returns.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-
-from ._atomic import atomic_open
 
 __all__ = ["line_plot"]
 
@@ -63,18 +62,18 @@ def _widen(lo: float, hi: float) -> tuple[float, float]:
 
 def line_plot(
     series,
-    path,
     *,
     title: str = "",
     x_label: str = "",
     y_label: str = "",
     log_y: bool = False,
-) -> None:
-    """Write a polyline plot of one or more (xs, ys) series, 640x420 px.
+) -> str:
+    """SVG text of a polyline plot of one or more (xs, ys) series, 640x420 px.
 
     series is a sequence of (xs, ys) pairs of equal-length sequences.
     With log_y the vertical axis is log10-scaled, and every y must be
-    positive.
+    positive. A coordinate that is not finite, or an axis span wider
+    than the largest float, raises ValueError.
     """
     series = [(list(xs), list(ys)) for xs, ys in series]
     if not series or any(len(xs) == 0 or len(xs) != len(ys) for xs, ys in series):
@@ -84,8 +83,12 @@ def line_plot(
 
     all_x = [x for xs, _ in series for x in xs]
     all_y = [tf(y) for _, ys in series for y in ys]
+    if not all(map(math.isfinite, all_x + all_y)):
+        raise ValueError("plotted coordinates must be finite")
     x_lo, x_hi = _widen(min(all_x), max(all_x))
     y_lo, y_hi = _widen(min(all_y), max(all_y))
+    if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
+        raise ValueError("plot axis span overflows the float range")
 
     title, x_label, y_label = (text.translate(_XML_TEXT) for text in (title, x_label, y_label))
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
@@ -151,5 +154,4 @@ def line_plot(
         )
 
     lines.append("</svg>")
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

@@ -199,6 +199,9 @@ class TestBadSettings:
             ["bench", "--function", "sphere", "--dim", "2", "--label", "caf\u00e9"],
             ["bench", "--function", "sphere", "--dim", "2", "--out", ""],
             ["bench", "--function", "sphere", "--dim", "2", "--label", ""],
+            ["bench", "--function", "sphere", "--dim", "2", "--label", "a\x00b"],
+            ["bench", "--function", "sphere", "--dim", "2", "--label", "a" * 250],
+            ["bench", "--function", "sphere", "--dim", "2", "--out", "o\x00ut"],
         ],
     )
     def test_flags(self, tmp_path, capsys, args):

@@ -17,8 +17,8 @@ from qdds.filters import (
     fir_response_magnitude,
     make_filter_objective,
     stopband_attenuation_db,
-    write_coefficients,
 )
+from qdds.harness import write_coefficients
 from qdds.validate import (
     REFERENCE_DELTA_DB_20,
     REFERENCE_HALF_10,

@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import math
+import pathlib
 import re
 from types import SimpleNamespace
 
@@ -10,11 +11,10 @@ import numpy as np
 import pytest
 
 from qdds import harness
-from qdds._atomic import atomic_open
-from qdds.filters import write_coefficients
 from qdds.harness import (
     EMIT_KINDS,
     ExperimentConfig,
+    atomic_open,
     build_problem,
     build_report,
     canonical_json,
@@ -24,6 +24,7 @@ from qdds.harness import (
     emit_stacked_traces,
     run_experiment,
     run_trial,
+    write_coefficients,
 )
 from qdds.svg import line_plot
 
@@ -114,6 +115,10 @@ class TestExperimentConfig:
             {"eta": math.inf},
             {"k": 1e-306, "init_range": (-1e308, 1e308)},
             {"label": ""},
+            {"out_dir": "o\x00ut"},
+            {"label": "a\x00b"},
+            # the label's temporary coefficient file name would pass 255 bytes
+            {"label": "a" * 226},
         ],
     )
     def test_engine_and_filter_values_checked_at_construction(self, kwargs):
@@ -152,6 +157,11 @@ class TestExperimentConfig:
     def test_unknown_emit_kind_rejected(self):
         with pytest.raises(ValueError, match="emit"):
             tiny_config(emit=("traces", "movies"))
+
+    def test_longest_label_writes_every_artifact(self, tmp_path):
+        label = "a" * 225
+        run_experiment(tiny_config(objective="fir", order=4, out_dir=str(tmp_path), label=label))
+        assert len(list(tmp_path.iterdir())) == 5
 
     def test_labels(self):
         assert tiny_config().resolved_label() == "sphere-d2-p3"
@@ -327,15 +337,41 @@ class TestPlots:
         ],
         ids=["flat-y", "flat-x", "flat-y-at-float-max"],
     )
-    def test_flat_axis_past_two_to_53(self, tmp_path, xs, ys, flat):
+    def test_flat_axis_past_two_to_53(self, xs, ys, flat):
         # a pad of 1.0 is lost to rounding this far from zero
-        path = tmp_path / "flat.svg"
-        line_plot([(xs, ys)], path)
-        text = path.read_text()
+        text = line_plot([(xs, ys)])
         (points,) = polyline_points(text)
         assert len(points) == 3
         assert len({p[flat] for p in points}) == 1
         assert "nan" not in text and "inf" not in text
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [([0, 1], [-1e308, 1e308]), ([0, 1, 2], [1.0, math.nan, 2.0])],
+        ids=["span-overflows", "nan-y"],
+    )
+    def test_non_finite_coordinates_rejected(self, xs, ys):
+        with pytest.raises(ValueError):
+            line_plot([(xs, ys)])
+
+    def test_emit_plot_writes_line_plot_text(self, tmp_path):
+        traces = [[(1, 5.0, 3), (2, 4.0, 4)], [(1, 6.0, 3), (2, 2.5, 4)]]
+        path = tmp_path / "c.svg"
+        emit_plot(traces, path, title="t")
+        series = [([1, 2], [5.0, 4.0]), ([1, 2], [6.0, 2.5])]
+        expected = line_plot(
+            series, title="t", x_label="iteration", y_label="best cost", log_y=True
+        )
+        assert path.read_text() == expected
+
+    def test_only_harness_writes_files(self):
+        src = pathlib.Path(harness.__file__).parent
+        writers = [
+            p.name
+            for p in sorted(src.glob("*.py"))
+            if re.search(r"atomic_open|os\.replace", p.read_text())
+        ]
+        assert writers == ["harness.py"]
 
 
 class TestReport:
