@@ -150,7 +150,9 @@ class SwarmConfig:
 class Swarm:
     """Mutable run state; create via init_swarm, advance via step.
 
-    run returns the swarm it finished. trace holds one (iteration,
+    run returns the swarm it finished. best_cost and best_solution are
+    the first minimal cost evaluated and its point, init_swarm and each
+    update scoring points alike. trace holds one (iteration,
     best_cost, eval_count) row per iteration: rows 1 and 2 record the two
     initialization sweeps, row 3 marks the optimization start, and each
     iteration after it appends one row, for max_iter rows in a finished
@@ -193,10 +195,8 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
 
     Positions r1 and r2 per particle and dimension seed the two-deep
     delta window (delta_prev2 from r1, delta_prev from r2); the current
-    position is r2. Both full position vectors of every particle are
-    evaluated, so eval_count starts at 2*population and best_cost at
-    the minimum seen, with a NaN cost ranked as +inf. A cost that is not
-    a real scalar raises ValueError. The iteration counter starts at 3.
+    position is r2. Every r1, then every r2, is scored as an update is,
+    from best r1[0] at +inf; eval_count ends at 2*population, iteration at 3.
     """
     if objective.dimension != config.dimension:
         raise ValueError(
@@ -207,35 +207,40 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
     if config.lambda_abs:
         lam = abs(lam)
     lo, hi = config.effective_init_range()
-    r = rng.uniform(lo, hi, (2, config.population, config.dimension))
-    costs = [[objective.evaluate(x) for x in rows] for rows in r]
-    for cost in (c for row in costs for c in row):
-        if not isinstance(cost, numbers.Real):
-            raise ValueError(f"objective {objective.name!r} returned {cost!r}, not a real scalar")
-    costs = np.array(costs)
-    # np.argmin picks a NaN, and no later cost compares below NaN
-    costs[np.isnan(costs)] = np.inf
-    # the first minimum in row-major order: a tie goes to the first set
-    best = np.unravel_index(np.argmin(costs), costs.shape)
-    best_cost, best_solution = float(costs[best]), r[best].copy()
-    r1, r2 = r
-
+    r1, r2 = rng.uniform(lo, hi, (2, config.population, config.dimension))
     swarm = Swarm(
         config=config,
         positions=r2.copy(),
         delta_prev=delta_of_r(r2, config.k),
         delta_prev2=delta_of_r(r1, config.k),
-        best_cost=best_cost,
-        best_solution=best_solution,
-        iteration=3,
-        eval_count=2 * config.population,
+        best_cost=math.inf,
+        best_solution=r1[0].copy(),
+        iteration=0,
+        eval_count=0,
         lam=lam,
         rng=rng,
     )
-    swarm.trace.append((1, float(costs[0].min()), config.population))
-    swarm.trace.append((2, best_cost, swarm.eval_count))
-    swarm.trace.append((3, best_cost, swarm.eval_count))
+    # rows 1 and 2 close the two sweeps; row 3, with no evaluation, opens the optimization
+    for rows in (r1, r2, ()):
+        for x in rows:
+            _evaluate(swarm, objective, x)
+        swarm.iteration += 1
+        swarm.trace.append((swarm.iteration, swarm.best_cost, swarm.eval_count))
     return swarm
+
+
+def _evaluate(swarm: Swarm, objective: Objective, x: np.ndarray) -> None:
+    """Evaluate and count x, keeping a copy as the best if its cost is strictly
+    lower (a NaN never wins, a tie keeps the earlier point); a cost that is
+    not a real scalar raises ValueError."""
+    cost = objective.evaluate(x)
+    # a plain float skips the much slower isinstance check
+    if type(cost) is not float and not isinstance(cost, numbers.Real):
+        raise ValueError(f"objective {objective.name!r} returned {cost!r}, not a real scalar")
+    swarm.eval_count += 1
+    if cost < swarm.best_cost:
+        swarm.best_cost = float(cost)
+        swarm.best_solution = x.copy()
 
 
 def _update(swarm: Swarm, objective: Objective, rows, thetas, rhos) -> None:
@@ -256,11 +261,7 @@ def _update(swarm: Swarm, objective: Objective, rows, thetas, rhos) -> None:
     # in pick order: each blend sees the gbest its predecessors left
     for i, rho in enumerate(rhos):
         blended = blend_with_gbest(r_raw[i], swarm.best_solution, rho)
-        cost = objective.evaluate(blended)
-        swarm.eval_count += 1
-        if cost < swarm.best_cost:
-            swarm.best_cost = float(cost)
-            swarm.best_solution = blended.copy()
+        _evaluate(swarm, objective, blended)
         positions[i] = blended
         # literal mode takes one iteration per update, sweep mode one per wave
         if cfg.mode == "literal" or i == len(rhos) - 1:

@@ -107,9 +107,12 @@ class ExperimentConfig:
             object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         if not isinstance(self.symmetric, bool):
             raise ValueError(f"symmetric must be true or false, got {self.symmetric!r}")
-        # every report echoes the filter values, and build_problem scales wp and ws
-        for name in ("wp", "ws", "eta"):
-            check_real(name, getattr(self, name))
+        # real fields are stored as Python floats so the report serializes; every
+        # report echoes the filter values, and build_problem scales wp and ws
+        for name in ("k", "epsilon", "wp", "ws", "eta"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
+        if self.lam is not None:
+            object.__setattr__(self, "lam", check_real("lam", self.lam))
         if not (isinstance(self.out_dir, str) and self.out_dir):
             raise ValueError(f"out_dir must be a non-empty string, got {self.out_dir!r}")
         # every artifact writer writes ASCII, the label included
@@ -135,7 +138,7 @@ class ExperimentConfig:
         # every engine and filter value is checked here, before any run
         _swarm_config(self, build_problem(self)[0], 0)
         if self.init_range is not None:
-            object.__setattr__(self, "init_range", tuple(self.init_range))
+            object.__setattr__(self, "init_range", tuple(map(float, self.init_range)))
 
     def resolved_label(self) -> str:
         if self.label:

@@ -35,10 +35,14 @@ def check_int(name: str, value, minimum: int | None = None) -> int:
     return int(value)
 
 
-def check_real(name: str, value) -> None:
-    """ValueError unless value is a finite real number; bool and strings are not."""
+def check_real(name: str, value) -> float:
+    """value as a Python float; ValueError unless it is a finite real number.
+
+    Python and numpy reals pass; bool and strings do not.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

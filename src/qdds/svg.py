@@ -90,7 +90,11 @@ def line_plot(
     if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
         raise ValueError("plot axis span overflows the float range")
 
-    title, x_label, y_label = (text.translate(_XML_TEXT) for text in (title, x_label, y_label))
+    # non-ASCII characters become character references, so the SVG is ASCII
+    title, x_label, y_label = (
+        text.translate(_XML_TEXT).encode("ascii", "xmlcharrefreplace").decode()
+        for text in (title, x_label, y_label)
+    )
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 

@@ -37,6 +37,14 @@ def config(**kwargs):
     return SwarmConfig(**defaults)
 
 
+def _initial_draws(cfg):
+    """The (r1, r2) position sets init_swarm draws for cfg."""
+    rng = np.random.default_rng(cfg.seed)
+    rng.normal(0.0, 0.5)  # the lam draw comes first
+    lo, hi = cfg.init_range
+    return rng.uniform(lo, hi, (2, cfg.population, cfg.dimension))
+
+
 class TestSwarmConfig:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -188,6 +196,56 @@ class TestInit:
         obj = Objective(name="bad", dimension=3, evaluate=lambda x: cost, init_range=(-2.0, 2.0))
         with pytest.raises(ValueError, match="^objective 'bad' returned .*, not a real scalar$"):
             init_swarm(config(), obj)
+
+    @pytest.mark.parametrize("mode", ["literal", "sweep"])
+    @pytest.mark.parametrize(
+        "cost", [None, "1.0", np.ones(2), np.ones(1)], ids=["none", "str", "array", "one-element"]
+    )
+    def test_non_scalar_update_cost_rejected(self, cost, mode):
+        # the first 2*population calls are the initial sweeps, all good floats
+        cfg = config(mode=mode)
+        calls = []
+
+        def evaluate(x):
+            calls.append(None)
+            return 1.0 if len(calls) <= 2 * cfg.population else cost
+
+        obj = Objective(name="bad", dimension=3, evaluate=evaluate, init_range=(-2.0, 2.0))
+        with pytest.raises(ValueError, match="^objective 'bad' returned .*, not a real scalar$"):
+            run(cfg, obj)
+        assert len(calls) == 2 * cfg.population + 1
+
+    @pytest.mark.parametrize("cost", [3.0, math.inf], ids=["constant", "inf"])
+    def test_no_lower_cost_keeps_first_point(self, cost):
+        cfg = config()
+        obj = Objective(name="flat", dimension=3, evaluate=lambda x: cost, init_range=(-2.0, 2.0))
+        swarm = init_swarm(cfg, obj)
+        r1, _ = _initial_draws(cfg)
+        assert swarm.best_solution.tobytes() == r1[0].tobytes()
+        assert swarm.best_cost == cost
+        assert [row[1] for row in swarm.trace] == [cost] * 3
+
+    # evaluation order is r1 by particle, then r2: index p is r1[p], 4 + p is r2[p]
+    @pytest.mark.parametrize(
+        "tied, winner",
+        [((1, 3), 1), ((4, 6), 4), ((2, 5), 2), ((0, 7), 0)],
+        ids=["within-r1", "within-r2", "across", "first-and-last"],
+    )
+    def test_first_evaluated_of_tied_minima_wins(self, tied, winner):
+        cfg = config(population=4)
+        costs = [5.0 if i in tied else 9.0 - i * 0.5 for i in range(2 * cfg.population)]
+        calls = []
+
+        def evaluate(x):
+            calls.append(None)
+            return costs[len(calls) - 1]
+
+        obj = Objective(name="ties", dimension=3, evaluate=evaluate, init_range=(-2.0, 2.0))
+        swarm = init_swarm(cfg, obj)
+        points = np.concatenate(_initial_draws(cfg))
+        assert swarm.best_cost == 5.0
+        assert swarm.best_solution.tobytes() == points[winner].tobytes()
+        assert swarm.trace[0][1] == min(costs[: cfg.population])
 
     def test_explicit_lam_honored(self):
         cfg = config(lam=-0.25, max_iter=20)

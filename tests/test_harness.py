@@ -154,6 +154,18 @@ class TestExperimentConfig:
         report = build_report(cfg, [run_trial(cfg, 0)])
         assert json.loads(canonical_json(report))["config"]["iterations"] == 12
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"k": np.float32(5.0)}, {"k": np.int64(5)}, {"epsilon": np.float32(0.3)}],
+        ids=["k-float32", "k-int64", "epsilon-float32"],
+    )
+    def test_numpy_reals_stored_as_floats(self, tmp_path, kwargs):
+        cfg = tiny_config(iterations=6, trials=1, out_dir=str(tmp_path), **kwargs)
+        _, report = run_experiment(cfg)
+        (name, value), = kwargs.items()
+        assert type(getattr(cfg, name)) is float
+        assert report["config"][name] == float(value)
+
     def test_unknown_emit_kind_rejected(self):
         with pytest.raises(ValueError, match="emit"):
             tiny_config(emit=("traces", "movies"))
@@ -363,6 +375,11 @@ class TestPlots:
             series, title="t", x_label="iteration", y_label="best cost", log_y=True
         )
         assert path.read_text() == expected
+
+    def test_non_ascii_title_written_as_character_reference(self, tmp_path):
+        path = tmp_path / "c.svg"
+        emit_plot([[(1, 1.0, 1), (2, 0.5, 2)]], path, title="café")
+        assert ">caf&#233;</text>" in path.read_text(encoding="ascii")
 
     def test_only_harness_writes_files(self):
         src = pathlib.Path(harness.__file__).parent
