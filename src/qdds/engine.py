@@ -92,9 +92,10 @@ class SwarmConfig:
     lambda_abs: bool = False
 
     def __post_init__(self) -> None:
-        check_int("population", self.population, 1)
-        check_int("dimension", self.dimension, 1)
-        check_int("max_iter", self.max_iter, 3)
+        # settings are stored as Python numbers, so that a numpy float32
+        # one computes in float64 like any other
+        for name, minimum in (("population", 1), ("dimension", 1), ("max_iter", 3)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         for seed in self.seed if np.ndim(self.seed) else (self.seed,):
             check_int("seed", seed, 0)
         try:
@@ -103,14 +104,14 @@ class SwarmConfig:
             raise ValueError(
                 f"init_range must be a pair of numbers, got {self.init_range!r}"
             ) from None
-        check_real("init_range", lo)
-        check_real("init_range", hi)
+        lo, hi = check_real("init_range", lo), check_real("init_range", hi)
         if not lo <= hi:
             raise ValueError(f"init_range must be non-empty, got {self.init_range}")
-        check_real("k", self.k)
-        check_real("epsilon", self.epsilon)
+        object.__setattr__(self, "init_range", (lo, hi))
+        for name in ("k", "epsilon"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if self.lam is not None:
-            check_real("lam", self.lam)
+            object.__setattr__(self, "lam", check_real("lam", self.lam))
             if abs(self.lam) > LAM_MAX:
                 raise ValueError(
                     f"|lam| must be <= {LAM_MAX:.6g} to keep the gate step finite, got {self.lam}"
@@ -203,7 +204,7 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
             f"objective dimension {objective.dimension} != config dimension {config.dimension}"
         )
     rng = np.random.default_rng(config.seed)
-    lam = float(rng.normal(0.0, 0.5) * 1e-3) if config.lam is None else float(config.lam)
+    lam = float(rng.normal(0.0, 0.5) * 1e-3) if config.lam is None else config.lam
     if config.lambda_abs:
         lam = abs(lam)
     lo, hi = config.effective_init_range()
@@ -254,7 +255,8 @@ def _update(swarm: Swarm, objective: Objective, rows, thetas, rhos) -> None:
     swarm.events["solver_fallback"] += fallbacks
     if not solved.all():
         swarm.events["guard_clamp"] += solved.size - int(np.count_nonzero(solved))
-        # unsolvable target deltas: that dimension's raw position stays put
+        # a target delta with no solution, or whose solve hit the 200-round
+        # cap (both count as guard_clamp): that dimension's raw position stays put
         r_raw = np.where(solved, r_raw, positions)
         delta_new = np.where(solved, delta_new, dp)
 

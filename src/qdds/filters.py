@@ -53,12 +53,14 @@ class FilterSpec:
     symmetric: bool = True
 
     def __post_init__(self) -> None:
-        check_int("n_coeff", self.n_coeff, 1)
-        check_int("grid_points", self.grid_points, 2)
+        # stored as Python numbers, so that a numpy float32 band edge still
+        # builds a float64 grid
+        for name, minimum in (("n_coeff", 1), ("grid_points", 2)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         if not isinstance(self.symmetric, bool):
             raise ValueError(f"symmetric must be True or False, got {self.symmetric!r}")
         for name in ("omega_p", "omega_s", "eta"):
-            check_real(name, getattr(self, name))
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if not 0.0 < self.omega_p < self.omega_s < math.pi:
             raise ValueError(
                 f"band edges must satisfy 0 < omega_p < omega_s < pi, "

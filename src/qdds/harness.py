@@ -9,8 +9,8 @@ CSV, a convergence SVG (plus a response SVG and coefficient CSV for
 filter designs), and the report as canonical JSON; a preset sweep adds
 one summary table per function, built from the reports. Identical
 configs produce byte-identical artifacts except for the report's timing
-block. This is the only module that writes files: every writer
-replaces its file atomically through atomic_open.
+block. This is the only module that writes files: each artifact is
+rendered to text, then replaces its file atomically through write_text.
 """
 
 from __future__ import annotations
@@ -187,12 +187,11 @@ def run_trial(config: ExperimentConfig, trial: int) -> Swarm:
     return run(_swarm_config(config, objective, trial), objective)
 
 
-@contextlib.contextmanager
-def atomic_open(path):
-    """Open a text file that replaces path only when the block completes.
+def write_text(path, text: str) -> None:
+    """Replace path with the ASCII text, atomically.
 
-    Writes go to a temporary file in path's directory, which os.replace
-    moves over path on a clean exit; on any exception, KeyboardInterrupt
+    The text goes to a temporary file in path's directory, which
+    os.replace moves over path; on any exception, KeyboardInterrupt
     included, the temporary file is removed and path is left untouched.
     An OSError is raised again with path in its message.
     """
@@ -201,7 +200,7 @@ def atomic_open(path):
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="ascii") as fh:
-            yield fh
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):
@@ -211,18 +210,19 @@ def atomic_open(path):
         raise
 
 
-def emit_stacked_traces(traces, path) -> None:
+def traces_csv(traces) -> str:
     """Trace CSV of all trials: trial,iter,best_cost,eval_count.
 
     traces is a sequence of trace row lists as stored on Swarm,
     indexed by trial; costs are written in repr precision so the file
     parses back bit-exactly.
     """
-    with atomic_open(path) as fh:
-        fh.write("trial,iter,best_cost,eval_count\n")
-        for trial, rows in enumerate(traces):
-            for iteration, best_cost, eval_count in rows:
-                fh.write(f"{trial},{iteration},{best_cost!r},{eval_count}\n")
+    rows = (
+        f"{trial},{iteration},{best_cost!r},{eval_count}\n"
+        for trial, trace in enumerate(traces)
+        for iteration, best_cost, eval_count in trace
+    )
+    return "trial,iter,best_cost,eval_count\n" + "".join(rows)
 
 
 def emit_plot(traces, path, *, title: str = "") -> None:
@@ -241,8 +241,7 @@ def emit_plot(traces, path, *, title: str = "") -> None:
     text = line_plot(
         series, title=title, x_label="iteration", y_label="best cost", log_y=log_y
     )
-    with atomic_open(path) as fh:
-        fh.write(text)
+    write_text(path, text)
 
 
 def emit_response_plot(h, path, *, title: str = "", points: int = 1025) -> None:
@@ -259,8 +258,7 @@ def emit_response_plot(h, path, *, title: str = "", points: int = 1025) -> None:
         x_label="omega / pi",
         y_label="magnitude (dB)",
     )
-    with atomic_open(path) as fh:
-        fh.write(text)
+    write_text(path, text)
 
 
 def canonical_json(payload) -> str:
@@ -327,20 +325,6 @@ def build_report(
     return report
 
 
-def write_coefficients(h, path) -> None:
-    """Write the full coefficient vector, one per line, 17 significant digits."""
-    h = np.asarray(h, dtype=float)
-    with atomic_open(path) as fh:
-        for c in h:
-            fh.write(f"{c:.17g}\n")
-
-
-def emit_report(report: dict, path) -> None:
-    """Write a report document built by build_report as canonical JSON."""
-    with atomic_open(path) as fh:
-        fh.write(canonical_json(report))
-
-
 def emit_tables(reports, out_dir) -> list[str]:
     """Summary tables of a preset sweep; returns the paths written.
 
@@ -367,8 +351,7 @@ def emit_tables(reports, out_dir) -> list[str]:
     paths = []
     for name, lines in tables.items():
         path = os.path.join(out_dir, f"{name}.csv")
-        with atomic_open(path) as fh:
-            fh.writelines(lines)
+        write_text(path, "".join(lines))
         paths.append(path)
     return paths
 
@@ -403,18 +386,19 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[Swarm], dict]:
     traces = [s.trace for s in swarms]
 
     if "traces" in config.emit:
-        emit_stacked_traces(traces, os.path.join(out, f"{label}_traces.csv"))
+        write_text(os.path.join(out, f"{label}_traces.csv"), traces_csv(traces))
     if "plots" in config.emit:
         emit_plot(traces, os.path.join(out, f"{label}_convergence.svg"), title=label)
     report = build_report(config, swarms, elapsed)
     if "report" in config.emit:
-        emit_report(report, os.path.join(out, f"{label}_report.json"))
+        write_text(os.path.join(out, f"{label}_report.json"), canonical_json(report))
     if config.objective == "fir":
-        h = np.asarray(report["fir"]["coefficients"])
+        h = report["fir"]["coefficients"]
         if "plots" in config.emit:
             emit_response_plot(
                 h, os.path.join(out, f"{label}_response.svg"), title=f"{label} response"
             )
         if "report" in config.emit:
-            write_coefficients(h, os.path.join(out, f"{label}_coefficients.csv"))
+            coefficients = "".join(f"{c:.17g}\n" for c in h)
+            write_text(os.path.join(out, f"{label}_coefficients.csv"), coefficients)
     return swarms, report

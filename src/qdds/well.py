@@ -81,10 +81,10 @@ def solve_r_batch(deltas, k, tol=1e-12):
 
     Newton iterations on f(z) = exp(z) - 5 exp(-z) + 2z + 4 - delta in
     z = 2kr space (k-independent), bracketed by the guard interval.
-    Steps that leave the bracket or fail to shrink it fall back to
-    bisection; the bracket makes the iteration unconditionally
-    convergent since f is strictly increasing. tol is relative in delta
-    (absolute near zero).
+    A Newton step that leaves the bracket or is not finite falls back to
+    bisection; one that stays inside is kept however little it shrinks
+    the bracket, so an element can still be unsolved at the 200-round
+    cap. tol is relative in delta (absolute near zero).
 
     Each element iterates on its own and leaves the working set in the
     round its residual meets tol, so no result depends on the batch.

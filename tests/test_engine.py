@@ -81,6 +81,21 @@ class TestSwarmConfig:
     def test_numpy_integers_accepted(self):
         cfg = config(population=np.int64(3), max_iter=np.int32(10), seed=[np.uint64(5), 2])
         assert cfg.population == 3
+        assert type(cfg.population) is int and type(cfg.max_iter) is int
+
+    def test_numpy_reals_stored_as_python_floats(self):
+        # a float32 setting would otherwise compute in float32 under numpy 2
+        cfg = config(epsilon=np.float32(0.3), k=np.float32(5.0), init_range=np.float32([-2, 2]))
+        assert type(cfg.epsilon) is float and type(cfg.k) is float
+        assert type(cfg.guard_halfwidth()) is float
+        assert all(type(end) is float for end in cfg.init_range)
+        assert type(config(lam=np.float32(0.5)).lam) is float
+        benchmark = make_benchmark("rastrigin", 3)
+        kwargs = dict(seed=1, max_iter=40)
+        a = run(config(epsilon=np.float32(0.3), **kwargs), benchmark)
+        b = run(config(epsilon=float(np.float32(0.3)), **kwargs), benchmark)
+        assert a.best_cost.hex() == b.best_cost.hex()
+        assert a.trace == b.trace
 
     def test_guard_halfwidth(self):
         assert config().guard_halfwidth() == pytest.approx(70.0)

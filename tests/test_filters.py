@@ -18,7 +18,7 @@ from qdds.filters import (
     make_filter_objective,
     stopband_attenuation_db,
 )
-from qdds.harness import write_coefficients
+from qdds.harness import ExperimentConfig, run_experiment
 from qdds.validate import (
     REFERENCE_DELTA_DB_20,
     REFERENCE_HALF_10,
@@ -129,9 +129,28 @@ class TestFilterSpec:
         with pytest.raises(ValueError, match="must be an integer"):
             FilterSpec(**kwargs)
 
-    def test_numpy_integer_counts_accepted(self):
-        spec = FilterSpec(n_coeff=np.int64(11), grid_points=np.int32(64))
-        assert spec.free_dimension == 6
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_coeff": np.int64(11), "grid_points": np.int32(64)},
+            # a float32 band edge would build a float32 grid
+            {"omega_p": np.float32(0.3 * math.pi)},
+            # a float32 weight would make the cost a numpy float32
+            {"eta": np.float32(0.3)},
+        ],
+        ids=["int-counts", "float32-omega_p", "float32-eta"],
+    )
+    def test_numpy_settings_stored_as_python_numbers(self, kwargs):
+        spec = FilterSpec(**kwargs)
+        plain = FilterSpec(**{name: value.item() for name, value in kwargs.items()})
+        for name in ("n_coeff", "grid_points"):
+            assert type(getattr(spec, name)) is int
+        for name in ("omega_p", "omega_s", "eta"):
+            assert type(getattr(spec, name)) is float
+        x = np.full(spec.free_dimension, 0.1)
+        cost = make_filter_objective(spec).evaluate(x)
+        assert type(cost) is float
+        assert cost.hex() == make_filter_objective(plain).evaluate(x).hex()
 
 
 class TestResponseMagnitude:
@@ -346,7 +365,7 @@ class TestObjectiveWrapper:
         assert calls == [(spec, 20)]
 
     def test_building_an_experiment_builds_no_bases(self, monkeypatch):
-        from qdds.harness import ExperimentConfig, build_problem
+        from qdds.harness import build_problem
 
         calls = []
         monkeypatch.setattr(filters, "_band_bases", lambda *args: calls.append(args))
@@ -385,7 +404,11 @@ class TestObjectiveWrapper:
 
 class TestCoefficientFiles:
     def test_round_trip(self, tmp_path):
-        h = FilterSpec(n_coeff=20).taps(REFERENCE_HALF_20)
-        path = tmp_path / "coeffs.csv"
-        write_coefficients(h, path)
-        assert np.array_equal(np.loadtxt(path), h)
+        config = ExperimentConfig(
+            objective="fir", order=20, population=4, iterations=5, trials=1,
+            out_dir=str(tmp_path), emit=("report",),
+        )
+        swarms, report = run_experiment(config)
+        h = FilterSpec(n_coeff=20).taps(swarms[0].best_solution)
+        assert np.array_equal(np.loadtxt(tmp_path / "fir-20_coefficients.csv"), h)
+        assert report["fir"]["coefficients"] == h.tolist()

@@ -14,19 +14,25 @@ from qdds import harness
 from qdds.harness import (
     EMIT_KINDS,
     ExperimentConfig,
-    atomic_open,
     build_problem,
     build_report,
     canonical_json,
     emit_plot,
-    emit_report,
     emit_response_plot,
-    emit_stacked_traces,
+    emit_tables,
     run_experiment,
     run_trial,
-    write_coefficients,
+    traces_csv,
+    write_text,
 )
 from qdds.svg import line_plot
+
+
+def fir_config(out_dir, **kwargs):
+    return ExperimentConfig(
+        objective="fir", order=4, population=3, iterations=5, trials=1, out_dir=str(out_dir),
+        **kwargs,
+    )
 
 
 def tiny_config(**kwargs):
@@ -224,9 +230,7 @@ class TestEmitTrace:
     def test_csv_contract(self, tmp_path):
         cfg = tiny_config(iterations=15)
         results = [run_trial(cfg, t) for t in range(2)]
-        path = tmp_path / "trace.csv"
-        emit_stacked_traces([r.trace for r in results], path)
-        lines = path.read_text().splitlines()
+        lines = traces_csv([r.trace for r in results]).splitlines()
         assert lines[0] == "trial,iter,best_cost,eval_count"
         assert len(lines) == 1 + 2 * 15
         rows = [line.split(",") for line in lines[1:]]
@@ -241,62 +245,75 @@ class TestEmitTrace:
     def test_re_emission_is_byte_identical(self, tmp_path):
         traces = [run_trial(tiny_config(), 0).trace]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_stacked_traces(traces, p1)
-        emit_stacked_traces(traces, p2)
+        write_text(p1, traces_csv(traces))
+        write_text(p2, traces_csv(traces))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_io_error_names_path(self, tmp_path):
         traces = [run_trial(tiny_config(), 0).trace]
         missing = tmp_path / "nope" / "trace.csv"
         with pytest.raises(OSError, match="trace"):
-            emit_stacked_traces(traces, missing)
+            write_text(missing, traces_csv(traces))
+
+    def test_malformed_row_rejected(self):
+        with pytest.raises(ValueError):
+            traces_csv([[(1, 1.0, 1)], [(0, 1.0)]])
 
 
 class TestAtomicWrites:
     """A writer that fails part way leaves the previous file as it was."""
 
-    def test_traces_failing_mid_write(self, tmp_path):
+    def test_unencodable_text_leaves_old_file(self, tmp_path):
         path = tmp_path / "t.csv"
-        trace = run_trial(tiny_config(), 0).trace
-        emit_stacked_traces([trace, trace], path)
-        before = path.read_bytes()
-        # the second trace's malformed row raises after the first is written
-        with pytest.raises(ValueError):
-            emit_stacked_traces([trace, [(0, 1.0)]], path)
-        assert path.read_bytes() == before
+        write_text(path, "old\n")
+        # artifacts are ASCII: the encoding fails after the temporary file is made
+        with pytest.raises(UnicodeEncodeError):
+            write_text(path, "caf\u00e9\n")
+        assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
-
-    def test_report_failing_mid_write(self, tmp_path):
-        path = tmp_path / "r.json"
-        emit_report({"a": 1.0}, path)
-        with pytest.raises(ValueError):
-            emit_report({"a": math.nan}, path)
-        assert path.read_text() == canonical_json({"a": 1.0})
-        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
     @pytest.mark.parametrize(
         "write",
         [
-            lambda path: emit_stacked_traces([[(1, 1.0, 1)]], path),
+            lambda path: write_text(path, "x\n"),
             lambda path: emit_plot([[(1, 1.0, 1)]], path),
             lambda path: emit_response_plot([1.0], path),
-            lambda path: emit_report({"a": 1}, path),
-            lambda path: write_coefficients([1.0], path),
         ],
-        ids=["traces", "plot", "response", "report", "coefficients"],
+        ids=["text", "plot", "response"],
     )
     def test_every_writer_names_path(self, tmp_path, write):
         missing = tmp_path / "nope" / "artifact"
         with pytest.raises(OSError, match=re.escape(f"writing {missing}: ")):
             write(missing)
 
-    def test_interrupt_leaves_no_temp_file(self, tmp_path):
+    @pytest.mark.parametrize(
+        "artifact",
+        ["traces.csv", "convergence.svg", "report.json", "response.svg", "coefficients.csv"],
+    )
+    def test_experiment_names_failed_artifact(self, tmp_path, artifact):
+        cfg = fir_config(tmp_path)
+        # a directory in the artifact's place makes the final replace fail
+        blocker = tmp_path / f"{cfg.resolved_label()}_{artifact}"
+        blocker.mkdir()
+        with pytest.raises(OSError, match=re.escape(f"writing {blocker}: ")):
+            run_experiment(cfg)
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    def test_table_write_names_path(self, tmp_path):
+        (tmp_path / "fir.csv").mkdir()
+        with pytest.raises(OSError, match=re.escape(f"writing {tmp_path / 'fir.csv'}: ")):
+            emit_tables([], tmp_path)
+
+    def test_interrupt_leaves_no_temp_file(self, tmp_path, monkeypatch):
         path = tmp_path / "x.txt"
         path.write_text("old\n")
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness.os, "replace", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            with atomic_open(path) as fh:
-                fh.write("partial")
-                raise KeyboardInterrupt
+            write_text(path, "new\n")
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]
 
@@ -386,19 +403,17 @@ class TestPlots:
         writers = [
             p.name
             for p in sorted(src.glob("*.py"))
-            if re.search(r"atomic_open|os\.replace", p.read_text())
+            if re.search(r"write_text|os\.replace", p.read_text())
         ]
         assert writers == ["harness.py"]
 
 
 class TestReport:
-    def test_canonical_round_trip(self, tmp_path):
+    def test_canonical_round_trip(self):
         cfg = tiny_config()
         results = [run_trial(cfg, t) for t in range(cfg.trials)]
-        path = tmp_path / "report.json"
         report = build_report(cfg, results)
-        emit_report(report, path)
-        text = path.read_text()
+        text = canonical_json(report)
         assert canonical_json(json.loads(text)) == text
         assert json.loads(text) == report
 
@@ -494,6 +509,25 @@ class TestRunExperiment:
         assert (tmp_path / f"{label}_report.json").exists()
         assert not (tmp_path / f"{label}_traces.csv").exists()
         assert not (tmp_path / f"{label}_convergence.svg").exists()
+
+    @pytest.mark.parametrize(
+        "emit, suffixes",
+        [
+            (("traces",), ["traces.csv"]),
+            (("plots",), ["convergence.svg", "response.svg"]),
+            (("report",), ["coefficients.csv", "report.json"]),
+            (
+                EMIT_KINDS,
+                ["coefficients.csv", "convergence.svg", "report.json", "response.svg",
+                 "traces.csv"],
+            ),
+        ],
+        ids=["traces", "plots", "report", "all"],
+    )
+    def test_fir_emit_subset(self, tmp_path, emit, suffixes):
+        run_experiment(fir_config(tmp_path, emit=emit))
+        # no temporary file is left behind either
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"fir-4_{s}" for s in suffixes]
 
     def test_deterministic_artifacts(self, tmp_path):
         out1, out2 = tmp_path / "one", tmp_path / "two"
