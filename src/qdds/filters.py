@@ -103,7 +103,7 @@ def fir_response_magnitude(h, omega):
     """|H(w)| = |sum_n h(n) exp(-j w n)| for scalar or array omega in [0, pi]."""
     h = np.asarray(h, dtype=float)
     w = np.asarray(omega, dtype=float)
-    if np.any(w < 0.0) or np.any(w > np.pi):
+    if not ((w >= 0.0) & (w <= np.pi)).all():
         raise ValueError("omega must lie in [0, pi]")
     mag = np.abs(_basis(w, h.size) @ h)
     if np.ndim(omega) == 0:

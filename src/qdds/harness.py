@@ -9,13 +9,15 @@ CSV, a convergence SVG (plus a response SVG and coefficient CSV for
 filter designs), and the report as canonical JSON; a preset sweep adds
 one summary table per function, built from the reports. Identical
 configs produce byte-identical artifacts except for the report's timing
-block. This is the only module that writes files: each artifact is
-rendered to text, then replaces its file atomically through write_text.
+block. This is the only module that writes files: an experiment's
+artifacts, or a sweep's tables, are rendered to text first and then
+written as one set through write_files.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import math
 import os
@@ -187,27 +189,35 @@ def run_trial(config: ExperimentConfig, trial: int) -> Swarm:
     return run(_swarm_config(config, objective, trial), objective)
 
 
-def write_text(path, text: str) -> None:
-    """Replace path with the ASCII text, atomically.
+def write_files(out_dir, texts: dict[str, str]) -> list[str]:
+    """Write each ASCII text to out_dir/name as one set; returns the paths.
 
-    The text goes to a temporary file in path's directory, which
-    os.replace moves over path; on any exception, KeyboardInterrupt
-    included, the temporary file is removed and path is left untouched.
-    An OSError is raised again with path in its message.
+    Every text goes to a temporary file in out_dir first, and a directory
+    in a target's place raises IsADirectoryError; only then is each
+    temporary file moved over its target, so a failure before the first
+    move leaves every target as it was. On any exception, KeyboardInterrupt
+    included, the temporary files are removed; an OSError is raised again
+    as "writing {path}: ...".
     """
-    path = os.fspath(path)
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    paths = [os.path.join(out_dir, name) for name in texts]
+    tmps = [os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in texts]
     try:
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, tmp, text in zip(paths, tmps, texts.values()):
+            with open(tmp, "w", encoding="ascii") as fh:
+                fh.write(text)
+        for path in paths:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for path, tmp in zip(paths, tmps):
+            os.replace(tmp, path)
     except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         if isinstance(exc, OSError):
             raise OSError(f"writing {path}: {exc}") from exc
         raise
+    return paths
 
 
 def traces_csv(traces) -> str:
@@ -225,8 +235,8 @@ def traces_csv(traces) -> str:
     return "trial,iter,best_cost,eval_count\n" + "".join(rows)
 
 
-def emit_plot(traces, path, *, title: str = "") -> None:
-    """Convergence SVG, one polyline per trace.
+def emit_plot(traces, *, title: str = "") -> str:
+    """Convergence SVG text, one polyline per trace.
 
     traces is a sequence of trace row lists as stored on Swarm. Rows
     whose best cost is not finite (every cost so far overflowed) are
@@ -238,27 +248,23 @@ def emit_plot(traces, path, *, title: str = "") -> None:
         rows = [row for row in rows if math.isfinite(row[1])]
         series.append(([row[0] for row in rows], [row[1] for row in rows]))
     log_y = all(y > 0.0 for _, ys in series for y in ys)
-    text = line_plot(
-        series, title=title, x_label="iteration", y_label="best cost", log_y=log_y
-    )
-    write_text(path, text)
+    return line_plot(series, title=title, x_label="iteration", y_label="best cost", log_y=log_y)
 
 
-def emit_response_plot(h, path, *, title: str = "", points: int = 1025) -> None:
-    """Magnitude response SVG: 20*log10|H| (floor -120 dB) vs omega/pi."""
+def emit_response_plot(h, *, title: str = "") -> str:
+    """Magnitude response SVG text: 20*log10|H| (floor -120 dB) at 1025 omega/pi points."""
     # looked up at call time: the benchmark tracer patches filters.fir_response_magnitude
     from .filters import fir_response_magnitude
 
-    w = np.linspace(0.0, math.pi, points)
+    w = np.linspace(0.0, math.pi, 1025)
     mag = fir_response_magnitude(h, w)
     db = 20.0 * np.log10(np.maximum(mag, 1e-6))
-    text = line_plot(
+    return line_plot(
         [(list(w / math.pi), list(db))],
         title=title,
         x_label="omega / pi",
         y_label="magnitude (dB)",
     )
-    write_text(path, text)
 
 
 def canonical_json(payload) -> str:
@@ -348,17 +354,12 @@ def emit_tables(reports, out_dir) -> list[str]:
             row = f"{cfg['dimension']},{cfg['iterations']},{cfg['population']},{stats}"
         tables[cfg["objective"]].append(row + "\n")
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for name, lines in tables.items():
-        path = os.path.join(out_dir, f"{name}.csv")
-        write_text(path, "".join(lines))
-        paths.append(path)
-    return paths
+    return write_files(out_dir, {f"{name}.csv": "".join(lines) for name, lines in tables.items()})
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[Swarm], dict]:
-    """Run all trials, write the selected artifacts, return the trials'
-    finished swarms and the report.
+    """Run all trials, write the selected artifacts as one set, return
+    the trials' finished swarms and the report.
 
     Output directory problems surface before any trial runs. Trials
     execute sequentially for workers = 1, otherwise across a process
@@ -366,7 +367,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[Swarm], dict]:
     """
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
-    if not os.path.isdir(out) or not os.access(out, os.W_OK):
+    if not os.access(out, os.W_OK):
         raise OSError(f"output directory not writable: {out}")
 
     started = time.perf_counter()
@@ -384,21 +385,19 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[Swarm], dict]:
 
     label = config.resolved_label()
     traces = [s.trace for s in swarms]
-
-    if "traces" in config.emit:
-        write_text(os.path.join(out, f"{label}_traces.csv"), traces_csv(traces))
-    if "plots" in config.emit:
-        emit_plot(traces, os.path.join(out, f"{label}_convergence.svg"), title=label)
     report = build_report(config, swarms, elapsed)
+    texts = {}
+    if "traces" in config.emit:
+        texts[f"{label}_traces.csv"] = traces_csv(traces)
+    if "plots" in config.emit:
+        texts[f"{label}_convergence.svg"] = emit_plot(traces, title=label)
     if "report" in config.emit:
-        write_text(os.path.join(out, f"{label}_report.json"), canonical_json(report))
+        texts[f"{label}_report.json"] = canonical_json(report)
     if config.objective == "fir":
         h = report["fir"]["coefficients"]
         if "plots" in config.emit:
-            emit_response_plot(
-                h, os.path.join(out, f"{label}_response.svg"), title=f"{label} response"
-            )
+            texts[f"{label}_response.svg"] = emit_response_plot(h, title=f"{label} response")
         if "report" in config.emit:
-            coefficients = "".join(f"{c:.17g}\n" for c in h)
-            write_text(os.path.join(out, f"{label}_coefficients.csv"), coefficients)
+            texts[f"{label}_coefficients.csv"] = "".join(f"{c:.17g}\n" for c in h)
+    write_files(out, texts)
     return swarms, report

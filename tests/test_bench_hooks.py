@@ -133,7 +133,7 @@ def test_well_kernels_called_once_per_step_on_its_rows(monkeypatch, mode, rebind
     assert shapes["delta_of_r"] == (block if rebind == "post" else [])
 
 
-def test_fir_response_called_through_module_with_omega(tmp_path, monkeypatch):
+def test_fir_response_called_through_module_with_omega(monkeypatch):
     calls = []
     response = filters.fir_response_magnitude
 
@@ -145,9 +145,9 @@ def test_fir_response_called_through_module_with_omega(tmp_path, monkeypatch):
     spec = filters.FilterSpec(n_coeff=4)
     h = np.array([0.1, 0.4, 0.4, 0.1])
     filters.stopband_attenuation_db(h, spec)
-    harness.emit_response_plot(h, tmp_path / "r.svg", points=33)
+    harness.emit_response_plot(h)
     assert [len(args) for args in calls] == [2, 2]
-    assert [np.shape(args[1]) for args in calls] == [(filters.ATTENUATION_GRID,), (33,)]
+    assert [np.shape(args[1]) for args in calls] == [(filters.ATTENUATION_GRID,), (1025,)]
     assert calls[0][1][0] == spec.omega_s and calls[1][1][-1] == np.pi
 
 

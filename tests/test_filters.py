@@ -173,6 +173,11 @@ class TestResponseMagnitude:
             fir_response_magnitude([1.0], -0.1)
         with pytest.raises(ValueError):
             fir_response_magnitude([1.0], math.pi + 0.1)
+        # a NaN fails every comparison, so the range check must not pass it
+        with pytest.raises(ValueError):
+            fir_response_magnitude([1.0, 0.5], math.nan)
+        with pytest.raises(ValueError):
+            fir_response_magnitude([1.0, 0.5], np.array([0.0, math.nan, 1.0]))
 
     @given(coeff_vectors)
     def test_matches_direct_expression(self, h):

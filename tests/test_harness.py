@@ -23,7 +23,7 @@ from qdds.harness import (
     run_experiment,
     run_trial,
     traces_csv,
-    write_text,
+    write_files,
 )
 from qdds.svg import line_plot
 
@@ -244,16 +244,14 @@ class TestEmitTrace:
 
     def test_re_emission_is_byte_identical(self, tmp_path):
         traces = [run_trial(tiny_config(), 0).trace]
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_text(p1, traces_csv(traces))
-        write_text(p2, traces_csv(traces))
-        assert p1.read_bytes() == p2.read_bytes()
+        write_files(tmp_path, {"a.csv": traces_csv(traces)})
+        write_files(tmp_path, {"b.csv": traces_csv(traces)})
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_io_error_names_path(self, tmp_path):
         traces = [run_trial(tiny_config(), 0).trace]
-        missing = tmp_path / "nope" / "trace.csv"
         with pytest.raises(OSError, match="trace"):
-            write_text(missing, traces_csv(traces))
+            write_files(tmp_path / "nope", {"trace.csv": traces_csv(traces)})
 
     def test_malformed_row_rejected(self):
         with pytest.raises(ValueError):
@@ -265,44 +263,54 @@ class TestAtomicWrites:
 
     def test_unencodable_text_leaves_old_file(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_text(path, "old\n")
+        write_files(tmp_path, {"t.csv": "old\n"})
         # artifacts are ASCII: the encoding fails after the temporary file is made
         with pytest.raises(UnicodeEncodeError):
-            write_text(path, "caf\u00e9\n")
+            write_files(tmp_path, {"t.csv": "caf\u00e9\n"})
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
     @pytest.mark.parametrize(
-        "write",
+        "render",
         [
-            lambda path: write_text(path, "x\n"),
-            lambda path: emit_plot([[(1, 1.0, 1)]], path),
-            lambda path: emit_response_plot([1.0], path),
+            lambda: "x\n",
+            lambda: emit_plot([[(1, 1.0, 1)]]),
+            lambda: emit_response_plot([1.0]),
         ],
         ids=["text", "plot", "response"],
     )
-    def test_every_writer_names_path(self, tmp_path, write):
+    def test_every_writer_names_path(self, tmp_path, render):
         missing = tmp_path / "nope" / "artifact"
         with pytest.raises(OSError, match=re.escape(f"writing {missing}: ")):
-            write(missing)
+            write_files(missing.parent, {missing.name: render()})
 
     @pytest.mark.parametrize(
         "artifact",
         ["traces.csv", "convergence.svg", "report.json", "response.svg", "coefficients.csv"],
     )
     def test_experiment_names_failed_artifact(self, tmp_path, artifact):
-        cfg = fir_config(tmp_path)
-        # a directory in the artifact's place makes the final replace fail
-        blocker = tmp_path / f"{cfg.resolved_label()}_{artifact}"
+        run_experiment(fir_config(tmp_path, master_seed=1))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # a directory in one artifact's place fails the seed-2 set before any replace
+        blocker = tmp_path / f"fir-4_{artifact}"
+        blocker.unlink()
         blocker.mkdir()
+        del before[blocker.name]
+        cfg = fir_config(tmp_path, master_seed=2)
+        # seed 2 gives other artifacts, so a replaced seed-1 file would show
+        assert run_trial(cfg, 0).trace != run_trial(fir_config(tmp_path, master_seed=1), 0).trace
         with pytest.raises(OSError, match=re.escape(f"writing {blocker}: ")):
             run_experiment(cfg)
-        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+        # every other file is the seed-1 artifact, and no temporary file is left
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
     def test_table_write_names_path(self, tmp_path):
-        (tmp_path / "fir.csv").mkdir()
-        with pytest.raises(OSError, match=re.escape(f"writing {tmp_path / 'fir.csv'}: ")):
+        old = {f"{name}.csv": f"{name} old\n" for name in ("rastrigin", "rosenbrock", "fir")}
+        write_files(tmp_path, old)
+        (tmp_path / "sphere.csv").mkdir()
+        with pytest.raises(OSError, match=re.escape(f"writing {tmp_path / 'sphere.csv'}: ")):
             emit_tables([], tmp_path)
+        assert {p.name: p.read_text() for p in tmp_path.iterdir() if p.is_file()} == old
 
     def test_interrupt_leaves_no_temp_file(self, tmp_path, monkeypatch):
         path = tmp_path / "x.txt"
@@ -313,49 +321,42 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(harness.os, "replace", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            write_text(path, "new\n")
+            write_files(tmp_path, {"x.txt": "new\n"})
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]
 
 
 class TestPlots:
-    def test_constant_trace_renders_horizontal_line(self, tmp_path):
-        path = tmp_path / "flat.svg"
-        emit_plot([[(1, 5.0, 3), (2, 5.0, 4), (3, 5.0, 5)]], path)
-        polylines = polyline_points(path.read_text())
+    def test_constant_trace_renders_horizontal_line(self):
+        polylines = polyline_points(emit_plot([[(1, 5.0, 3), (2, 5.0, 4), (3, 5.0, 5)]]))
         assert len(polylines) == 1
         ys = {y for _, y in polylines[0]}
         assert len(ys) == 1
 
-    def test_impulse_response_is_flat_zero_db(self, tmp_path):
+    def test_impulse_response_is_flat_zero_db(self):
         h = np.zeros(10)
         h[0] = 1.0
-        path = tmp_path / "resp.svg"
-        emit_response_plot(h, path)
-        polylines = polyline_points(path.read_text())
+        polylines = polyline_points(emit_response_plot(h))
         assert len(polylines) == 1
         ys = {y for _, y in polylines[0]}
         assert len(ys) == 1
 
-    def test_non_finite_rows_left_out(self, tmp_path):
+    def test_non_finite_rows_left_out(self):
         # rows before the first finite cost have best cost inf
-        path = tmp_path / "overflow.svg"
-        emit_plot([[(1, math.inf, 1), (2, 5.0, 2), (3, 4.0, 3)]], path)
-        text = path.read_text()
+        text = emit_plot([[(1, math.inf, 1), (2, 5.0, 2), (3, 4.0, 3)]])
         polylines = polyline_points(text)
         assert len(polylines) == 1
         assert len(polylines[0]) == 2
         assert "nan" not in text and "inf" not in text
         # a flat log axis near the float maximum is padded past it
-        emit_plot([[(1, math.inf, 1), (2, 1.58e308, 2), (3, 1.58e308, 3)]], path)
-        text = path.read_text()
+        text = emit_plot([[(1, math.inf, 1), (2, 1.58e308, 2), (3, 1.58e308, 3)]])
         assert len(polyline_points(text)[0]) == 2
         assert "1.58e+309" in text
         assert "nan" not in text and "inf" not in text
 
-    def test_empty_traces_rejected(self, tmp_path):
+    def test_empty_traces_rejected(self):
         with pytest.raises(ValueError):
-            emit_plot([], tmp_path / "x.svg")
+            emit_plot([])
 
     @pytest.mark.parametrize(
         "xs, ys, flat",
@@ -383,27 +384,24 @@ class TestPlots:
         with pytest.raises(ValueError):
             line_plot([(xs, ys)])
 
-    def test_emit_plot_writes_line_plot_text(self, tmp_path):
+    def test_emit_plot_writes_line_plot_text(self):
         traces = [[(1, 5.0, 3), (2, 4.0, 4)], [(1, 6.0, 3), (2, 2.5, 4)]]
-        path = tmp_path / "c.svg"
-        emit_plot(traces, path, title="t")
         series = [([1, 2], [5.0, 4.0]), ([1, 2], [6.0, 2.5])]
         expected = line_plot(
             series, title="t", x_label="iteration", y_label="best cost", log_y=True
         )
-        assert path.read_text() == expected
+        assert emit_plot(traces, title="t") == expected
 
-    def test_non_ascii_title_written_as_character_reference(self, tmp_path):
-        path = tmp_path / "c.svg"
-        emit_plot([[(1, 1.0, 1), (2, 0.5, 2)]], path, title="café")
-        assert ">caf&#233;</text>" in path.read_text(encoding="ascii")
+    def test_non_ascii_title_written_as_character_reference(self):
+        text = emit_plot([[(1, 1.0, 1), (2, 0.5, 2)]], title="café")
+        assert text.isascii() and ">caf&#233;</text>" in text
 
     def test_only_harness_writes_files(self):
         src = pathlib.Path(harness.__file__).parent
         writers = [
             p.name
             for p in sorted(src.glob("*.py"))
-            if re.search(r"write_text|os\.replace", p.read_text())
+            if re.search(r"write_files|os\.replace", p.read_text())
         ]
         assert writers == ["harness.py"]
 
