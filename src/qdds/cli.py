@@ -19,6 +19,7 @@ import json
 import math
 import sys
 
+from .engine import MODES, REBINDS
 from .harness import ExperimentConfig, emit_tables, run_experiment
 from .objectives import BENCHMARK_NAMES
 from .presets import PRESETS
@@ -49,9 +50,9 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pop", dest="population", metavar="POP", type=int, help="particle count")
     p.add_argument("--iters", dest="iterations", metavar="ITERS", type=int,
                    help="iteration budget")
-    p.add_argument("--mode", choices=["literal", "sweep"],
+    p.add_argument("--mode", choices=MODES,
                    help="one random particle per iteration, or all particles")
-    p.add_argument("--rebind", choices=["post", "pre"],
+    p.add_argument("--rebind", choices=REBINDS,
                    help="delta history source after blending")
     p.add_argument("--lambda-abs", action=argparse.BooleanOptionalAction,
                    help="force the per-run step scale to be non-negative")

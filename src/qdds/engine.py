@@ -7,13 +7,13 @@ so far using a single uniformly drawn weight per update. Scheduling is
 either "literal" (one randomly selected particle per iteration, the
 default) or "sweep" (all particles in index order per iteration).
 
-A step advances one wave: one iteration in sweep mode; in literal mode the
-longest run of iterations whose picks are distinct, a repeated pick waiting
-on the swarm for the next step. A member reads only what its previous
-update, in an earlier wave, wrote, so the gate, the inverse solve and the
-delta rebind each run once per wave on its (rows, dimension) block.
-Blending, evaluation and the gbest update stay sequential in pick order:
-each blend reads the gbest the updates before it left.
+init_swarm plans the whole schedule as waves: one iteration each in sweep
+mode, in literal mode the longest runs of iterations whose picks are
+distinct. A step applies the next wave and draws nothing. A member reads
+only what its previous update, in an earlier wave, wrote, so the gate, the
+inverse solve and the delta rebind each run once per wave on its (rows,
+dimension) block. Blending, evaluation and the gbest update stay sequential
+in pick order: each blend reads the gbest the updates before it left.
 
 All randomness flows from one numpy Generator seeded by the config, so
 identical (config, objective, seed) produce bitwise identical runs.
@@ -116,8 +116,8 @@ class SwarmConfig:
                 raise ValueError(
                     f"|lam| must be <= {LAM_MAX:.6g} to keep the gate step finite, got {self.lam}"
                 )
-        if not self.k > 0:
-            raise ValueError(f"k must be > 0, got {self.k}")
+        if not 0.0 < 2.0 * self.k < math.inf:
+            raise ValueError(f"k must be > 0 with 2*k finite, got {self.k}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
         if not isinstance(self.lambda_abs, bool):
@@ -160,7 +160,7 @@ class Swarm:
     run. events maps each diagnostic tally (in_band, solver_fallback,
     guard_clamp) to its count over every dimension updated. lam is the
     step scale actually used (drawn or configured), recorded for
-    reproducibility.
+    reproducibility. waves holds the planned waves not yet applied, next last.
     """
 
     config: SwarmConfig
@@ -173,7 +173,7 @@ class Swarm:
     eval_count: int
     lam: float
     rng: np.random.Generator
-    pending_pick: int | None = None  # the literal pick that ended the last wave
+    waves: list[tuple]
     events: dict[str, int] = field(
         default_factory=lambda: {"in_band": 0, "solver_fallback": 0, "guard_clamp": 0}
     )
@@ -192,7 +192,7 @@ def blend_with_gbest(raw, gbest, rho):
 
 
 def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
-    """Draw two position sets, seed histories, and evaluate both sets.
+    """Draw two position sets and the waves, seed histories, and evaluate both sets.
 
     Positions r1 and r2 per particle and dimension seed the two-deep
     delta window (delta_prev2 from r1, delta_prev from r2); the current
@@ -220,6 +220,7 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
         eval_count=0,
         lam=lam,
         rng=rng,
+        waves=_plan(config, rng),
     )
     # rows 1 and 2 close the two sweeps; row 3, with no evaluation, opens the optimization
     for rows in (r1, r2, ()):
@@ -249,7 +250,7 @@ def _update(swarm: Swarm, objective: Objective, rows, thetas, rhos) -> None:
     positions = swarm.positions[rows]
     dp = swarm.delta_prev[rows]
     dp2 = swarm.delta_prev2[rows]
-    delta_new, fired = delta_update_arrays(dp, dp2, np.array(thetas)[:, None], swarm.lam)
+    delta_new, fired = delta_update_arrays(dp, dp2, np.array(thetas)[..., None], swarm.lam)
     r_raw, solved, fallbacks = solve_r_batch(delta_new, cfg.k)
     swarm.events["in_band"] += fired.size - int(np.count_nonzero(fired))
     swarm.events["solver_fallback"] += fallbacks
@@ -261,7 +262,7 @@ def _update(swarm: Swarm, objective: Objective, rows, thetas, rhos) -> None:
         delta_new = np.where(solved, delta_new, dp)
 
     # in pick order: each blend sees the gbest its predecessors left
-    for i, rho in enumerate(rhos):
+    for i, rho in enumerate(map(float, rhos)):  # a float blends faster than np.float64
         blended = blend_with_gbest(r_raw[i], swarm.best_solution, rho)
         _evaluate(swarm, objective, blended)
         positions[i] = blended
@@ -278,40 +279,37 @@ def _update(swarm: Swarm, objective: Objective, rows, thetas, rhos) -> None:
         swarm.delta_prev[rows] = delta_new
 
 
-def _draw_wave(swarm: Swarm) -> tuple[list[int], list[float], list[float]]:
-    # per iteration one integers(P) then one random(), the order a
-    # one-pick-per-step loop draws them in; nothing is drawn past max_iter
-    cfg, rng = swarm.config, swarm.rng
-    rows, thetas, rhos = [], [], []
-    for iteration in range(swarm.iteration, cfg.max_iter):
-        p = swarm.pending_pick
-        if p is None:
+def _plan(cfg: SwarmConfig, rng: np.random.Generator) -> list[tuple]:
+    """The (rows, thetas, rhos) of every wave after iteration 3, last wave first.
+    Per literal iteration one integers(P) then one random(), a repeated pick
+    opening a new wave; in sweep mode one random((max_iter - 3, P)) block, the
+    doubles of one random(P) per iteration, and one theta per wave."""
+    waves = []
+    if cfg.mode == "sweep":
+        block = rng.random((cfg.max_iter - 3, cfg.population))
+        for iteration, rhos in enumerate(block, start=3):
+            waves.append((slice(None), learning_rate(iteration, cfg.max_iter, cfg.epsilon), rhos))
+    else:
+        for iteration in range(3, cfg.max_iter):
             p = int(rng.integers(cfg.population))
-        if p in rows:
-            swarm.pending_pick = p
-            break
-        swarm.pending_pick = None
-        rows.append(p)
-        thetas.append(learning_rate(iteration, cfg.max_iter, cfg.epsilon))
-        rhos.append(rng.random())
-    return rows, thetas, rhos
+            if not waves or p in waves[-1][0]:
+                waves.append(([], [], []))
+            rows, thetas, rhos = waves[-1]
+            rows.append(p)
+            thetas.append(learning_rate(iteration, cfg.max_iter, cfg.epsilon))
+            rhos.append(rng.random())
+    waves.reverse()
+    return waves
 
 
 def step(swarm: Swarm, objective: Objective) -> Swarm:
-    """Advance one wave: in literal mode the longest run of iterations whose
-    picks are distinct, each adding a trace row; in sweep mode one iteration."""
-    cfg = swarm.config
-    if swarm.iteration >= cfg.max_iter:
+    """Apply the next planned wave: in literal mode the longest run of iterations
+    whose picks are distinct, each adding a trace row; in sweep mode one iteration."""
+    if not swarm.waves:
         raise ValueError(
-            f"iteration {swarm.iteration} already reached max_iter {cfg.max_iter}"
+            f"iteration {swarm.iteration} already reached max_iter {swarm.config.max_iter}"
         )
-    if cfg.mode == "literal":
-        rows, thetas, rhos = _draw_wave(swarm)
-    else:
-        rows = slice(None)
-        thetas = [learning_rate(swarm.iteration, cfg.max_iter, cfg.epsilon)] * cfg.population
-        rhos = swarm.rng.random(cfg.population).tolist()
-    _update(swarm, objective, rows, thetas, rhos)
+    _update(swarm, objective, *swarm.waves.pop())
     return swarm
 
 

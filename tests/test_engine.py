@@ -37,6 +37,16 @@ def config(**kwargs):
     return SwarmConfig(**defaults)
 
 
+def _init_rng(cfg):
+    """A generator in the state init_swarm's lam and (r1, r2) draws leave,
+    before it plans the waves."""
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.lam is None:
+        rng.normal(0.0, 0.5)
+    rng.uniform(*cfg.effective_init_range(), (2, cfg.population, cfg.dimension))
+    return rng
+
+
 def _initial_draws(cfg):
     """The (r1, r2) position sets init_swarm draws for cfg."""
     rng = np.random.default_rng(cfg.seed)
@@ -181,6 +191,9 @@ class TestInit:
         assert swarm.positions.tobytes() == r2.tobytes()
         assert swarm.delta_prev.tobytes() == delta_of_r(r2, cfg.k).tobytes()
         assert swarm.delta_prev2.tobytes() == delta_of_r(r1, cfg.k).tobytes()
+        for _ in range(cfg.max_iter - 3):  # the planned picks and rhos come next
+            rng.integers(cfg.population)
+            rng.random()
         assert swarm.rng.bit_generator.state == rng.bit_generator.state
 
     def test_degenerate_range_pins_histories(self):
@@ -280,7 +293,9 @@ class TestInit:
 
 
 # Reference oracle for step: the per-iteration loop the engine ran before it
-# batched the gate, the solve and the rebind over a wave's rows.
+# batched the gate, the solve and the rebind over a wave's rows and planned
+# the schedule up front. It draws as it goes, from a swarm whose rng is
+# _init_rng's.
 def _update_particle_reference(swarm, objective, p, theta):
     cfg = swarm.config
     dp = swarm.delta_prev[p]
@@ -327,6 +342,13 @@ def step_both(swarm, ref, objective):
         step_reference(ref, objective)
 
 
+def reference_pair(cfg, objective):
+    """A swarm and its reference, which draws from its own rng."""
+    swarm, ref = init_swarm(cfg, objective), init_swarm(cfg, objective)
+    ref.rng = _init_rng(cfg)
+    return swarm, ref
+
+
 def assert_same_swarm(a, b):
     for name in ("positions", "delta_prev", "delta_prev2", "best_solution"):
         x, y = getattr(a, name), getattr(b, name)
@@ -335,8 +357,9 @@ def assert_same_swarm(a, b):
     assert a.trace == b.trace
     assert a.events == b.events
     assert (a.iteration, a.eval_count) == (b.iteration, b.eval_count)
-    # a pending pick is drawn but not yet used, so the reference lags it
-    if a.pending_pick is None:
+    # the planned swarm drew every pick and rho up front: the reference
+    # catches up only at the end of the run
+    if a.iteration == a.config.max_iter:
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
@@ -352,11 +375,11 @@ class TestStepMatchesReference:
             mode=mode, rebind=rebind, seed=seed, population=6, dimension=5, max_iter=60
         )
         obj = make_benchmark(function, cfg.dimension)
-        swarm, ref = init_swarm(cfg, obj), init_swarm(cfg, obj)
+        swarm, ref = reference_pair(cfg, obj)
         while swarm.iteration < cfg.max_iter:
             step_both(swarm, ref, obj)
             assert_same_swarm(swarm, ref)
-        assert swarm.pending_pick is None
+        assert not swarm.waves
 
     @pytest.mark.parametrize("mode", ["literal", "sweep"])
     @pytest.mark.parametrize("rebind", ["post", "pre"])
@@ -365,7 +388,7 @@ class TestStepMatchesReference:
         # pushes it past the solvable range, so it comes back unsolved
         cfg = config(mode=mode, rebind=rebind, lam=-1.0, seed=9)
         obj = make_benchmark("sphere", cfg.dimension)
-        swarm, ref = init_swarm(cfg, obj), init_swarm(cfg, obj)
+        swarm, ref = reference_pair(cfg, obj)
         for s in (swarm, ref):
             s.delta_prev[:, 0] = 0.9 * DELTA_MAX
             s.delta_prev2[:, 0] = 0.1 * DELTA_MAX
@@ -375,7 +398,7 @@ class TestStepMatchesReference:
         while swarm.iteration < cfg.max_iter:
             step_both(swarm, ref, obj)
             assert_same_swarm(swarm, ref)
-        assert swarm.pending_pick is None
+        assert not swarm.waves
 
 
 class TestStep:
@@ -425,19 +448,20 @@ class TestStep:
         gbest, best_cost = swarm.best_solution.copy(), swarm.best_cost
         step(swarm, obj)
 
-        rng = np.random.default_rng(cfg.seed)
-        rng.normal(0.0, 0.5)  # lam
-        rng.uniform(-2.0, 2.0, (cfg.population, cfg.dimension))  # r1
-        rng.uniform(-2.0, 2.0, (cfg.population, cfg.dimension))  # r2
-        # one (pick, rho) per iteration, up to the first repeated pick
-        picks, rhos = [], []
-        p = int(rng.integers(cfg.population))
-        while p not in picks:
-            picks.append(p)
-            rhos.append(float(rng.uniform()))
-            p = int(rng.integers(cfg.population))
-        assert swarm.pending_pick == p
+        # one (pick, rho) per iteration of the run, replayed from the seed;
+        # the first wave runs up to the first repeated pick
+        rng = _init_rng(cfg)
+        draws = [
+            (int(rng.integers(cfg.population)), float(rng.uniform()))
+            for _ in range(cfg.max_iter - 3)
+        ]
         assert swarm.rng.bit_generator.state == rng.bit_generator.state
+        picks, rhos = [], []
+        for p, rho in draws:
+            if p in picks:
+                break
+            picks.append(p)
+            rhos.append(rho)
         assert swarm.iteration == 3 + len(picks)
         for i, (p, rho) in enumerate(zip(picks, rhos)):
             theta = learning_rate(3 + i, cfg.max_iter, cfg.epsilon)
@@ -467,17 +491,49 @@ class TestStep:
         cfg = config(population=1000, max_iter=8, seed=6)
         obj = make_benchmark("sphere", cfg.dimension)
         swarm = init_swarm(cfg, obj)
-        rng = np.random.default_rng(cfg.seed)
-        rng.bit_generator.state = swarm.rng.bit_generator.state
+        rng = _init_rng(cfg)
         step(swarm, obj)
         assert swarm.iteration == cfg.max_iter
         assert len(swarm.trace) == cfg.max_iter
         assert swarm.eval_count == 2 * cfg.population + cfg.max_iter - 3
-        assert swarm.pending_pick is None
+        assert not swarm.waves
         for _ in range(cfg.max_iter - 3):
             rng.integers(cfg.population)
             rng.uniform()
         assert swarm.rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("mode", ["literal", "sweep"])
+    def test_step_draws_nothing(self, mode):
+        cfg = config(mode=mode, seed=[2023, 4])
+        obj = make_benchmark("rastrigin", cfg.dimension)
+        swarm = init_swarm(cfg, obj)
+        state = swarm.rng.bit_generator.state
+        while swarm.iteration < cfg.max_iter:
+            step(swarm, obj)
+            assert swarm.rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("seed", [3, [2023, 1]])
+    def test_literal_waves_partition_the_run(self, seed):
+        cfg = config(seed=seed, population=5, max_iter=40)
+        waves = init_swarm(cfg, make_benchmark("sphere", cfg.dimension)).waves[::-1]
+        assert sum(len(rows) for rows, _, _ in waves) == cfg.max_iter - 3
+        assert all(len(set(rows)) == len(rows) == len(thetas) == len(rhos)
+                   for rows, thetas, rhos in waves)
+        # a wave ends only where the next pick repeats one of its own
+        assert all(after[0][0] in before[0] for before, after in zip(waves, waves[1:]))
+        thetas = [theta for _, wave_thetas, _ in waves for theta in wave_thetas]
+        iterations = range(3, cfg.max_iter)
+        assert thetas == [learning_rate(i, cfg.max_iter, cfg.epsilon) for i in iterations]
+
+    def test_sweep_waves_partition_the_run(self):
+        cfg = config(mode="sweep", seed=3)
+        waves = init_swarm(cfg, make_benchmark("sphere", cfg.dimension)).waves[::-1]
+        assert len(waves) == cfg.max_iter - 3
+        rows = np.arange(cfg.population)
+        for i, (wave_rows, theta, rhos) in enumerate(waves, start=3):
+            assert rows[wave_rows].tolist() == rows.tolist()
+            assert theta == learning_rate(i, cfg.max_iter, cfg.epsilon)
+            assert len(rhos) == cfg.population
 
     def test_post_rebind_keeps_delta_position_invariant(self):
         cfg = config(seed=19, rebind="post")

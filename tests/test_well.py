@@ -446,6 +446,8 @@ class TestWellParams:
             {"k": float("inf")},
             {"max_iter": 10.5},
             {"max_iter": True},
+            # finite, but 2*k overflows and the guard half-width becomes 0
+            {"k": 1e308},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
