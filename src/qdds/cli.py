@@ -20,7 +20,7 @@ import math
 import sys
 
 from .engine import MODES, REBINDS
-from .harness import ExperimentConfig, emit_tables, run_experiment
+from .harness import EMIT_KINDS, ExperimentConfig, emit_tables, run_experiment
 from .objectives import BENCHMARK_NAMES
 from .presets import PRESETS
 from .validate import run_validation
@@ -61,7 +61,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lam", type=float,
                    help="step scale of the gated delta update (default: drawn per run)")
     p.add_argument("--emit", type=lambda text: tuple(filter(None, text.split(","))),
-                   help="comma-separated artifact kinds: traces,plots,report")
+                   help=f"comma-separated artifact kinds: {','.join(EMIT_KINDS)}")
     p.add_argument("--label", help="artifact basename override")
     p.add_argument("--config", help="JSON config file (flags override it)")
     _add_run_flags(p)

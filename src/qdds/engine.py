@@ -7,13 +7,14 @@ so far using a single uniformly drawn weight per update. Scheduling is
 either "literal" (one randomly selected particle per iteration, the
 default) or "sweep" (all particles in index order per iteration).
 
-init_swarm plans the whole schedule as waves: one iteration each in sweep
-mode, in literal mode the longest runs of iterations whose picks are
-distinct. A step applies the next wave and draws nothing. A member reads
-only what its previous update, in an earlier wave, wrote, so the gate, the
-inverse solve and the delta rebind each run once per wave on its (rows,
-dimension) block. Blending, evaluation and the gbest update stay sequential
-in pick order: each blend reads the gbest the updates before it left.
+init_swarm plans the whole schedule as waves of three arrays, rows, thetas and
+rhos: one iteration each in sweep mode, in literal mode the longest runs of
+iterations whose picks are distinct. step, the one update path, applies the
+next wave and draws nothing. A member reads only what its previous update, in
+an earlier wave, wrote, so the gate, the inverse solve and the delta rebind
+each run once per wave on its (rows, dimension) block. Blending, evaluation and
+the gbest update stay sequential in pick order: each blend reads the gbest the
+updates before it left.
 
 All randomness flows from one numpy Generator seeded by the config, so
 identical (config, objective, seed) produce bitwise identical runs.
@@ -169,7 +170,6 @@ class Swarm:
     delta_prev2: np.ndarray
     best_cost: float
     best_solution: np.ndarray
-    iteration: int
     eval_count: int
     lam: float
     rng: np.random.Generator
@@ -197,7 +197,7 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
     Positions r1 and r2 per particle and dimension seed the two-deep
     delta window (delta_prev2 from r1, delta_prev from r2); the current
     position is r2. Every r1, then every r2, is scored as an update is,
-    from best r1[0] at +inf; eval_count ends at 2*population, iteration at 3.
+    from best r1[0] at +inf; eval_count ends at 2*population, the trace at 3 rows.
     """
     if objective.dimension != config.dimension:
         raise ValueError(
@@ -216,18 +216,16 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
         delta_prev2=delta_of_r(r1, config.k),
         best_cost=math.inf,
         best_solution=r1[0].copy(),
-        iteration=0,
         eval_count=0,
         lam=lam,
         rng=rng,
         waves=_plan(config, rng),
     )
     # rows 1 and 2 close the two sweeps; row 3, with no evaluation, opens the optimization
-    for rows in (r1, r2, ()):
-        for x in rows:
+    for points in (r1, r2, ()):
+        for x in points:
             _evaluate(swarm, objective, x)
-        swarm.iteration += 1
-        swarm.trace.append((swarm.iteration, swarm.best_cost, swarm.eval_count))
+        swarm.trace.append((len(swarm.trace) + 1, swarm.best_cost, swarm.eval_count))
     return swarm
 
 
@@ -245,12 +243,44 @@ def _evaluate(swarm: Swarm, objective: Objective, x: np.ndarray) -> None:
         swarm.best_solution = x.copy()
 
 
-def _update(swarm: Swarm, objective: Objective, rows, thetas, rhos) -> None:
+def _plan(cfg: SwarmConfig, rng: np.random.Generator) -> list[tuple]:
+    """The (rows, thetas, rhos) of every wave after iteration 3, last wave first:
+    index array, theta column, float64 weights. Per literal iteration one
+    integers(P) then one random(), a repeated pick opening a new wave; in sweep mode
+    one random((max_iter - 3, P)) block, a row and a 1x1 theta per iteration."""
+    thetas = [learning_rate(i, cfg.max_iter, cfg.epsilon) for i in range(3, cfg.max_iter)]
+    if cfg.mode == "sweep":
+        rows = np.arange(cfg.population)
+        block = rng.random((cfg.max_iter - 3, cfg.population))
+        waves = [(rows, np.full((1, 1), theta), rhos) for theta, rhos in zip(thetas, block)]
+    else:
+        waves = []
+        for theta in thetas:
+            p = int(rng.integers(cfg.population))
+            if not waves or p in waves[-1][0]:
+                waves.append(([], [], []))
+            rows, wave_thetas, rhos = waves[-1]
+            rows.append(p)
+            wave_thetas.append(theta)
+            rhos.append(rng.random())
+        waves = [(np.array(r), np.array(t)[:, None], np.array(w)) for r, t, w in waves]
+    waves.reverse()
+    return waves
+
+
+def step(swarm: Swarm, objective: Objective) -> Swarm:
+    """Apply the next planned wave: in literal mode the longest run of iterations
+    whose picks are distinct, each adding a trace row; in sweep mode one iteration."""
+    if not swarm.waves:
+        raise ValueError(
+            f"iteration {len(swarm.trace)} already reached max_iter {swarm.config.max_iter}"
+        )
+    rows, thetas, rhos = swarm.waves.pop()
     cfg = swarm.config
     positions = swarm.positions[rows]
     dp = swarm.delta_prev[rows]
     dp2 = swarm.delta_prev2[rows]
-    delta_new, fired = delta_update_arrays(dp, dp2, np.array(thetas)[..., None], swarm.lam)
+    delta_new, fired = delta_update_arrays(dp, dp2, thetas, swarm.lam)
     r_raw, solved, fallbacks = solve_r_batch(delta_new, cfg.k)
     swarm.events["in_band"] += fired.size - int(np.count_nonzero(fired))
     swarm.events["solver_fallback"] += fallbacks
@@ -262,14 +292,14 @@ def _update(swarm: Swarm, objective: Objective, rows, thetas, rhos) -> None:
         delta_new = np.where(solved, delta_new, dp)
 
     # in pick order: each blend sees the gbest its predecessors left
-    for i, rho in enumerate(map(float, rhos)):  # a float blends faster than np.float64
+    rhos = rhos.tolist()
+    for i, rho in enumerate(rhos):
         blended = blend_with_gbest(r_raw[i], swarm.best_solution, rho)
         _evaluate(swarm, objective, blended)
         positions[i] = blended
         # literal mode takes one iteration per update, sweep mode one per wave
         if cfg.mode == "literal" or i == len(rhos) - 1:
-            swarm.iteration += 1
-            swarm.trace.append((swarm.iteration, swarm.best_cost, swarm.eval_count))
+            swarm.trace.append((len(swarm.trace) + 1, swarm.best_cost, swarm.eval_count))
 
     swarm.positions[rows] = positions
     swarm.delta_prev2[rows] = dp
@@ -277,50 +307,16 @@ def _update(swarm: Swarm, objective: Objective, rows, thetas, rhos) -> None:
         swarm.delta_prev[rows] = delta_of_r(positions, cfg.k)
     else:
         swarm.delta_prev[rows] = delta_new
-
-
-def _plan(cfg: SwarmConfig, rng: np.random.Generator) -> list[tuple]:
-    """The (rows, thetas, rhos) of every wave after iteration 3, last wave first.
-    Per literal iteration one integers(P) then one random(), a repeated pick
-    opening a new wave; in sweep mode one random((max_iter - 3, P)) block, the
-    doubles of one random(P) per iteration, and one theta per wave."""
-    waves = []
-    if cfg.mode == "sweep":
-        block = rng.random((cfg.max_iter - 3, cfg.population))
-        for iteration, rhos in enumerate(block, start=3):
-            waves.append((slice(None), learning_rate(iteration, cfg.max_iter, cfg.epsilon), rhos))
-    else:
-        for iteration in range(3, cfg.max_iter):
-            p = int(rng.integers(cfg.population))
-            if not waves or p in waves[-1][0]:
-                waves.append(([], [], []))
-            rows, thetas, rhos = waves[-1]
-            rows.append(p)
-            thetas.append(learning_rate(iteration, cfg.max_iter, cfg.epsilon))
-            rhos.append(rng.random())
-    waves.reverse()
-    return waves
-
-
-def step(swarm: Swarm, objective: Objective) -> Swarm:
-    """Apply the next planned wave: in literal mode the longest run of iterations
-    whose picks are distinct, each adding a trace row; in sweep mode one iteration."""
-    if not swarm.waves:
-        raise ValueError(
-            f"iteration {swarm.iteration} already reached max_iter {swarm.config.max_iter}"
-        )
-    _update(swarm, objective, *swarm.waves.pop())
     return swarm
 
 
 def run(config: SwarmConfig, objective: Objective) -> Swarm:
-    """Initialize and step until the iteration counter reaches max_iter;
-    returns the finished swarm.
+    """Initialize and step until the plan is empty; returns the finished swarm.
 
     Raises ValueError when no evaluation produced a finite best cost.
     """
     swarm = init_swarm(config, objective)
-    while swarm.iteration < config.max_iter:
+    while swarm.waves:
         step(swarm, objective)
     if not math.isfinite(swarm.best_cost):
         raise ValueError(

@@ -117,14 +117,14 @@ class ExperimentConfig:
             object.__setattr__(self, "lam", check_real("lam", self.lam))
         if not (isinstance(self.out_dir, str) and self.out_dir):
             raise ValueError(f"out_dir must be a non-empty string, got {self.out_dir!r}")
-        # every artifact writer writes ASCII, the label included
-        if self.label is not None and not (isinstance(self.label, str) and self.label.isascii()):
-            raise ValueError(f"label must be an ASCII string, got {self.label!r}")
-        for name in ("out_dir", "label"):
-            if "\0" in (getattr(self, name) or ""):
-                raise ValueError(f"{name} must not contain a NUL byte")
-        if self.label == "":
-            raise ValueError("label must not be empty")
+        if "\0" in self.out_dir:
+            raise ValueError("out_dir must not contain a NUL byte")
+        # artifacts are ASCII, and the SVG title holds the label verbatim
+        if self.label is not None and not (
+            isinstance(self.label, str) and self.label != ""
+            and self.label.isascii() and self.label.isprintable()
+        ):
+            raise ValueError(f"label must be non-empty printable ASCII, got {self.label!r}")
         if self.label is not None and len(self.label) > _LABEL_MAX:
             raise ValueError(f"label must be at most {_LABEL_MAX} characters long")
         if self.label is not None and os.path.basename(self.label) != self.label:

@@ -73,6 +73,9 @@ def confinement_integral(
         raise ValueError(f"g must be in [1, 2], got {g}")
     if not k > 0:
         raise ValueError(f"k must be > 0, got {k}")
+    # a Python float product overflows to inf silently, where delta_of_r's would warn
+    if not np.isfinite(2.0 * float(k) * float(r_boundary)):
+        raise ValueError(f"2*k*r_boundary must be finite, got k={k}, r_boundary={r_boundary}")
     if quad_points < 2:
         raise ValueError(f"quad_points must be >= 2, got {quad_points}")
     d = delta_of_r(r_boundary, k)

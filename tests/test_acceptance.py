@@ -135,7 +135,7 @@ def _mini_run(rng, index):
 
 def _drive(cfg, objective):
     swarm = init_swarm(cfg, objective)
-    while swarm.iteration < cfg.max_iter:
+    while len(swarm.trace) < cfg.max_iter:
         step(swarm, objective)
     return swarm
 

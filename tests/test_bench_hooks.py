@@ -121,11 +121,11 @@ def test_well_kernels_called_once_per_step_on_its_rows(monkeypatch, mode, rebind
     for name in shapes:
         shapes[name].clear()
     block = []
-    while swarm.iteration < config.max_iter:
-        iteration = swarm.iteration
+    while len(swarm.trace) < config.max_iter:
+        iteration = len(swarm.trace)
         engine.step(swarm, objective)
         # a literal wave has one row per iteration it advances
-        rows = swarm.iteration - iteration if mode == "literal" else config.population
+        rows = len(swarm.trace) - iteration if mode == "literal" else config.population
         block.append((rows, config.dimension))
     assert mode == "sweep" or max(block)[0] > 1
     assert shapes["delta_update_arrays"] == block

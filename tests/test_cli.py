@@ -200,6 +200,7 @@ class TestBadSettings:
             ["bench", "--function", "sphere", "--dim", "2", "--out", ""],
             ["bench", "--function", "sphere", "--dim", "2", "--label", ""],
             ["bench", "--function", "sphere", "--dim", "2", "--label", "a\x00b"],
+            ["bench", "--function", "sphere", "--dim", "2", "--label", "a\x01b"],
             ["bench", "--function", "sphere", "--dim", "2", "--label", "a" * 250],
             ["bench", "--function", "sphere", "--dim", "2", "--out", "o\x00ut"],
             ["bench", "--function", "sphere", "--dim", "2", "--k", "1e308"],

@@ -161,7 +161,7 @@ class TestInit:
         cfg = config()
         obj = make_benchmark("sphere", cfg.dimension)
         swarm = init_swarm(cfg, obj)
-        assert swarm.iteration == 3
+        assert len(swarm.trace) == 3
         assert swarm.eval_count == 2 * cfg.population
         assert swarm.trace == [
             (1, swarm.trace[0][1], cfg.population),
@@ -324,21 +324,20 @@ def _update_particle_reference(swarm, objective, p, theta):
 
 def step_reference(swarm, objective):
     cfg = swarm.config
-    theta = learning_rate(swarm.iteration, cfg.max_iter, cfg.epsilon)
+    theta = learning_rate(len(swarm.trace), cfg.max_iter, cfg.epsilon)
     if cfg.mode == "literal":
         indices = [int(swarm.rng.integers(cfg.population))]
     else:
         indices = range(cfg.population)
     for p in indices:
         _update_particle_reference(swarm, objective, p, theta)
-    swarm.iteration += 1
-    swarm.trace.append((swarm.iteration, swarm.best_cost, swarm.eval_count))
+    swarm.trace.append((len(swarm.trace) + 1, swarm.best_cost, swarm.eval_count))
 
 
 def step_both(swarm, ref, objective):
     """One step, then the reference iterations up to the wave's end."""
     step(swarm, objective)
-    while ref.iteration < swarm.iteration:
+    while len(ref.trace) < len(swarm.trace):
         step_reference(ref, objective)
 
 
@@ -356,11 +355,22 @@ def assert_same_swarm(a, b):
     assert np.float64(a.best_cost).tobytes() == np.float64(b.best_cost).tobytes()
     assert a.trace == b.trace
     assert a.events == b.events
-    assert (a.iteration, a.eval_count) == (b.iteration, b.eval_count)
+    assert a.eval_count == b.eval_count
     # the planned swarm drew every pick and rho up front: the reference
     # catches up only at the end of the run
-    if a.iteration == a.config.max_iter:
+    if len(a.trace) == a.config.max_iter:
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+def assert_wave_arrays(waves):
+    """Every wave is (integer index array, float64 theta column, float64 weights)."""
+    for rows, thetas, rhos in waves:
+        assert isinstance(rows, np.ndarray) and np.issubdtype(rows.dtype, np.integer)
+        assert rows.ndim == 1
+        assert isinstance(thetas, np.ndarray) and thetas.dtype == np.float64
+        assert thetas.ndim == 2 and thetas.shape[1] == 1
+        assert isinstance(rhos, np.ndarray) and rhos.dtype == np.float64
+        assert rhos.shape == rows.shape
 
 
 class TestStepMatchesReference:
@@ -376,7 +386,7 @@ class TestStepMatchesReference:
         )
         obj = make_benchmark(function, cfg.dimension)
         swarm, ref = reference_pair(cfg, obj)
-        while swarm.iteration < cfg.max_iter:
+        while len(swarm.trace) < cfg.max_iter:
             step_both(swarm, ref, obj)
             assert_same_swarm(swarm, ref)
         assert not swarm.waves
@@ -395,7 +405,7 @@ class TestStepMatchesReference:
         step_both(swarm, ref, obj)
         assert swarm.events["guard_clamp"] > 0
         assert_same_swarm(swarm, ref)
-        while swarm.iteration < cfg.max_iter:
+        while len(swarm.trace) < cfg.max_iter:
             step_both(swarm, ref, obj)
             assert_same_swarm(swarm, ref)
         assert not swarm.waves
@@ -408,16 +418,15 @@ class TestStep:
         cfg = config(seed=3, population=8, max_iter=60)
         obj = make_benchmark("rastrigin", cfg.dimension)
         swarm = init_swarm(cfg, obj)
-        while swarm.iteration < cfg.max_iter:
-            before, iteration = swarm.positions.copy(), swarm.iteration
+        while len(swarm.trace) < cfg.max_iter:
+            before, iteration = swarm.positions.copy(), len(swarm.trace)
             evals = swarm.eval_count
             step(swarm, obj)
-            advanced = swarm.iteration - iteration
+            advanced = len(swarm.trace) - iteration
             changed = np.any(swarm.positions != before, axis=1)
             assert 1 <= advanced <= cfg.population
             assert changed.sum() == advanced
             assert swarm.eval_count == evals + advanced
-            assert len(swarm.trace) == swarm.iteration
 
     def test_sweep_updates_all_particles(self):
         cfg = config(mode="sweep", seed=3)
@@ -462,7 +471,7 @@ class TestStep:
                 break
             picks.append(p)
             rhos.append(rho)
-        assert swarm.iteration == 3 + len(picks)
+        assert len(swarm.trace) == 3 + len(picks)
         for i, (p, rho) in enumerate(zip(picks, rhos)):
             theta = learning_rate(3 + i, cfg.max_iter, cfg.epsilon)
             delta_new, _ = delta_update_arrays(dp[p], dp2[p], theta, swarm.lam)
@@ -493,7 +502,6 @@ class TestStep:
         swarm = init_swarm(cfg, obj)
         rng = _init_rng(cfg)
         step(swarm, obj)
-        assert swarm.iteration == cfg.max_iter
         assert len(swarm.trace) == cfg.max_iter
         assert swarm.eval_count == 2 * cfg.population + cfg.max_iter - 3
         assert not swarm.waves
@@ -508,7 +516,7 @@ class TestStep:
         obj = make_benchmark("rastrigin", cfg.dimension)
         swarm = init_swarm(cfg, obj)
         state = swarm.rng.bit_generator.state
-        while swarm.iteration < cfg.max_iter:
+        while len(swarm.trace) < cfg.max_iter:
             step(swarm, obj)
             assert swarm.rng.bit_generator.state == state
 
@@ -516,30 +524,41 @@ class TestStep:
     def test_literal_waves_partition_the_run(self, seed):
         cfg = config(seed=seed, population=5, max_iter=40)
         waves = init_swarm(cfg, make_benchmark("sphere", cfg.dimension)).waves[::-1]
+        assert_wave_arrays(waves)
         assert sum(len(rows) for rows, _, _ in waves) == cfg.max_iter - 3
-        assert all(len(set(rows)) == len(rows) == len(thetas) == len(rhos)
+        assert all(len(set(rows.tolist())) == len(rows) == len(thetas) == len(rhos)
                    for rows, thetas, rhos in waves)
         # a wave ends only where the next pick repeats one of its own
         assert all(after[0][0] in before[0] for before, after in zip(waves, waves[1:]))
-        thetas = [theta for _, wave_thetas, _ in waves for theta in wave_thetas]
+        thetas = np.concatenate([wave_thetas[:, 0] for _, wave_thetas, _ in waves])
         iterations = range(3, cfg.max_iter)
-        assert thetas == [learning_rate(i, cfg.max_iter, cfg.epsilon) for i in iterations]
+        expected = [learning_rate(i, cfg.max_iter, cfg.epsilon) for i in iterations]
+        assert thetas.tobytes() == np.array(expected).tobytes()
+        rng = _init_rng(cfg)
+        draws = [(int(rng.integers(cfg.population)), rng.random()) for _ in iterations]
+        planned = [pair for rows, _, rhos in waves for pair in zip(rows.tolist(), rhos.tolist())]
+        assert planned == draws
 
     def test_sweep_waves_partition_the_run(self):
         cfg = config(mode="sweep", seed=3)
         waves = init_swarm(cfg, make_benchmark("sphere", cfg.dimension)).waves[::-1]
+        assert_wave_arrays(waves)
         assert len(waves) == cfg.max_iter - 3
-        rows = np.arange(cfg.population)
-        for i, (wave_rows, theta, rhos) in enumerate(waves, start=3):
-            assert rows[wave_rows].tolist() == rows.tolist()
-            assert theta == learning_rate(i, cfg.max_iter, cfg.epsilon)
-            assert len(rhos) == cfg.population
+        rng = _init_rng(cfg)
+        for i, (rows, thetas, rhos) in enumerate(waves, start=3):
+            assert rows.tolist() == list(range(cfg.population))
+            theta = np.float64(learning_rate(i, cfg.max_iter, cfg.epsilon))
+            assert thetas.shape == (1, 1) and thetas.tobytes() == theta.tobytes()
+            assert rhos.tolist() == rng.random(cfg.population).tolist()
+        # one shared arange and row views of one weight block
+        assert all(rows is waves[0][0] for rows, _, _ in waves)
+        assert all(rhos.base is waves[0][2].base is not None for _, _, rhos in waves)
 
     def test_post_rebind_keeps_delta_position_invariant(self):
         cfg = config(seed=19, rebind="post")
         obj = make_benchmark("rastrigin", cfg.dimension)
         swarm = init_swarm(cfg, obj)
-        while swarm.iteration < cfg.max_iter:
+        while len(swarm.trace) < cfg.max_iter:
             step(swarm, obj)
             assert np.array_equal(swarm.delta_prev, delta_of_r(swarm.positions, cfg.k))
 
@@ -550,7 +569,7 @@ class TestStep:
         obj = make_benchmark("sphere", cfg.dimension)
         swarm = init_swarm(cfg, obj)
         expected = delta_of_r(0.1, cfg.k)
-        while swarm.iteration < cfg.max_iter:
+        while len(swarm.trace) < cfg.max_iter:
             step(swarm, obj)
             assert np.all(swarm.delta_prev == expected)
             assert np.all(swarm.delta_prev2 == expected)
@@ -613,7 +632,7 @@ class TestRun:
         obj = make_benchmark("sphere", cfg.dimension)
         swarm = init_swarm(cfg, obj)
         hw = cfg.guard_halfwidth()
-        while swarm.iteration < cfg.max_iter:
+        while len(swarm.trace) < cfg.max_iter:
             step(swarm, obj)
             assert np.all(np.abs(swarm.positions) <= hw + 1e-9)
 
@@ -664,7 +683,7 @@ class TestRun:
         obj = make_benchmark("rastrigin", cfg.dimension)
         swarm = init_swarm(cfg, obj)
         initial_prev = swarm.delta_prev.copy()
-        while swarm.iteration < cfg.max_iter:
+        while len(swarm.trace) < cfg.max_iter:
             step(swarm, obj)
         assert np.array_equal(swarm.delta_prev, initial_prev)
         # the two-deep window shifts once per particle, then freezes

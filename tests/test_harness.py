@@ -123,6 +123,8 @@ class TestExperimentConfig:
             {"label": ""},
             {"out_dir": "o\x00ut"},
             {"label": "a\x00b"},
+            # a control character would reach the SVG title verbatim
+            {"label": "a\x01b"},
             # the label's temporary coefficient file name would pass 255 bytes
             {"label": "a" * 226},
         ],

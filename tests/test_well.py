@@ -464,6 +464,7 @@ class TestConfinementIntegral:
             ({"g": 0.5}, r"g must be in \[1, 2\], got 0.5"),
             ({"g": 2.5}, r"g must be in \[1, 2\], got 2.5"),
             ({"k": 0.0}, "k must be > 0, got 0.0"),
+            ({"k": 1e308}, r"2\*k\*r_boundary must be finite, got k=1e\+308, r_boundary=0.1"),
             ({"quad_points": 1}, "quad_points must be >= 2, got 1"),
             # delta(5e-324) rounds to 0.0
             (
