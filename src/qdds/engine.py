@@ -245,27 +245,46 @@ def _evaluate(swarm: Swarm, objective: Objective, x: np.ndarray) -> None:
 
 def _plan(cfg: SwarmConfig, rng: np.random.Generator) -> list[tuple]:
     """The (rows, thetas, rhos) of every wave after iteration 3, last wave first:
-    index array, theta column, float64 weights. Per literal iteration one
-    integers(P) then one random(), a repeated pick opening a new wave; in sweep mode
+    index array, theta column, float64 weights. Literal waves slice one pick and
+    one weight per iteration, a repeated pick opening a new wave; sweep mode has
     one random((max_iter - 3, P)) block, a row and a 1x1 theta per iteration."""
-    thetas = [learning_rate(i, cfg.max_iter, cfg.epsilon) for i in range(3, cfg.max_iter)]
+    n = cfg.max_iter - 3
+    thetas = learning_rate(np.arange(3, cfg.max_iter), cfg.max_iter, cfg.epsilon)[:, None]
     if cfg.mode == "sweep":
         rows = np.arange(cfg.population)
-        block = rng.random((cfg.max_iter - 3, cfg.population))
-        waves = [(rows, np.full((1, 1), theta), rhos) for theta, rhos in zip(thetas, block)]
-    else:
-        waves = []
-        for theta in thetas:
-            p = int(rng.integers(cfg.population))
-            if not waves or p in waves[-1][0]:
-                waves.append(([], [], []))
-            rows, wave_thetas, rhos = waves[-1]
-            rows.append(p)
-            wave_thetas.append(theta)
-            rhos.append(rng.random())
-        waves = [(np.array(r), np.array(t)[:, None], np.array(w)) for r, t, w in waves]
-    waves.reverse()
-    return waves
+        block = rng.random((n, cfg.population))
+        return [(rows, thetas[i : i + 1], block[i]) for i in reversed(range(n))]
+    picks, rhos = _draw_literal(rng, cfg.population, n)
+    cuts, wave = [], set()
+    for i, p in enumerate(picks.tolist()):
+        if p in wave:
+            cuts.append(i)
+            wave.clear()
+        wave.add(p)
+    bounds = zip([0] + cuts, cuts + [n])
+    return [(picks[a:b], thetas[a:b], rhos[a:b]) for a, b in bounds if a < b][::-1]
+
+
+def _draw_literal(rng: np.random.Generator, population: int, n: int):
+    """n iterations' integers(population), random() draws, leaving rng as they
+    would. On PCG64 these are 32-bit Lemire on the buffered next_uint32 and
+    (word >> 11) * 2**-53, so one random_raw call draws them: iterations 2j, 2j+1
+    pick from word 3j's low, high half and weigh with words 3j+1, 3j+2. Another
+    bit generator, a buffered half, P = 1 (no draw) or a low product word below
+    P (Lemire may reject) restores the state and draws one by one."""
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    pcg = state["bit_generator"] == "PCG64" and not state["has_uint32"]
+    if pcg and 1 < population < 2**32 and n:
+        raw = bitgen.random_raw((3 * n + 1) // 2)
+        pairs = raw[::3]
+        products = np.stack((pairs & 0xFFFFFFFF, pairs >> 32), axis=1).ravel()[:n] * population
+        if not np.any((products & 0xFFFFFFFF) < population):
+            bitgen.state = {**bitgen.state, "has_uint32": n % 2, "uinteger": int(pairs[-1] >> 32)}
+            return (products >> 32).astype(np.intp), (np.delete(raw, np.s_[::3]) >> 11) * 2.0**-53
+        bitgen.state = state
+    draws = [(rng.integers(population), rng.random()) for _ in range(n)]
+    return np.array([p for p, _ in draws], np.intp), np.array([w for _, w in draws])
 
 
 def step(swarm: Swarm, objective: Objective) -> Swarm:

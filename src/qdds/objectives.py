@@ -1,12 +1,14 @@
 """Benchmark cost functions and the common objective interface.
 
 Four classic minimization benchmarks (all with a known zero optimum)
-plus a small registry keyed by name. Filter-design objectives are built
-separately in :mod:`qdds.filters` and share the same Objective shape.
+plus a small registry keyed by name; they reduce with np.add.reduce and
+np.multiply.reduce, which ndarray.sum and .prod run under a wrapper.
+Filter-design objectives live in :mod:`qdds.filters`, in the same shape.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -66,25 +68,32 @@ class Objective:
 
 def rastrigin(x) -> float:
     x = np.asarray(x, dtype=float)
-    return float(10.0 * x.size + (x * x - 10.0 * np.cos(2.0 * np.pi * x)).sum())
+    return float(10.0 * x.size + np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x), None))
 
 
 def rosenbrock(x) -> float:
     x = np.asarray(x, dtype=float)
     if x.size < 2:
         raise ValueError(f"rosenbrock needs n >= 2, got n={x.size}")
-    return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2).sum())
+    return float(np.add.reduce(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2, None))
 
 
 def sphere(x) -> float:
     x = np.asarray(x, dtype=float)
-    return float((x * x).sum())
+    return float(np.add.reduce(x * x, None))
+
+
+@functools.lru_cache(maxsize=32)
+def _griewank_roots(n: int) -> np.ndarray:
+    roots = np.sqrt(np.arange(1, n + 1, dtype=float))
+    roots.flags.writeable = False  # one array shared by every call at this n
+    return roots
 
 
 def griewank(x) -> float:
     x = np.asarray(x, dtype=float)
-    i = np.arange(1, x.size + 1, dtype=float)
-    return float(1.0 + (x * x).sum() / 4000.0 - np.cos(x / np.sqrt(i)).prod())
+    cosines = np.cos(x / _griewank_roots(x.size))
+    return float(1.0 + np.add.reduce(x * x, None) / 4000.0 - np.multiply.reduce(cosines, None))
 
 
 # canonical initialization domains (community convention, per dimension)

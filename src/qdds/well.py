@@ -148,9 +148,11 @@ def solve_r_batch(deltas, k, tol=1e-12):
 def learning_rate(iteration, max_iter, epsilon):
     """Linear schedule theta = (1 - eps)*(max_iter - iter)/max_iter + eps.
 
-    Decays from 1 at iteration 0 to epsilon at iteration max_iter.
+    Decays from 1 at iteration 0 to epsilon at iteration max_iter, elementwise
+    for an array of iterations.
     """
-    if not 0 <= iteration <= max_iter:
+    it = np.asarray(iteration)
+    if not ((0 <= it) & (it <= max_iter)).all():
         raise ValueError(
             f"iteration must be in [0, max_iter], got {iteration} with max_iter={max_iter}"
         )

@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 
 from qdds.engine import (
     SwarmConfig,
+    _draw_literal,
     blend_with_gbest,
     init_swarm,
     run,
     step,
 )
+from qdds.harness import _swarm_config, build_problem
 from qdds.objectives import Objective, make_benchmark
+from qdds.presets import PRESETS
 from qdds.well import (
     DELTA_MAX,
     delta_of_r,
@@ -579,6 +582,83 @@ class TestStep:
         for rho in (1.2, -0.1):
             with pytest.raises(ValueError, match="rho"):
                 blend_with_gbest([1.0], [2.0], rho)
+
+
+class CountingGenerator:
+    """Delegates to a Generator, counting the scalar draws made through it."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator, self.scalar_draws = rng, rng.bit_generator, 0
+
+    def integers(self, high):
+        self.scalar_draws += 1
+        return self.rng.integers(high)
+
+    def random(self):
+        self.scalar_draws += 1
+        return self.rng.random()
+
+
+def assert_draw_matches_scalar(rng, population, n):
+    """_draw_literal leaves every pick, weight and generator bit that n scalar
+    integers(population), random() pairs leave; returns the scalar draws it made."""
+    ref = np.random.Generator(type(rng.bit_generator)())
+    ref.bit_generator.state = rng.bit_generator.state
+    counting = CountingGenerator(rng)
+    picks, rhos = _draw_literal(counting, population, n)
+    draws = [(int(ref.integers(population)), ref.random()) for _ in range(n)]
+    assert picks.dtype == np.intp and picks.shape == (n,)
+    assert rhos.dtype == np.float64 and rhos.shape == (n,)
+    assert picks.tolist() == [p for p, _ in draws]
+    assert rhos.tobytes() == np.array([w for _, w in draws], dtype=float).tobytes()
+    # the buffered half (has_uint32, uinteger) included
+    np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+    assert rng.integers(2**40) == ref.integers(2**40)
+    return counting.scalar_draws
+
+
+class TestDrawLiteral:
+    """The one-call literal draw against scalar integers(P), random() draws."""
+
+    @pytest.mark.parametrize("population", [1, 2, 3, 5, 20, 80, 1000, 7919])
+    def test_matches_scalar_draws(self, population):
+        for seed in range(50):
+            for n in (0, 1, 2, 246, 247):
+                scalar = assert_draw_matches_scalar(np.random.default_rng(seed), population, n)
+                # only P = 1, which draws no integer, falls back here
+                assert scalar == (2 * n if population == 1 else 0)
+
+    def test_possible_rejection_falls_back(self):
+        # P = 2**31 + 1: a low product word falls below P about half the time
+        fell_back = [
+            assert_draw_matches_scalar(np.random.default_rng(seed), 2**31 + 1, n) > 0
+            for seed in range(20)
+            for n in (1, 2, 7)
+        ]
+        assert any(fell_back) and not all(fell_back)
+
+    def test_buffered_half_falls_back(self):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            rng.integers(5)  # leaves the high half of a word buffered
+            assert rng.bit_generator.state["has_uint32"] == 1
+            assert assert_draw_matches_scalar(rng, 20, 9) == 18
+
+    def test_other_bit_generator_falls_back(self):
+        rng = np.random.Generator(np.random.MT19937(4))
+        assert assert_draw_matches_scalar(rng, 20, 9) == 18
+
+    def test_every_preset_takes_the_shortcut(self):
+        # a numpy whose draws break the shortcut's conditions would send every
+        # plan to the scalar draws: slower, so caught here rather than missed
+        for cfg in PRESETS.values():
+            objective, _ = build_problem(cfg)
+            for trial in range(cfg.trials):
+                swarm_cfg = _swarm_config(cfg, objective, trial)
+                assert swarm_cfg.mode == "literal"
+                counting = CountingGenerator(_init_rng(swarm_cfg))
+                _draw_literal(counting, swarm_cfg.population, swarm_cfg.max_iter - 3)
+                assert counting.scalar_draws == 0, (cfg.resolved_label(), trial)
 
 
 class TestRun:

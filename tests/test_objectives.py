@@ -81,6 +81,33 @@ class TestGriewank:
         assert griewank([math.pi]) == pytest.approx(2.0 + math.pi**2 / 4000.0, abs=1e-12)
 
 
+# each benchmark as written with ndarray.sum and .prod, the bits to keep
+REFERENCE_BENCHMARKS = {
+    "rastrigin": lambda x: float(10.0 * x.size + (x * x - 10.0 * np.cos(2.0 * np.pi * x)).sum()),
+    "rosenbrock": lambda x: float(
+        (100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2).sum()
+    ),
+    "sphere": lambda x: float((x * x).sum()),
+    "griewank": lambda x: float(
+        1.0
+        + (x * x).sum() / 4000.0
+        - np.cos(x / np.sqrt(np.arange(1, x.size + 1, dtype=float))).prod()
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_benchmarks_keep_reference_bits(name):
+    fn, reference = make_benchmark(name, 2).evaluate, REFERENCE_BENCHMARKS[name]
+    rng = np.random.default_rng(11)
+    lo, hi = make_benchmark(name, 2).init_range
+    for d in (2, 10, 20, 30, 100):
+        for x in rng.uniform(lo, hi, (20, 2 * d)):
+            # a contiguous row, a strided view and a Python list
+            for arg in (x[:d], x[::2], x[:d].tolist()):
+                assert fn(arg).hex() == reference(np.asarray(arg, dtype=float)).hex()
+
+
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
 def test_known_min_reproduced(name):
     obj = make_benchmark(name, 10)

@@ -342,6 +342,26 @@ class TestLearningRate:
         with pytest.raises(ValueError):
             learning_rate(-1, 500, 0.3)
 
+    @pytest.mark.parametrize("max_iter", [3, 4, 250, 375, 500])
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 0.999])
+    def test_array_matches_scalar_bits(self, max_iter, eps):
+        iterations = np.arange(max_iter + 1)
+        scalar = [learning_rate(i, max_iter, eps) for i in iterations.tolist()]
+        got = learning_rate(iterations, max_iter, eps)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array(scalar).tobytes()
+
+    def test_array_out_of_range_raises(self):
+        for bad in (501, -1):
+            iterations = np.arange(0, 500, 7)
+            iterations[5] = bad
+            with pytest.raises(ValueError, match="iteration must be in"):
+                learning_rate(iterations, 500, 0.3)
+
+    def test_scalar_gives_python_float(self):
+        assert type(learning_rate(3, 250, 0.3)) is float
+        assert learning_rate(np.arange(3, 3), 3, 0.3).shape == (0,)
+
     def test_constant_decrement(self):
         eps, m = 0.3, 250
         steps = [
