@@ -232,10 +232,10 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
 def _evaluate(swarm: Swarm, objective: Objective, x: np.ndarray) -> None:
     """Evaluate and count x, keeping a copy as the best if its cost is strictly
     lower (a NaN never wins, a tie keeps the earlier point); a cost that is
-    not a real scalar raises ValueError."""
+    not a real scalar, a bool included, raises ValueError."""
     cost = objective.evaluate(x)
-    # a plain float skips the much slower isinstance check
-    if type(cost) is not float and not isinstance(cost, numbers.Real):
+    # a plain float skips the much slower isinstance checks
+    if type(cost) is not float and (isinstance(cost, bool) or not isinstance(cost, numbers.Real)):
         raise ValueError(f"objective {objective.name!r} returned {cost!r}, not a real scalar")
     swarm.eval_count += 1
     if cost < swarm.best_cost:

@@ -58,7 +58,7 @@ class FilterSpec:
         for name, minimum in (("n_coeff", 1), ("grid_points", 2)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         if not isinstance(self.symmetric, bool):
-            raise ValueError(f"symmetric must be True or False, got {self.symmetric!r}")
+            raise ValueError(f"symmetric must be true or false, got {self.symmetric!r}")
         for name in ("omega_p", "omega_s", "eta"):
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if not 0.0 < self.omega_p < self.omega_s < math.pi:

@@ -43,9 +43,10 @@ __all__ = [
 ]
 
 EMIT_KINDS = ("traces", "plots", "report")
-# the longest temporary artifact name, ".{label}_coefficients.csv.{pid}.tmp" with
-# a pid of up to 7 digits, must fit the 255-byte file name limit
-_LABEL_MAX = 255 - len("._coefficients.csv.1234567.tmp")
+# write_files' temporary name for an artifact and a pid; the longest, a label's
+# coefficient file with a pid of up to 7 digits, must fit the 255-byte name limit
+_TMP_NAME = ".{}.{}.tmp"
+_LABEL_MAX = 255 - len(_TMP_NAME.format("_coefficients.csv", 1234567))
 _INT_FIELDS = (
     ("population", None),
     ("iterations", None),
@@ -107,8 +108,6 @@ class ExperimentConfig:
         # the ranges of the ones passed on are checked where they are used
         for name, minimum in _INT_FIELDS:
             object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
-        if not isinstance(self.symmetric, bool):
-            raise ValueError(f"symmetric must be true or false, got {self.symmetric!r}")
         # real fields are stored as Python floats so the report serializes; every
         # report echoes the filter values, and build_problem scales wp and ws
         for name in ("k", "epsilon", "wp", "ws", "eta"):
@@ -137,7 +136,8 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown emit kinds {sorted(unknown)}; allowed: {EMIT_KINDS}")
         object.__setattr__(self, "emit", tuple(self.emit))
-        # every engine and filter value is checked here, before any run
+        # every engine and filter value is checked here, before any run, a benchmark's too
+        _filter_spec(self)
         _swarm_config(self, build_problem(self)[0], 0)
         if self.init_range is not None:
             object.__setattr__(self, "init_range", tuple(map(float, self.init_range)))
@@ -150,17 +150,21 @@ class ExperimentConfig:
         return f"{self.objective}-d{self.dimension}-p{self.population}"
 
 
+def _filter_spec(config: ExperimentConfig) -> FilterSpec:
+    return FilterSpec(
+        n_coeff=config.order,
+        omega_p=config.wp * math.pi,
+        omega_s=config.ws * math.pi,
+        eta=config.eta,
+        grid_points=config.grid,
+        symmetric=config.symmetric,
+    )
+
+
 def build_problem(config: ExperimentConfig) -> tuple[Objective, FilterSpec | None]:
     """Materialize the objective (and design spec for filter runs)."""
     if config.objective == "fir":
-        spec = FilterSpec(
-            n_coeff=config.order,
-            omega_p=config.wp * math.pi,
-            omega_s=config.ws * math.pi,
-            eta=config.eta,
-            grid_points=config.grid,
-            symmetric=config.symmetric,
-        )
+        spec = _filter_spec(config)
         return make_filter_objective(spec), spec
     return make_benchmark(config.objective, config.dimension), None
 
@@ -200,7 +204,7 @@ def write_files(out_dir, texts: dict[str, str]) -> list[str]:
     as "writing {path}: ...".
     """
     paths = [os.path.join(out_dir, name) for name in texts]
-    tmps = [os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in texts]
+    tmps = [os.path.join(out_dir, _TMP_NAME.format(name, os.getpid())) for name in texts]
     try:
         for path, tmp, text in zip(paths, tmps, texts.values()):
             with open(tmp, "w", encoding="ascii") as fh:

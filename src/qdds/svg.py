@@ -60,6 +60,18 @@ def _widen(lo: float, hi: float) -> tuple[float, float]:
     return max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
 
 
+def _text(x, y, body: str, size: int, anchor: str = "middle", extra: str = "") -> str:
+    """A sans-serif <text> element; x and y are written as given."""
+    return (
+        f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" '
+        f'font-size="{size}"{extra}>{body}</text>'
+    )
+
+
+def _tick(x1, y1, x2, y2) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black" stroke-width="1"/>'
+
+
 def line_plot(
     series,
     *,
@@ -101,9 +113,10 @@ def line_plot(
     def px(x: float) -> float:
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
-        return _MARGIN_T + (y_hi - tf(y)) / (y_hi - y_lo) * plot_h
+    def py(ty: float) -> float:  # ty is on the axis scale, tf already applied
+        return _MARGIN_T + (y_hi - ty) / (y_hi - y_lo) * plot_h
 
+    bottom = _MARGIN_T + plot_h
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -112,47 +125,25 @@ def line_plot(
         'fill="none" stroke="black" stroke-width="1"/>',
     ]
     if title:
-        lines.append(
-            f'<text x="{_WIDTH / 2:.2f}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
+        lines.append(_text(f"{_WIDTH / 2:.2f}", 22, title, 14))
     if x_label:
-        lines.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{_HEIGHT - 10}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12">{x_label}</text>'
-        )
+        lines.append(_text(f"{_MARGIN_L + plot_w / 2:.2f}", _HEIGHT - 10, x_label, 12))
     if y_label:
-        yc = _MARGIN_T + plot_h / 2
-        lines.append(
-            f'<text x="16" y="{yc:.2f}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="12" transform="rotate(-90 16 {yc:.2f})">{y_label}</text>'
-        )
+        yc = f"{_MARGIN_T + plot_h / 2:.2f}"
+        lines.append(_text(16, yc, y_label, 12, extra=f' transform="rotate(-90 16 {yc})"'))
 
     for tx in _ticks(x_lo, x_hi):
-        gx = px(tx)
-        lines.append(
-            f'<line x1="{gx:.2f}" y1="{_MARGIN_T + plot_h}" x2="{gx:.2f}" '
-            f'y2="{_MARGIN_T + plot_h + 5}" stroke="black" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<text x="{gx:.2f}" y="{_MARGIN_T + plot_h + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>'
-        )
+        gx = f"{px(tx):.2f}"
+        lines += [_tick(gx, bottom, gx, bottom + 5), _text(gx, bottom + 18, _fmt(tx), 11)]
     for ty in _ticks(y_lo, y_hi):
-        gy = _MARGIN_T + (y_hi - ty) / (y_hi - y_lo) * plot_h
+        gy = py(ty)
         label = _fmt_power(ty) if log_y else _fmt(ty)
-        lines.append(
-            f'<line x1="{_MARGIN_L - 5}" y1="{gy:.2f}" x2="{_MARGIN_L}" '
-            f'y2="{gy:.2f}" stroke="black" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<text x="{_MARGIN_L - 8}" y="{gy + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
+        lines.append(_tick(_MARGIN_L - 5, f"{gy:.2f}", _MARGIN_L, f"{gy:.2f}"))
+        lines.append(_text(_MARGIN_L - 8, f"{gy + 4:.2f}", label, 11, anchor="end"))
 
     for i, (xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        points = " ".join(f"{px(x):.2f},{py(tf(y)):.2f}" for x, y in zip(xs, ys))
         lines.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         )

@@ -226,6 +226,8 @@ class TestBadSettings:
             '"k": 1e-306, "init_range": [-1e308, 1e308]',
             # finite, but the gate step theta*grad*lam can overflow
             '"lam": 1e308',
+            # a benchmark's filter settings are checked, as a filter design's are
+            '"grid": 1, "order": 0, "wp": 0.9, "ws": 0.1, "eta": 5.0',
         ],
     )
     def test_non_finite_config_file_values(self, tmp_path, capsys, fields):

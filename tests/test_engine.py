@@ -222,7 +222,11 @@ class TestInit:
         with pytest.raises(ValueError, match="dimension"):
             init_swarm(config(dimension=3), make_benchmark("sphere", 4))
 
-    @pytest.mark.parametrize("cost", [None, "1.0", np.ones(2)], ids=["none", "str", "array"])
+    @pytest.mark.parametrize(
+        "cost",
+        [None, "1.0", np.ones(2), True, False],
+        ids=["none", "str", "array", "true", "false"],
+    )
     def test_non_scalar_cost_rejected(self, cost):
         obj = Objective(name="bad", dimension=3, evaluate=lambda x: cost, init_range=(-2.0, 2.0))
         with pytest.raises(ValueError, match="^objective 'bad' returned .*, not a real scalar$"):
@@ -230,7 +234,9 @@ class TestInit:
 
     @pytest.mark.parametrize("mode", ["literal", "sweep"])
     @pytest.mark.parametrize(
-        "cost", [None, "1.0", np.ones(2), np.ones(1)], ids=["none", "str", "array", "one-element"]
+        "cost",
+        [None, "1.0", np.ones(2), np.ones(1), False],
+        ids=["none", "str", "array", "one-element", "bool"],
     )
     def test_non_scalar_update_cost_rejected(self, cost, mode):
         # the first 2*population calls are the initial sweeps, all good floats

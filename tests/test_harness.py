@@ -127,6 +127,12 @@ class TestExperimentConfig:
             {"label": "a\x01b"},
             # the label's temporary coefficient file name would pass 255 bytes
             {"label": "a" * 226},
+            # a benchmark's filter values are checked too: its report echoes them
+            {"grid": 1},
+            {"order": 0},
+            {"wp": 0.9},
+            {"ws": 0.1},
+            {"eta": 5.0},
         ],
     )
     def test_engine_and_filter_values_checked_at_construction(self, kwargs):
