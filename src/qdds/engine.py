@@ -54,7 +54,7 @@ REBINDS = ("post", "pre")
 
 @dataclass(frozen=True)
 class SwarmConfig:
-    """Run configuration for one seeded swarm.
+    """Run configuration for one seeded swarm; the dimension is the objective's.
 
     seed may be a non-negative int or a sequence of them (a harness
     passes [master_seed, trial_index]). init_range is intersected with the
@@ -81,7 +81,6 @@ class SwarmConfig:
     """
 
     population: int
-    dimension: int
     init_range: tuple[float, float]
     seed: int | Sequence[int] = 0
     k: float = 5.0
@@ -95,7 +94,7 @@ class SwarmConfig:
     def __post_init__(self) -> None:
         # settings are stored as Python numbers, so that a numpy float32
         # one computes in float64 like any other
-        for name, minimum in (("population", 1), ("dimension", 1), ("max_iter", 3)):
+        for name, minimum in (("population", 1), ("max_iter", 3)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         for seed in self.seed if np.ndim(self.seed) else (self.seed,):
             check_int("seed", seed, 0)
@@ -199,16 +198,12 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
     position is r2. Every r1, then every r2, is scored as an update is,
     from best r1[0] at +inf; eval_count ends at 2*population, the trace at 3 rows.
     """
-    if objective.dimension != config.dimension:
-        raise ValueError(
-            f"objective dimension {objective.dimension} != config dimension {config.dimension}"
-        )
     rng = np.random.default_rng(config.seed)
     lam = float(rng.normal(0.0, 0.5) * 1e-3) if config.lam is None else config.lam
     if config.lambda_abs:
         lam = abs(lam)
     lo, hi = config.effective_init_range()
-    r1, r2 = rng.uniform(lo, hi, (2, config.population, config.dimension))
+    r1, r2 = rng.uniform(lo, hi, (2, config.population, objective.dimension))
     swarm = Swarm(
         config=config,
         positions=r2.copy(),

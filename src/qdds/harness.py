@@ -48,12 +48,12 @@ EMIT_KINDS = ("traces", "plots", "report")
 _TMP_NAME = ".{}.{}.tmp"
 _LABEL_MAX = 255 - len(_TMP_NAME.format("_coefficients.csv", 1234567))
 _INT_FIELDS = (
-    ("population", None),
-    ("iterations", None),
+    ("population", 1),
+    ("iterations", 3),
     ("trials", 1),
-    ("master_seed", None),
-    ("order", None),
-    ("grid", None),
+    ("master_seed", 0),
+    ("order", 1),
+    ("grid", 2),
     ("workers", 1),
 )
 
@@ -104,14 +104,17 @@ class ExperimentConfig:
             )
         if self.objective != "fir" or self.dimension is not None:
             object.__setattr__(self, "dimension", check_int("dimension", self.dimension, 1))
-        # integer fields are stored as Python ints so the report serializes;
-        # the ranges of the ones passed on are checked where they are used
+        # integer fields are stored as Python ints so the report serializes
         for name, minimum in _INT_FIELDS:
             object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         # real fields are stored as Python floats so the report serializes; every
         # report echoes the filter values, and build_problem scales wp and ws
         for name in ("k", "epsilon", "wp", "ws", "eta"):
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
+        if not 0.0 < self.wp < self.ws < 1.0:
+            raise ValueError(
+                f"band edges in units of pi must satisfy 0 < wp < ws < 1, got {self.wp}, {self.ws}"
+            )
         if self.lam is not None:
             object.__setattr__(self, "lam", check_real("lam", self.lam))
         if not (isinstance(self.out_dir, str) and self.out_dir):
@@ -137,7 +140,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown emit kinds {sorted(unknown)}; allowed: {EMIT_KINDS}")
         object.__setattr__(self, "emit", tuple(self.emit))
         # every engine and filter value is checked here, before any run, a benchmark's too
-        _filter_spec(self)
         _swarm_config(self, build_problem(self)[0], 0)
         if self.init_range is not None:
             object.__setattr__(self, "init_range", tuple(map(float, self.init_range)))
@@ -150,8 +152,10 @@ class ExperimentConfig:
         return f"{self.objective}-d{self.dimension}-p{self.population}"
 
 
-def _filter_spec(config: ExperimentConfig) -> FilterSpec:
-    return FilterSpec(
+def build_problem(config: ExperimentConfig) -> tuple[Objective, FilterSpec | None]:
+    """Materialize the objective and, for filter runs, the design spec; a
+    benchmark's spec is built too, so its echoed filter settings are checked."""
+    spec = FilterSpec(
         n_coeff=config.order,
         omega_p=config.wp * math.pi,
         omega_s=config.ws * math.pi,
@@ -159,12 +163,7 @@ def _filter_spec(config: ExperimentConfig) -> FilterSpec:
         grid_points=config.grid,
         symmetric=config.symmetric,
     )
-
-
-def build_problem(config: ExperimentConfig) -> tuple[Objective, FilterSpec | None]:
-    """Materialize the objective (and design spec for filter runs)."""
     if config.objective == "fir":
-        spec = _filter_spec(config)
         return make_filter_objective(spec), spec
     return make_benchmark(config.objective, config.dimension), None
 
@@ -172,7 +171,6 @@ def build_problem(config: ExperimentConfig) -> tuple[Objective, FilterSpec | Non
 def _swarm_config(config: ExperimentConfig, objective: Objective, trial: int) -> SwarmConfig:
     return SwarmConfig(
         population=config.population,
-        dimension=objective.dimension,
         init_range=objective.init_range if config.init_range is None else config.init_range,
         seed=[config.master_seed, trial],
         k=config.k,

@@ -52,11 +52,11 @@ def _ticks(lo: float, hi: float) -> list[float]:
 
 
 def _widen(lo: float, hi: float) -> tuple[float, float]:
-    """A flat range padded by 1.0 each way, or by one ulp where rounding
-    absorbs 1.0 (past 2**53), kept within the finite floats."""
+    """A flat range padded by 1.0 each way, or by two ulps from 2**52 on so its
+    quarter-span ticks stay distinct, kept within the finite floats."""
     if lo != hi:
         return lo, hi
-    pad = 1.0 if lo - 1.0 != hi + 1.0 else math.ulp(lo)
+    pad = max(1.0, 2.0 * math.ulp(lo))
     return max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
 
 

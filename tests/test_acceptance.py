@@ -123,7 +123,6 @@ def _mini_run(rng, index):
     cfg = SwarmConfig(
         max_iter=iters,
         population=pop,
-        dimension=dim,
         init_range=(-2.0, 2.0),
         seed=[9000, index],
         mode=mode,
@@ -172,8 +171,8 @@ def test_criterion_5_engine_invariant_suite():
         assert objective.evaluate(a.best_solution) == a.best_cost
 
         # blend convexity on a fresh random triple
-        raw = rng.uniform(-5.0, 5.0, cfg.dimension)
-        gbest = rng.uniform(-5.0, 5.0, cfg.dimension)
+        raw = rng.uniform(-5.0, 5.0, objective.dimension)
+        gbest = rng.uniform(-5.0, 5.0, objective.dimension)
         rho = float(rng.uniform())
         blended = blend_with_gbest(raw, gbest, rho)
         assert np.all(blended >= np.minimum(raw, gbest) - 1e-12)
@@ -196,7 +195,6 @@ def test_criterion_5_engine_invariant_suite():
                 lam=0.0,
                 max_iter=cfg.max_iter,
                 population=cfg.population,
-                dimension=cfg.dimension,
                 init_range=(-2.0, 2.0),
                 seed=[9001, i],
                 mode=cfg.mode,

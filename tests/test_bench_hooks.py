@@ -88,7 +88,7 @@ def test_blend_called_once_per_update(monkeypatch, mode, per_iteration):
 
     monkeypatch.setattr(engine, "blend_with_gbest", counting)
     config = engine.SwarmConfig(
-        population=3, dimension=2, init_range=(-1.0, 1.0), max_iter=9, mode=mode
+        population=3, init_range=(-1.0, 1.0), max_iter=9, mode=mode
     )
     result = engine.run(config, make_benchmark("sphere", 2))
     updates = (config.max_iter - 3) * per_iteration
@@ -113,7 +113,7 @@ def test_well_kernels_called_once_per_step_on_its_rows(monkeypatch, mode, rebind
     for name in shapes:
         monkeypatch.setattr(engine, name, recording(name))
     config = engine.SwarmConfig(
-        population=4, dimension=3, init_range=(-1.0, 1.0), max_iter=30, mode=mode,
+        population=4, init_range=(-1.0, 1.0), max_iter=30, mode=mode,
         rebind=rebind,
     )
     objective = make_benchmark("sphere", 3)
@@ -126,7 +126,7 @@ def test_well_kernels_called_once_per_step_on_its_rows(monkeypatch, mode, rebind
         engine.step(swarm, objective)
         # a literal wave has one row per iteration it advances
         rows = len(swarm.trace) - iteration if mode == "literal" else config.population
-        block.append((rows, config.dimension))
+        block.append((rows, objective.dimension))
     assert mode == "sweep" or max(block)[0] > 1
     assert shapes["delta_update_arrays"] == block
     assert shapes["solve_r_batch"] == block

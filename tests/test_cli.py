@@ -9,10 +9,11 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
-from qdds import cli
+from qdds import cli, harness
 from qdds.cli import main
 from qdds.filters import FilterSpec, fir_band_errors
 from qdds.presets import PRESETS
+from qdds.validate import OracleResult
 
 
 def bench_args(tmp_path, *extra):
@@ -83,6 +84,13 @@ class TestBench:
         blocker.write_text("x")
         assert main(bench_args(blocker)) == 2
         assert "runtime failure" in capsys.readouterr().err
+
+    def test_unwritable_output_is_runtime_failure(self, tmp_path, monkeypatch, capsys):
+        # a root process may write anywhere, so the permission check is made to fail
+        monkeypatch.setattr(harness.os, "access", lambda path, mode: False)
+        assert main(bench_args(tmp_path)) == 2
+        assert "output directory not writable" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_run_without_finite_cost_is_runtime_failure(self, tmp_path, capsys):
@@ -214,6 +222,26 @@ class TestBadSettings:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["bench", "--function", "sphere", "--dim", "2", "--seed", "-1"],
+             "master_seed must be >= 0, got -1"),
+            (["bench", "--function", "sphere", "--dim", "2", "--iters", "2"],
+             "iterations must be >= 3, got 2"),
+            (["fir", "--order", "0"], "order must be >= 1, got 0"),
+            (["fir", "--grid", "1"], "grid must be >= 2, got 1"),
+            (["fir", "--wp", "0.7"],
+             "band edges in units of pi must satisfy 0 < wp < ws < 1, got 0.7, 0.6"),
+        ],
+        ids=["seed", "iters", "order", "grid", "wp"],
+    )
+    def test_message_names_the_field_set(self, tmp_path, capsys, args, message):
+        out = tmp_path / "out"
+        assert main([args[0], "--out", str(out), *args[1:]]) == 1
+        assert capsys.readouterr().err == f"bad configuration: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "fields",
         [
             '"k": Infinity',
@@ -337,6 +365,14 @@ class TestValidate:
         assert "FAIL attenuation golden, 10-tap" in out
         assert "ok   attenuation golden, 20-tap" in out
         assert "1 oracle check(s) failed" in out
+
+    def test_all_passing_exits_zero(self, monkeypatch, capsys):
+        passing = [OracleResult("check a", True, "fine"), OracleResult("check b", True, "fine")]
+        monkeypatch.setattr(cli, "run_validation", lambda: passing)
+        assert main(["validate"]) == 0
+        assert capsys.readouterr().out == (
+            "ok   check a: fine\nok   check b: fine\nall oracle checks passed\n"
+        )
 
 
 class TestPresets:

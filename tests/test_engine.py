@@ -28,11 +28,14 @@ from qdds.well import (
 )
 
 
+# the dimension of the objectives that config()'s swarms run on
+DIM = 3
+
+
 def config(**kwargs):
     defaults = dict(
         max_iter=20,
         population=4,
-        dimension=3,
         init_range=(-2.0, 2.0),
         seed=42,
     )
@@ -40,30 +43,28 @@ def config(**kwargs):
     return SwarmConfig(**defaults)
 
 
-def _init_rng(cfg):
+def _init_rng(cfg, dimension=DIM):
     """A generator in the state init_swarm's lam and (r1, r2) draws leave,
     before it plans the waves."""
     rng = np.random.default_rng(cfg.seed)
     if cfg.lam is None:
         rng.normal(0.0, 0.5)
-    rng.uniform(*cfg.effective_init_range(), (2, cfg.population, cfg.dimension))
+    rng.uniform(*cfg.effective_init_range(), (2, cfg.population, dimension))
     return rng
 
 
 def _initial_draws(cfg):
-    """The (r1, r2) position sets init_swarm draws for cfg."""
+    """The (r1, r2) position sets init_swarm draws for cfg on a DIM objective."""
     rng = np.random.default_rng(cfg.seed)
     rng.normal(0.0, 0.5)  # the lam draw comes first
     lo, hi = cfg.init_range
-    return rng.uniform(lo, hi, (2, cfg.population, cfg.dimension))
+    return rng.uniform(lo, hi, (2, cfg.population, DIM))
 
 
 class TestSwarmConfig:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             config(population=0)
-        with pytest.raises(ValueError):
-            config(dimension=0)
         with pytest.raises(ValueError):
             config(init_range=(1.0, -1.0))
         with pytest.raises(ValueError):
@@ -80,7 +81,6 @@ class TestSwarmConfig:
         [
             {"population": 2.0},
             {"population": True},
-            {"dimension": 2.5},
             {"max_iter": 10.5},
             {"seed": 1.5},
             {"seed": [2023, 1.5]},
@@ -89,7 +89,7 @@ class TestSwarmConfig:
         ],
     )
     def test_counts_and_seeds_must_be_integers(self, kwargs):
-        with pytest.raises(ValueError, match="population|dimension|max_iter|seed"):
+        with pytest.raises(ValueError, match="population|max_iter|seed"):
             config(**kwargs)
     def test_numpy_integers_accepted(self):
         cfg = config(population=np.int64(3), max_iter=np.int32(10), seed=[np.uint64(5), 2])
@@ -162,7 +162,7 @@ class TestBlend:
 class TestInit:
     def test_counters_and_trace(self):
         cfg = config()
-        obj = make_benchmark("sphere", cfg.dimension)
+        obj = make_benchmark("sphere", DIM)
         swarm = init_swarm(cfg, obj)
         assert len(swarm.trace) == 3
         assert swarm.eval_count == 2 * cfg.population
@@ -175,7 +175,7 @@ class TestInit:
 
     def test_single_particle_best_is_min_of_both_draws(self):
         cfg = config(population=1, seed=7)
-        obj = make_benchmark("sphere", cfg.dimension)
+        obj = make_benchmark("sphere", DIM)
         rng = np.random.default_rng(7)
         rng.normal(0.0, 0.5)  # the lam draw comes first
         r1 = rng.uniform(-2.0, 2.0, (1, 3))
@@ -186,11 +186,11 @@ class TestInit:
     @pytest.mark.parametrize("seed", [[2023, 0], 5])
     def test_histories_come_from_two_sequential_draws(self, seed):
         cfg = config(seed=seed, population=5)
-        swarm = init_swarm(cfg, make_benchmark("rastrigin", cfg.dimension))
+        swarm = init_swarm(cfg, make_benchmark("rastrigin", DIM))
         rng = np.random.default_rng(seed)
         rng.normal(0.0, 0.5)  # lam
-        r1 = rng.uniform(-2.0, 2.0, (cfg.population, cfg.dimension))
-        r2 = rng.uniform(-2.0, 2.0, (cfg.population, cfg.dimension))
+        r1 = rng.uniform(-2.0, 2.0, (cfg.population, DIM))
+        r2 = rng.uniform(-2.0, 2.0, (cfg.population, DIM))
         assert swarm.positions.tobytes() == r2.tobytes()
         assert swarm.delta_prev.tobytes() == delta_of_r(r2, cfg.k).tobytes()
         assert swarm.delta_prev2.tobytes() == delta_of_r(r1, cfg.k).tobytes()
@@ -201,7 +201,7 @@ class TestInit:
 
     def test_degenerate_range_pins_histories(self):
         cfg = config(init_range=(0.1, 0.1))
-        obj = make_benchmark("sphere", cfg.dimension)
+        obj = make_benchmark("sphere", DIM)
         swarm = init_swarm(cfg, obj)
         expected = delta_of_r(0.1, cfg.k)
         assert np.all(swarm.delta_prev == expected)
@@ -210,17 +210,13 @@ class TestInit:
 
     def test_deterministic(self):
         cfg = config(seed=[5, 2])
-        obj = make_benchmark("rastrigin", cfg.dimension)
+        obj = make_benchmark("rastrigin", DIM)
         a = init_swarm(cfg, obj)
         b = init_swarm(cfg, obj)
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.delta_prev, b.delta_prev)
         assert a.best_cost == b.best_cost
         assert a.lam == b.lam
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
-            init_swarm(config(dimension=3), make_benchmark("sphere", 4))
 
     @pytest.mark.parametrize(
         "cost",
@@ -286,17 +282,17 @@ class TestInit:
 
     def test_explicit_lam_honored(self):
         cfg = config(lam=-0.25, max_iter=20)
-        swarm = init_swarm(cfg, make_benchmark("sphere", cfg.dimension))
+        swarm = init_swarm(cfg, make_benchmark("sphere", DIM))
         assert swarm.lam == -0.25
 
     def test_lambda_abs_flips_negative_lam(self):
         cfg = config(lam=-0.25, max_iter=20, lambda_abs=True)
-        swarm = init_swarm(cfg, make_benchmark("sphere", cfg.dimension))
+        swarm = init_swarm(cfg, make_benchmark("sphere", DIM))
         assert swarm.lam == 0.25
 
     def test_drawn_lam_scale(self):
         cfg = config(seed=11)
-        swarm = init_swarm(cfg, make_benchmark("sphere", cfg.dimension))
+        swarm = init_swarm(cfg, make_benchmark("sphere", DIM))
         rng = np.random.default_rng(11)
         assert swarm.lam == float(rng.normal(0.0, 0.5) * 1e-3)
 
@@ -310,7 +306,7 @@ def _update_particle_reference(swarm, objective, p, theta):
     dp = swarm.delta_prev[p]
     dp2 = swarm.delta_prev2[p]
     delta_new, fired = delta_update_arrays(dp, dp2, theta, swarm.lam)
-    swarm.events["in_band"] += int(cfg.dimension - fired.sum())
+    swarm.events["in_band"] += int(fired.size - fired.sum())
     r_raw, solved, fallbacks = solve_r_batch(delta_new, cfg.k)
     swarm.events["solver_fallback"] += fallbacks
     swarm.events["guard_clamp"] += int((~solved).sum())
@@ -353,7 +349,7 @@ def step_both(swarm, ref, objective):
 def reference_pair(cfg, objective):
     """A swarm and its reference, which draws from its own rng."""
     swarm, ref = init_swarm(cfg, objective), init_swarm(cfg, objective)
-    ref.rng = _init_rng(cfg)
+    ref.rng = _init_rng(cfg, objective.dimension)
     return swarm, ref
 
 
@@ -391,9 +387,9 @@ class TestStepMatchesReference:
     @pytest.mark.parametrize("function", ["rastrigin", "rosenbrock"])
     def test_run(self, mode, rebind, seed, function):
         cfg = config(
-            mode=mode, rebind=rebind, seed=seed, population=6, dimension=5, max_iter=60
+            mode=mode, rebind=rebind, seed=seed, population=6, max_iter=60
         )
-        obj = make_benchmark(function, cfg.dimension)
+        obj = make_benchmark(function, 5)
         swarm, ref = reference_pair(cfg, obj)
         while len(swarm.trace) < cfg.max_iter:
             step_both(swarm, ref, obj)
@@ -406,7 +402,7 @@ class TestStepMatchesReference:
         # dimension 0 sits above its band near DELTA_MAX; a negative lam
         # pushes it past the solvable range, so it comes back unsolved
         cfg = config(mode=mode, rebind=rebind, lam=-1.0, seed=9)
-        obj = make_benchmark("sphere", cfg.dimension)
+        obj = make_benchmark("sphere", DIM)
         swarm, ref = reference_pair(cfg, obj)
         for s in (swarm, ref):
             s.delta_prev[:, 0] = 0.9 * DELTA_MAX
@@ -425,7 +421,7 @@ class TestStep:
         # per iteration one particle: a wave's updated rows are distinct,
         # one per iteration it advances
         cfg = config(seed=3, population=8, max_iter=60)
-        obj = make_benchmark("rastrigin", cfg.dimension)
+        obj = make_benchmark("rastrigin", DIM)
         swarm = init_swarm(cfg, obj)
         while len(swarm.trace) < cfg.max_iter:
             before, iteration = swarm.positions.copy(), len(swarm.trace)
@@ -439,7 +435,7 @@ class TestStep:
 
     def test_sweep_updates_all_particles(self):
         cfg = config(mode="sweep", seed=3)
-        base = make_benchmark("rastrigin", cfg.dimension)
+        base = make_benchmark("rastrigin", DIM)
         evaluated = []
 
         def evaluate(x):
@@ -459,7 +455,7 @@ class TestStep:
 
     def test_step_replays_seeded_schedule(self):
         cfg = config()
-        obj = make_benchmark("sphere", cfg.dimension)
+        obj = make_benchmark("sphere", DIM)
         swarm = init_swarm(cfg, obj)
         before = swarm.positions.copy()
         dp, dp2 = swarm.delta_prev.copy(), swarm.delta_prev2.copy()
@@ -497,7 +493,7 @@ class TestStep:
 
     def test_step_past_max_iter_rejected(self):
         cfg = config(max_iter=4)
-        obj = make_benchmark("sphere", cfg.dimension)
+        obj = make_benchmark("sphere", DIM)
         swarm = init_swarm(cfg, obj)
         step(swarm, obj)
         with pytest.raises(ValueError, match="max_iter"):
@@ -507,7 +503,7 @@ class TestStep:
         # 1000 particles make a repeat within 5 picks unlikely: the first wave
         # is cut by max_iter, and no pick or rho is drawn past it
         cfg = config(population=1000, max_iter=8, seed=6)
-        obj = make_benchmark("sphere", cfg.dimension)
+        obj = make_benchmark("sphere", DIM)
         swarm = init_swarm(cfg, obj)
         rng = _init_rng(cfg)
         step(swarm, obj)
@@ -522,7 +518,7 @@ class TestStep:
     @pytest.mark.parametrize("mode", ["literal", "sweep"])
     def test_step_draws_nothing(self, mode):
         cfg = config(mode=mode, seed=[2023, 4])
-        obj = make_benchmark("rastrigin", cfg.dimension)
+        obj = make_benchmark("rastrigin", DIM)
         swarm = init_swarm(cfg, obj)
         state = swarm.rng.bit_generator.state
         while len(swarm.trace) < cfg.max_iter:
@@ -532,7 +528,7 @@ class TestStep:
     @pytest.mark.parametrize("seed", [3, [2023, 1]])
     def test_literal_waves_partition_the_run(self, seed):
         cfg = config(seed=seed, population=5, max_iter=40)
-        waves = init_swarm(cfg, make_benchmark("sphere", cfg.dimension)).waves[::-1]
+        waves = init_swarm(cfg, make_benchmark("sphere", DIM)).waves[::-1]
         assert_wave_arrays(waves)
         assert sum(len(rows) for rows, _, _ in waves) == cfg.max_iter - 3
         assert all(len(set(rows.tolist())) == len(rows) == len(thetas) == len(rhos)
@@ -550,7 +546,7 @@ class TestStep:
 
     def test_sweep_waves_partition_the_run(self):
         cfg = config(mode="sweep", seed=3)
-        waves = init_swarm(cfg, make_benchmark("sphere", cfg.dimension)).waves[::-1]
+        waves = init_swarm(cfg, make_benchmark("sphere", DIM)).waves[::-1]
         assert_wave_arrays(waves)
         assert len(waves) == cfg.max_iter - 3
         rng = _init_rng(cfg)
@@ -565,7 +561,7 @@ class TestStep:
 
     def test_post_rebind_keeps_delta_position_invariant(self):
         cfg = config(seed=19, rebind="post")
-        obj = make_benchmark("rastrigin", cfg.dimension)
+        obj = make_benchmark("rastrigin", DIM)
         swarm = init_swarm(cfg, obj)
         while len(swarm.trace) < cfg.max_iter:
             step(swarm, obj)
@@ -575,7 +571,7 @@ class TestStep:
         # degenerate init: grad = 0, every dimension in-band, so the
         # gate passes delta through and the inverse solve repeats 0.1
         cfg = config(init_range=(0.1, 0.1), rebind="pre", seed=2)
-        obj = make_benchmark("sphere", cfg.dimension)
+        obj = make_benchmark("sphere", DIM)
         swarm = init_swarm(cfg, obj)
         expected = delta_of_r(0.1, cfg.k)
         while len(swarm.trace) < cfg.max_iter:
@@ -662,7 +658,7 @@ class TestDrawLiteral:
             for trial in range(cfg.trials):
                 swarm_cfg = _swarm_config(cfg, objective, trial)
                 assert swarm_cfg.mode == "literal"
-                counting = CountingGenerator(_init_rng(swarm_cfg))
+                counting = CountingGenerator(_init_rng(swarm_cfg, objective.dimension))
                 _draw_literal(counting, swarm_cfg.population, swarm_cfg.max_iter - 3)
                 assert counting.scalar_draws == 0, (cfg.resolved_label(), trial)
 
@@ -670,7 +666,7 @@ class TestDrawLiteral:
 class TestRun:
     def test_max_iter_three_is_init_only(self):
         cfg = config(max_iter=3, seed=8)
-        obj = make_benchmark("sphere", cfg.dimension)
+        obj = make_benchmark("sphere", DIM)
         res = run(cfg, obj)
         swarm = init_swarm(cfg, obj)
         assert res.best_cost == swarm.best_cost
@@ -679,7 +675,7 @@ class TestRun:
 
     def test_trace_shape_and_monotonicity(self):
         cfg = config(max_iter=40, seed=1)
-        obj = make_benchmark("rastrigin", cfg.dimension)
+        obj = make_benchmark("rastrigin", DIM)
         res = run(cfg, obj)
         assert len(res.trace) == 40
         assert [row[0] for row in res.trace] == list(range(1, 41))
@@ -689,20 +685,20 @@ class TestRun:
 
     def test_eval_accounting(self):
         cfg = config(max_iter=25, seed=4)
-        obj = make_benchmark("sphere", cfg.dimension)
+        obj = make_benchmark("sphere", DIM)
         assert run(cfg, obj).eval_count == 2 * cfg.population + (25 - 3)
         cfg_sweep = config(max_iter=25, seed=4, mode="sweep")
         assert run(cfg_sweep, obj).eval_count == 2 * cfg.population + (25 - 3) * cfg.population
 
     def test_best_cost_matches_best_solution(self):
         cfg = config(seed=13)
-        obj = make_benchmark("griewank", cfg.dimension)
+        obj = make_benchmark("griewank", DIM)
         res = run(cfg, obj)
         assert obj.evaluate(res.best_solution) == res.best_cost
 
     def test_bitwise_determinism(self):
         cfg = config(seed=[2023, 6], max_iter=30)
-        obj = make_benchmark("rastrigin", cfg.dimension)
+        obj = make_benchmark("rastrigin", DIM)
         a = run(cfg, obj)
         b = run(cfg, obj)
         assert a.best_cost == b.best_cost
@@ -715,7 +711,7 @@ class TestRun:
         cfg = config(
             init_range=(-100.0, 100.0), seed=21, max_iter=30
         )
-        obj = make_benchmark("sphere", cfg.dimension)
+        obj = make_benchmark("sphere", DIM)
         swarm = init_swarm(cfg, obj)
         hw = cfg.guard_halfwidth()
         while len(swarm.trace) < cfg.max_iter:
@@ -726,7 +722,6 @@ class TestRun:
         cfg = SwarmConfig(
             max_iter=250,
             population=4,
-            dimension=1,
             init_range=(-0.01, 0.01),
             seed=0,
         )
@@ -735,17 +730,17 @@ class TestRun:
 
     def test_event_counters_bounded(self):
         cfg = config(seed=17, max_iter=30)
-        obj = make_benchmark("rastrigin", cfg.dimension)
+        obj = make_benchmark("rastrigin", DIM)
         res = run(cfg, obj)
         updates = 30 - 3
         events = res.events
-        assert 0 <= events["in_band"] <= updates * cfg.dimension
+        assert 0 <= events["in_band"] <= updates * DIM
         assert events["solver_fallback"] >= 0
         assert events["guard_clamp"] >= 0
 
     def test_nan_cost_at_init_does_not_poison_best(self):
         cfg = config(seed=5)
-        base = make_benchmark("sphere", cfg.dimension)
+        base = make_benchmark("sphere", DIM)
         calls = []
 
         def evaluate(x):
@@ -766,7 +761,7 @@ class TestRun:
         cfg = config(
             lam=0.0, max_iter=30, rebind="pre", seed=23
         )
-        obj = make_benchmark("rastrigin", cfg.dimension)
+        obj = make_benchmark("rastrigin", DIM)
         swarm = init_swarm(cfg, obj)
         initial_prev = swarm.delta_prev.copy()
         while len(swarm.trace) < cfg.max_iter:

@@ -72,6 +72,22 @@ class TestExperimentConfig:
         assert objective.dimension == 5
         assert spec.n_coeff == 10
 
+    @pytest.mark.parametrize("objective, dimension", [("fir", None), ("sphere", 2)])
+    def test_one_filter_spec_per_build(self, monkeypatch, objective, dimension):
+        built = []
+        spec_type = harness.FilterSpec
+
+        def counting(**kwargs):
+            built.append(kwargs)
+            return spec_type(**kwargs)
+
+        monkeypatch.setattr(harness, "FilterSpec", counting)
+        cfg = ExperimentConfig(objective=objective, dimension=dimension)
+        assert len(built) == 1
+        _, spec = build_problem(cfg)
+        assert len(built) == 2
+        assert (spec is None) == (objective != "fir")
+
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError):
             tiny_config(trials=0)
@@ -603,6 +619,14 @@ class TestRunExperiment:
         assert (tmp_path / "fir-10_response.svg").exists()
         coeffs = np.loadtxt(tmp_path / "fir-10_coefficients.csv")
         assert np.allclose(coeffs, report["fir"]["coefficients"], rtol=0, atol=1e-16)
+
+    def test_unwritable_output_dir_fails_before_running(self, tmp_path, monkeypatch):
+        # a root process may write anywhere, so the permission check is made to fail
+        monkeypatch.setattr(harness.os, "access", lambda path, mode: False)
+        monkeypatch.setattr(harness, "run_trial", lambda *args: pytest.fail("a trial ran"))
+        with pytest.raises(OSError, match="output directory not writable"):
+            run_experiment(tiny_config(out_dir=str(tmp_path)))
+        assert list(tmp_path.iterdir()) == []
 
     def test_output_dir_collision_fails_before_running(self, tmp_path):
         blocker = tmp_path / "file"

@@ -144,6 +144,8 @@ def test_unknown_benchmark_rejected():
 def test_objective_validation():
     with pytest.raises(ValueError):
         Objective(name="x", dimension=0, evaluate=sphere, init_range=(-1, 1))
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        Objective(name="x", dimension=2.5, evaluate=sphere, init_range=(-1, 1))
     with pytest.raises(ValueError):
         Objective(name="x", dimension=2, evaluate=sphere, init_range=(1, -1))
 

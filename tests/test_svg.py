@@ -9,6 +9,7 @@ to move plot bytes re-records the digests and says so.
 
 import hashlib
 import math
+import re
 
 import pytest
 
@@ -37,7 +38,7 @@ DIGESTS = {
     "labels-linear": "322d544d34247cbdb329f8eff040a7c149575c90bdd00c7c0c073fef24977f33",
     "bare-linear": "33c8ce4fed01e878ba3e3868aa1c7efcb4b17ef6455a10f435236ae2a650e546",
     "labels-log": "4535c364fd98436b6cefa384fe4913a92285d9b25517c9dfd90b724f58c79148",
-    "flat-past-2-53": "7053b0d367002ba6c6a69bb02da3df1d75468ca8c80a1d0151090741783da131",
+    "flat-past-2-53": "49cf851a0ed136cd6b290ebe79f51614a8551bf40282105c16a9e312cbc40100",
     "flat-log-float-max": "fd24e2ab5bc75dd0a59465663c489cc8a79a91cd45744e82c74dea58617d762a",
     "flat-tiny": "6a53d24f6f1f081af67465dd76f623e80c8dd3cddd9a00c047496ffe9639f671",
     "palette-wraps": "e335b08783d072f48bc7c5128dd7565d9d5b44ee604a3690299fde132f4c5265",
@@ -52,3 +53,16 @@ def test_line_plot_bytes_unchanged(case):
     text = line_plot(series, **kwargs)
     assert text.isascii()
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[case]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [3.0, 5e-324, 1e17, 2.0**52 + 1, 2.0**60, -(2.0**60)],
+    ids=["3", "5e-324", "1e17", "2**52+1", "2**60", "-2**60"],
+)
+def test_flat_axis_ticks_distinct(value):
+    # a flat axis is padded so that its five quarter-span ticks land on five pixels
+    text = line_plot([([1, 2, 3], [value] * 3)])
+    y_ticks = re.findall(r'<line x1="59" y1="([^"]+)"', text)
+    assert len(y_ticks) == 5
+    assert len(set(y_ticks)) == 5

@@ -441,14 +441,14 @@ class TestDeltaUpdate:
         with np.errstate(over="raise"):
             out, fired = delta_update_arrays(dp, dp2, 1.0, lam)
         assert fired.any() and np.isfinite(out).all()
-        SwarmConfig(population=1, dimension=1, init_range=(0.0, 0.0), lam=lam)
+        SwarmConfig(population=1, init_range=(0.0, 0.0), lam=lam)
 
 
 class TestWellParams:
     """The well constants k, epsilon, lam and max_iter of SwarmConfig."""
 
     def config(self, **kwargs):
-        return SwarmConfig(population=4, dimension=3, init_range=(-2.0, 2.0), **kwargs)
+        return SwarmConfig(population=4, init_range=(-2.0, 2.0), **kwargs)
 
     def test_defaults_valid(self):
         p = self.config()
