@@ -1,7 +1,9 @@
 """Benchmark cost functions and the common objective interface.
 
 Four classic minimization benchmarks (all with a known zero optimum)
-plus a small registry keyed by name; they reduce with np.add.reduce and
+plus a small registry keyed by name. Each takes one point (a Python float
+back) or an (n, D) block of rows (n float64 costs, each with the bits of its
+row's 1-D call) and reduces along the last axis with np.add.reduce and
 np.multiply.reduce, which ndarray.sum and .prod run under a wrapper.
 Filter-design objectives live in :mod:`qdds.filters`, in the same shape.
 """
@@ -66,21 +68,39 @@ class Objective:
             raise ValueError(f"init_range must be non-empty, got {self.init_range}")
 
 
-def rastrigin(x) -> float:
+def _row_form(benchmark):
+    """Mark a benchmark written over (n, D) rows: a 2-D call returns the n row
+    costs as a float64 array, each with the bits of the 1-D call on its row.
+    The engine scores a block of rows in one call when evaluate carries the
+    mark, which functools.wraps copies onto a wrapper."""
+    benchmark.takes_rows = True
+    return benchmark
+
+
+def _cost(costs):
+    """A 1-D call's cost as a Python float; a block's costs as they are."""
+    return float(costs) if costs.ndim == 0 else costs
+
+
+@_row_form
+def rastrigin(x):
     x = np.asarray(x, dtype=float)
-    return float(10.0 * x.size + np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x), None))
+    return _cost(10.0 * x.shape[-1] + np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x), -1))
 
 
-def rosenbrock(x) -> float:
+@_row_form
+def rosenbrock(x):
     x = np.asarray(x, dtype=float)
-    if x.size < 2:
-        raise ValueError(f"rosenbrock needs n >= 2, got n={x.size}")
-    return float(np.add.reduce(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2, None))
+    if x.shape[-1] < 2:
+        raise ValueError(f"rosenbrock needs n >= 2, got n={x.shape[-1]}")
+    head, tail = x[..., :-1], x[..., 1:]
+    return _cost(np.add.reduce(100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2, -1))
 
 
-def sphere(x) -> float:
+@_row_form
+def sphere(x):
     x = np.asarray(x, dtype=float)
-    return float(np.add.reduce(x * x, None))
+    return _cost(np.add.reduce(x * x, -1))
 
 
 @functools.lru_cache(maxsize=32)
@@ -90,10 +110,11 @@ def _griewank_roots(n: int) -> np.ndarray:
     return roots
 
 
-def griewank(x) -> float:
+@_row_form
+def griewank(x):
     x = np.asarray(x, dtype=float)
-    cosines = np.cos(x / _griewank_roots(x.size))
-    return float(1.0 + np.add.reduce(x * x, None) / 4000.0 - np.multiply.reduce(cosines, None))
+    cosines = np.cos(x / _griewank_roots(x.shape[-1]))
+    return _cost(1.0 + np.add.reduce(x * x, -1) / 4000.0 - np.multiply.reduce(cosines, -1))
 
 
 # canonical initialization domains (community convention, per dimension)

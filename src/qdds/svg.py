@@ -53,11 +53,16 @@ def _ticks(lo: float, hi: float) -> list[float]:
 
 def _widen(lo: float, hi: float) -> tuple[float, float]:
     """A flat range padded by 1.0 each way, or by two ulps from 2**52 on so its
-    quarter-span ticks stay distinct, kept within the finite floats."""
+    quarter-span ticks stay distinct; at either end of the finite floats both
+    pads go inward."""
     if lo != hi:
         return lo, hi
     pad = max(1.0, 2.0 * math.ulp(lo))
-    return max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
+    if hi + pad > sys.float_info.max:
+        return lo - 2.0 * pad, hi
+    if lo - pad < -sys.float_info.max:
+        return lo, hi + 2.0 * pad
+    return lo - pad, hi + pad
 
 
 def _text(x, y, body: str, size: int, anchor: str = "middle", extra: str = "") -> str:

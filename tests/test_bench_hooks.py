@@ -8,12 +8,15 @@ harness.run_trial. Each name must stay a module attribute that its
 caller looks up at call time, and the FIR response counters read the
 wrapped call's second positional argument as omega. The per-layer call
 counts rest on how a step batches its work: one gate, one solve and one
-rebind per step, on the (updated rows, dimension) block of its wave, and
-one blend per update. perfbench/ is only read here.
+rebind per step, on the (updated rows, dimension) block of its wave; for a
+benchmark one blend and one evaluation per block of rows (the wave's, then
+the rows after each improvement), for any other objective one per update.
+perfbench/ is only read here.
 """
 
 import importlib
 import runpy
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -77,23 +80,62 @@ def test_run_trial_calls_build_problem_through_module(monkeypatch):
     assert calls == [config]
 
 
-@pytest.mark.parametrize("mode, per_iteration", [("literal", 1), ("sweep", 3)])
-def test_blend_called_once_per_update(monkeypatch, mode, per_iteration):
-    calls = []
-    blend = engine.blend_with_gbest
+def run_recording(monkeypatch, blend, config, objective):
+    """Run with blend_with_gbest recording (shape blended, gbest passed) per
+    call, one list per step."""
+    steps = []
 
-    def counting(raw, gbest, rho):
-        calls.append(rho)
+    def recording(raw, gbest, rho):
+        steps[-1].append((np.shape(raw), gbest))
         return blend(raw, gbest, rho)
 
-    monkeypatch.setattr(engine, "blend_with_gbest", counting)
+    monkeypatch.setattr(engine, "blend_with_gbest", recording)
+    swarm = engine.init_swarm(config, objective)
+    while swarm.waves:
+        steps.append([])
+        engine.step(swarm, objective)
+    return swarm, steps
+
+
+@pytest.mark.parametrize("mode, per_iteration", [("literal", 1), ("sweep", 12)])
+def test_blend_called_once_per_block(monkeypatch, mode, per_iteration):
     config = engine.SwarmConfig(
-        population=3, init_range=(-1.0, 1.0), max_iter=9, mode=mode
+        population=12, init_range=(-1.0, 1.0), max_iter=30, mode=mode
     )
-    result = engine.run(config, make_benchmark("sphere", 2))
+    benchmark = make_benchmark("sphere", 2)
+    shapes = []
+
+    def evaluate(x):
+        shapes.append(np.shape(x))
+        return benchmark.evaluate(x)
+
+    blend = engine.blend_with_gbest
+    per_row = replace(benchmark, evaluate=evaluate)
+    per_row_result, per_row_steps = run_recording(monkeypatch, blend, config, per_row)
+    result, steps = run_recording(monkeypatch, blend, config, benchmark)
     updates = (config.max_iter - 3) * per_iteration
-    assert len(calls) == updates
-    assert result.eval_count == 2 * config.population + updates
+    for swarm in (per_row_result, result):
+        assert swarm.eval_count == 2 * config.population + updates
+    # any other objective: one call and one blend per point
+    point = (benchmark.dimension,)
+    assert shapes == [point] * (2 * config.population + updates)
+    assert [shape for step in per_row_steps for shape, _ in step] == [point] * updates
+    # a benchmark: one blend per block, the first the whole wave, the next
+    # starting after the first improvement (where the per-row run's next update
+    # sees a new gbest), twice as long as the rows accepted and at least 8
+    for blocks, updated in zip(steps, per_row_steps, strict=True):
+        n = len(updated)
+        improved = [updated[k + 1][1] is not updated[k][1] for k in range(n - 1)]
+        expected, i, size = [], 0, n
+        while i < n:
+            end = min(i + size, n)
+            expected.append(end - i)
+            last = next((k for k in range(i, end - 1) if improved[k]), end - 1)
+            size = max(8, 2 * (last + 1 - i))
+            i = last + 1
+        assert [shape for shape, _ in blocks] == [(size, 2) for size in expected]
+    assert any(len(blocks) > 1 for blocks in steps)
+    assert sum(map(len, steps)) < updates
 
 
 @pytest.mark.parametrize("mode", ["literal", "sweep"])
@@ -166,3 +208,23 @@ def test_tracer_spans_the_fir_objective(tmp_path):
     # evaluations reuse their bases; only the attenuation and the response plot
     # compute a response through fir_response_magnitude
     assert metrics["filters.response.calls"] == 2
+
+
+def test_tracer_keeps_the_benchmark_block_path(tmp_path):
+    # the traced evaluate is a functools.wraps wrapper, which keeps the mark
+    # that sends a benchmark's blocks of rows to one call each
+    tracer = SPANS["Tracer"]()
+    tracer.install({"engine": engine, "filters": filters, "harness": harness, "svg": svg})
+    config = harness.ExperimentConfig(
+        objective="rastrigin", dimension=3, population=4, iterations=30, trials=1,
+        out_dir=str(tmp_path),
+    )
+    try:
+        _, report = harness.run_experiment(config)
+    finally:
+        tracer.restore()
+    metrics = SPANS["layer_metrics"](tracer, 1.0)
+    # two initial blocks, then one blend and one evaluation per block
+    assert metrics["engine.init.evals"] == 2
+    assert metrics["objectives.evaluate.calls"] == 2 + metrics["engine.updates"]
+    assert metrics["engine.updates"] < report["trials"][0]["eval_count"] - 2 * config.population

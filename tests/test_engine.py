@@ -1,5 +1,6 @@
 """Swarm engine: config guards, init/step semantics, run invariants."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ from qdds.engine import (
     step,
 )
 from qdds.harness import _swarm_config, build_problem
-from qdds.objectives import Objective, make_benchmark
+from qdds.objectives import BENCHMARK_NAMES, Objective, make_benchmark, sphere
 from qdds.presets import PRESETS
 from qdds.well import (
     DELTA_MAX,
@@ -51,6 +52,25 @@ def _init_rng(cfg, dimension=DIM):
         rng.normal(0.0, 0.5)
     rng.uniform(*cfg.effective_init_range(), (2, cfg.population, dimension))
     return rng
+
+
+def scripted(costs, takes_rows=False):
+    """An evaluate returning costs in scoring order, one per call; with
+    takes_rows it carries the benchmarks' mark (functools.wraps copies it, as
+    onto any wrapper of a benchmark) and returns one cost per row of a block."""
+    costs = list(costs)
+
+    def evaluate(x):
+        if np.ndim(x) == 2:
+            return np.array([costs.pop(0) for _ in x])
+        return costs.pop(0)
+
+    return functools.wraps(sphere)(evaluate) if takes_rows else evaluate
+
+
+def per_row(objective):
+    """objective behind a plain wrapper, which scores one row per call."""
+    return replace(objective, evaluate=lambda x: objective.evaluate(x))
 
 
 def _initial_draws(cfg):
@@ -264,15 +284,11 @@ class TestInit:
         [((1, 3), 1), ((4, 6), 4), ((2, 5), 2), ((0, 7), 0)],
         ids=["within-r1", "within-r2", "across", "first-and-last"],
     )
-    def test_first_evaluated_of_tied_minima_wins(self, tied, winner):
+    @pytest.mark.parametrize("takes_rows", [False, True], ids=["per-row", "rows"])
+    def test_first_evaluated_of_tied_minima_wins(self, tied, winner, takes_rows):
         cfg = config(population=4)
         costs = [5.0 if i in tied else 9.0 - i * 0.5 for i in range(2 * cfg.population)]
-        calls = []
-
-        def evaluate(x):
-            calls.append(None)
-            return costs[len(calls) - 1]
-
+        evaluate = scripted(costs, takes_rows)
         obj = Objective(name="ties", dimension=3, evaluate=evaluate, init_range=(-2.0, 2.0))
         swarm = init_swarm(cfg, obj)
         points = np.concatenate(_initial_draws(cfg))
@@ -289,6 +305,28 @@ class TestInit:
         cfg = config(lam=-0.25, max_iter=20, lambda_abs=True)
         swarm = init_swarm(cfg, make_benchmark("sphere", DIM))
         assert swarm.lam == 0.25
+
+    @pytest.mark.parametrize(
+        "costs",
+        [None, np.ones(3), np.ones(4, complex), np.ones(4, bool), np.ones(4, np.float32)],
+        ids=["none", "short", "complex", "bool", "float32"],
+    )
+    def test_non_real_block_costs_rejected(self, costs):
+        evaluate = functools.wraps(sphere)(lambda x: costs)
+        obj = Objective(name="bad", dimension=3, evaluate=evaluate, init_range=(-2.0, 2.0))
+        with pytest.raises(ValueError, match="^objective 'bad' returned .*, not 4 real costs$"):
+            init_swarm(config(), obj)
+
+    @pytest.mark.parametrize("seed", [[2023, 0], 5])
+    @pytest.mark.parametrize("function", BENCHMARK_NAMES)
+    def test_block_scoring_matches_per_row(self, function, seed):
+        cfg = config(seed=seed, population=20)
+        obj = make_benchmark(function, 5)
+        a, b = init_swarm(cfg, obj), init_swarm(cfg, per_row(obj))
+        assert np.float64(a.best_cost).tobytes() == np.float64(b.best_cost).tobytes()
+        assert a.best_solution.tobytes() == b.best_solution.tobytes()
+        assert a.trace == b.trace
+        assert a.eval_count == b.eval_count
 
     def test_drawn_lam_scale(self):
         cfg = config(seed=11)
@@ -384,7 +422,7 @@ class TestStepMatchesReference:
     @pytest.mark.parametrize("mode", ["literal", "sweep"])
     @pytest.mark.parametrize("rebind", ["post", "pre"])
     @pytest.mark.parametrize("seed", [[2023, 0], [77, 3], 5])
-    @pytest.mark.parametrize("function", ["rastrigin", "rosenbrock"])
+    @pytest.mark.parametrize("function", BENCHMARK_NAMES)
     def test_run(self, mode, rebind, seed, function):
         cfg = config(
             mode=mode, rebind=rebind, seed=seed, population=6, max_iter=60
@@ -738,24 +776,37 @@ class TestRun:
         assert events["solver_fallback"] >= 0
         assert events["guard_clamp"] >= 0
 
-    def test_nan_cost_at_init_does_not_poison_best(self):
+    @pytest.mark.parametrize("takes_rows", [False, True], ids=["per-row", "rows"])
+    def test_nan_cost_at_init_does_not_poison_best(self, takes_rows):
         cfg = config(seed=5)
         base = make_benchmark("sphere", DIM)
         calls = []
 
         def evaluate(x):
             calls.append(None)
-            return float("nan") if len(calls) == 1 else base.evaluate(x)
+            costs = base.evaluate(x)
+            if len(calls) > 1:
+                return costs
+            if np.ndim(x) == 2:
+                costs[0] = float("nan")
+                return costs
+            return float("nan")
 
+        if takes_rows:
+            evaluate = functools.wraps(sphere)(evaluate)
         res = run(cfg, replace(base, evaluate=evaluate))
         assert math.isfinite(res.best_cost)
         assert all(math.isfinite(row[1]) for row in res.trace)
         assert base.evaluate(res.best_solution) == res.best_cost
 
-    def test_all_nan_costs_raise(self):
-        obj = replace(make_benchmark("sphere", 3), evaluate=lambda x: float("nan"))
+    @pytest.mark.parametrize("takes_rows", [False, True], ids=["per-row", "rows"])
+    def test_all_nan_costs_raise(self, takes_rows):
+        cfg = config()
+        updates = cfg.max_iter - 3
+        evaluate = scripted([float("nan")] * (2 * cfg.population + updates), takes_rows)
+        obj = replace(make_benchmark("sphere", 3), evaluate=evaluate)
         with pytest.raises(ValueError, match="no finite cost"):
-            run(config(), obj)
+            run(cfg, obj)
 
     def test_frozen_dynamics_with_zero_lam(self):
         cfg = config(

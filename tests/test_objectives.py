@@ -52,8 +52,10 @@ class TestRosenbrock:
         assert rosenbrock(np.zeros(10)) == 9.0
 
     def test_rejects_scalar_input(self):
-        with pytest.raises(ValueError):
-            rosenbrock([1.0])
+        # a point and a block of rows alike
+        for x in ([1.0], np.ones((3, 1))):
+            with pytest.raises(ValueError, match="n >= 2"):
+                rosenbrock(x)
 
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=8))
     def test_nonnegative(self, xs):
@@ -106,6 +108,32 @@ def test_benchmarks_keep_reference_bits(name):
             # a contiguous row, a strided view and a Python list
             for arg in (x[:d], x[::2], x[:d].tolist()):
                 assert fn(arg).hex() == reference(np.asarray(arg, dtype=float)).hex()
+
+
+ROW_CASES = [
+    (name, d)
+    for name in BENCHMARK_NAMES
+    for d in (1, 2, 3, 10, 30, 100, 200)
+    if (name, d) != ("rosenbrock", 1)
+]
+
+
+@pytest.mark.parametrize("name, d", ROW_CASES)
+def test_block_costs_match_row_costs(name, d):
+    fn = make_benchmark(name, d).evaluate
+    lo, hi = make_benchmark(name, d).init_range
+    rng = np.random.default_rng(d)
+    for n in (1, 2, 7, 80):
+        block = rng.uniform(lo, hi, (n, d))
+        for row, value in zip((0, n // 2, n - 1), (math.nan, math.inf, -math.inf)):
+            block[row, rng.integers(d)] = value
+        with np.errstate(invalid="ignore"):  # cos of an infinity
+            costs = fn(block)
+            rows = [fn(x) for x in block]
+        assert isinstance(costs, np.ndarray) and costs.dtype == np.float64
+        assert costs.shape == (n,)
+        assert all(type(cost) is float for cost in rows)
+        assert costs.tobytes() == np.array(rows).tobytes()
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)

@@ -10,6 +10,7 @@ to move plot bytes re-records the digests and says so.
 import hashlib
 import math
 import re
+import sys
 
 import pytest
 
@@ -57,8 +58,11 @@ def test_line_plot_bytes_unchanged(case):
 
 @pytest.mark.parametrize(
     "value",
-    [3.0, 5e-324, 1e17, 2.0**52 + 1, 2.0**60, -(2.0**60)],
-    ids=["3", "5e-324", "1e17", "2**52+1", "2**60", "-2**60"],
+    [
+        3.0, 5e-324, 1e17, 2.0**52 + 1, 2.0**60, -(2.0**60),
+        sys.float_info.max, -sys.float_info.max,
+    ],
+    ids=["3", "5e-324", "1e17", "2**52+1", "2**60", "-2**60", "float-max", "-float-max"],
 )
 def test_flat_axis_ticks_distinct(value):
     # a flat axis is padded so that its five quarter-span ticks land on five pixels
