@@ -14,11 +14,12 @@ next wave and draws nothing. A member reads only what its previous update, in
 an earlier wave, wrote, so the gate, the inverse solve and the delta rebind
 each run once per wave on its (rows, dimension) block. The gbest update stays
 sequential in pick order: each blend reads the gbest the updates before it
-left. An objective whose evaluate takes rows (the four benchmarks) scores a
-block of a wave's rows, blended with the current gbest, in one call; rows are
-accepted in pick order up to the first strict improvement, and only the rows
-after it are blended and scored again. Any other objective is blended and
-scored one row at a time, so it never sees a discarded point.
+left. A block of a wave's rows is blended with the current gbest in one call
+and scored; rows are accepted in pick order up to the first strict
+improvement, and only the rows after it are blended and scored again. An
+objective whose evaluate takes rows (the four benchmarks) scores the block in
+one call; any other is called on one row at a time, only on the rows accepted,
+so it never sees a discarded point.
 
 All randomness flows from one numpy Generator seeded by the config, so
 identical (config, objective, seed) produce bitwise identical runs.
@@ -29,11 +30,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .objectives import Objective, check_int, check_real
+from .objectives import Objective, check_int, check_range, check_real
 from .well import (
     EXP_ARG_LIMIT,
     LAM_MAX,
@@ -106,16 +107,7 @@ class SwarmConfig:
             object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         for seed in self.seed if np.ndim(self.seed) else (self.seed,):
             check_int("seed", seed, 0)
-        try:
-            lo, hi = self.init_range
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"init_range must be a pair of numbers, got {self.init_range!r}"
-            ) from None
-        lo, hi = check_real("init_range", lo), check_real("init_range", hi)
-        if not lo <= hi:
-            raise ValueError(f"init_range must be non-empty, got {self.init_range}")
-        object.__setattr__(self, "init_range", (lo, hi))
+        object.__setattr__(self, "init_range", check_range("init_range", self.init_range))
         for name in ("k", "epsilon"):
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if self.lam is not None:
@@ -226,64 +218,58 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
         rng=rng,
         waves=_plan(config, rng),
     )
-    takes_rows = _takes_rows(objective)
     # rows 1 and 2 close the two sweeps; row 3, with no evaluation, opens the optimization
     for points in (r1, r2):
-        if takes_rows:
-            costs = _block_costs(objective, points)
-        else:
-            costs = [_cost(objective, x) for x in points]
+        costs = _costs(objective, points)
         i = 0
-        while i < len(costs):
-            i += _accept(swarm, points[i:], costs[i:], trace=False)
+        while i < len(points):
+            i += _accept(swarm, points[i:], costs, trace=False)
         swarm.trace.append((len(swarm.trace) + 1, swarm.best_cost, swarm.eval_count))
     swarm.trace.append((3, swarm.best_cost, swarm.eval_count))
     return swarm
 
 
-def _takes_rows(objective: Objective) -> bool:
-    """Whether objective.evaluate scores an (n, D) block in one call: the
-    benchmarks carry the mark, and functools.wraps copies it to a wrapper."""
-    return getattr(objective.evaluate, "takes_rows", False)
+def _costs(objective: Objective, points: np.ndarray) -> Iterator[float]:
+    """The objective's costs of the rows of points, in order. An evaluate with
+    the takes_rows mark (the benchmarks; functools.wraps copies it to a
+    wrapper) scores them in one call, ValueError unless that returns a float64
+    array of one cost per row. Any other is called on a row only when its cost
+    is taken, so it never sees a point the run discards; ValueError unless the
+    cost is a real scalar, a bool included."""
+    if getattr(objective.evaluate, "takes_rows", False):
+        costs = objective.evaluate(points)
+        if getattr(costs, "dtype", None) != np.float64 or np.shape(costs) != (len(points),):
+            raise ValueError(
+                f"objective {objective.name!r} returned {costs!r}, not {len(points)} real costs"
+            )
+        yield from costs.tolist()
+        return
+    for x in points:
+        cost = objective.evaluate(x)
+        # a plain float skips the much slower isinstance checks
+        if type(cost) is not float and (isinstance(cost, bool) or not isinstance(cost, numbers.Real)):
+            raise ValueError(f"objective {objective.name!r} returned {cost!r}, not a real scalar")
+        yield cost
 
 
-def _cost(objective: Objective, x: np.ndarray):
-    """The objective's cost of the point x; ValueError unless it is a real
-    scalar, a bool included."""
-    cost = objective.evaluate(x)
-    # a plain float skips the much slower isinstance checks
-    if type(cost) is not float and (isinstance(cost, bool) or not isinstance(cost, numbers.Real)):
-        raise ValueError(f"objective {objective.name!r} returned {cost!r}, not a real scalar")
-    return cost
-
-
-def _block_costs(objective: Objective, points: np.ndarray) -> list[float]:
-    """The objective's costs of the rows of points, from one call; ValueError
-    unless that returns a float64 array of one cost per row."""
-    costs = objective.evaluate(points)
-    if getattr(costs, "dtype", None) != np.float64 or np.shape(costs) != (len(points),):
-        raise ValueError(
-            f"objective {objective.name!r} returned {costs!r}, not {len(points)} real costs"
-        )
-    return costs.tolist()
-
-
-def _accept(swarm: Swarm, points: np.ndarray, costs: list, trace: bool) -> int:
-    """Count the points in order up to the first whose cost is strictly below
+def _accept(swarm: Swarm, points: np.ndarray, costs: Iterator[float], trace: bool) -> int:
+    """Take costs of the points in order up to the first strictly below
     best_cost (a NaN never is, a tie keeps the earlier point), which becomes the
-    best with a copy of its point; returns how many were counted. trace appends
-    one trace row per point counted."""
-    for i, cost in enumerate(costs):
+    best with a copy of its point; returns how many were taken. trace appends
+    one trace row per cost taken."""
+    taken = 0
+    for cost in costs:
+        taken += 1
         swarm.eval_count += 1
         better = cost < swarm.best_cost
         if better:
             swarm.best_cost = float(cost)
-            swarm.best_solution = points[i].copy()
+            swarm.best_solution = points[taken - 1].copy()
         if trace:
             swarm.trace.append((len(swarm.trace) + 1, swarm.best_cost, swarm.eval_count))
         if better:
-            return i + 1
-    return len(costs)
+            break
+    return taken
 
 
 def _plan(cfg: SwarmConfig, rng: np.random.Generator) -> list[tuple]:
@@ -353,29 +339,21 @@ def step(swarm: Swarm, objective: Objective) -> Swarm:
         r_raw = np.where(solved, r_raw, positions)
         delta_new = np.where(solved, delta_new, dp)
 
-    # in pick order: each row is blended with the gbest its predecessors left
+    # in pick order, a block of rows at a time: each row is blended with the
+    # gbest its predecessors left, so the rows after an improvement are blended
+    # again. The first block is the whole wave, each later one twice the rows
+    # the last kept and at least _MIN_BLOCK: where improvements are dense
+    # (sweep waves contracting onto gbest) few rows are blended in vain
     literal = cfg.mode == "literal"  # one iteration per update, sweep mode one per wave
-    if _takes_rows(objective):
-        # a block of rows per call, so the rows after an improvement are
-        # blended and scored again. The first block is the whole wave, each
-        # later one twice the rows the last kept and at least _MIN_BLOCK:
-        # where improvements are dense (sweep waves contracting onto gbest)
-        # few rows are scored in vain
-        i, n = 0, len(rhos)
-        size = n
-        while i < n:
-            end = min(i + size, n)
-            blended = blend_with_gbest(r_raw[i:end], swarm.best_solution, rhos[i:end, None])
-            taken = _accept(swarm, blended, _block_costs(objective, blended), literal)
-            positions[i : i + taken] = blended[:taken]
-            size = max(_MIN_BLOCK, 2 * taken)
-            i += taken
-    else:
-        # one point per call: the objective sees only the points the run keeps
-        for i, rho in enumerate(rhos.tolist()):
-            blended = blend_with_gbest(r_raw[i], swarm.best_solution, rho)
-            _accept(swarm, blended[None], [_cost(objective, blended)], literal)
-            positions[i] = blended
+    i, n = 0, len(rhos)
+    size = n
+    while i < n:
+        end = min(i + size, n)
+        blended = blend_with_gbest(r_raw[i:end], swarm.best_solution, rhos[i:end, None])
+        taken = _accept(swarm, blended, _costs(objective, blended), literal)
+        positions[i : i + taken] = blended[:taken]
+        size = max(_MIN_BLOCK, 2 * taken)
+        i += taken
     if not literal:
         swarm.trace.append((len(swarm.trace) + 1, swarm.best_cost, swarm.eval_count))
 

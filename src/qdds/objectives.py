@@ -24,6 +24,7 @@ __all__ = [
     "make_benchmark",
     "check_int",
     "check_real",
+    "check_range",
 ]
 
 
@@ -49,6 +50,19 @@ def check_real(name: str, value) -> float:
     return float(value)
 
 
+def check_range(name: str, value) -> tuple[float, float]:
+    """value as a pair (lo, hi) of Python floats; ValueError unless it is a pair
+    of finite real numbers with lo <= hi."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a pair of numbers, got {value!r}") from None
+    lo, hi = check_real(name, lo), check_real(name, hi)
+    if not lo <= hi:
+        raise ValueError(f"{name} must be non-empty, got {value}")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class Objective:
     """Named cost function with the metadata the engine needs.
@@ -62,10 +76,8 @@ class Objective:
     init_range: tuple[float, float]
 
     def __post_init__(self) -> None:
-        check_int("dimension", self.dimension, 1)
-        lo, hi = self.init_range
-        if not lo <= hi:
-            raise ValueError(f"init_range must be non-empty, got {self.init_range}")
+        object.__setattr__(self, "dimension", check_int("dimension", self.dimension, 1))
+        object.__setattr__(self, "init_range", check_range("init_range", self.init_range))
 
 
 def _row_form(benchmark):

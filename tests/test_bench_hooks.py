@@ -8,13 +8,15 @@ harness.run_trial. Each name must stay a module attribute that its
 caller looks up at call time, and the FIR response counters read the
 wrapped call's second positional argument as omega. The per-layer call
 counts rest on how a step batches its work: one gate, one solve and one
-rebind per step, on the (updated rows, dimension) block of its wave; for a
-benchmark one blend and one evaluation per block of rows (the wave's, then
-the rows after each improvement), for any other objective one per update.
+rebind per step, on the (updated rows, dimension) block of its wave; one
+blend per block of rows (the wave's, then the rows after each improvement),
+and one evaluation per block for a benchmark, per update for any other
+objective.
 perfbench/ is only read here.
 """
 
 import importlib
+import math
 import runpy
 from dataclasses import replace
 from pathlib import Path
@@ -81,20 +83,22 @@ def test_run_trial_calls_build_problem_through_module(monkeypatch):
 
 
 def run_recording(monkeypatch, blend, config, objective):
-    """Run with blend_with_gbest recording (shape blended, gbest passed) per
-    call, one list per step."""
-    steps = []
+    """Run with blend_with_gbest recording the shape blended per call, one list
+    per step, and the number of updates per step."""
+    steps, updates = [], []
 
     def recording(raw, gbest, rho):
-        steps[-1].append((np.shape(raw), gbest))
+        steps[-1].append(np.shape(raw))
         return blend(raw, gbest, rho)
 
     monkeypatch.setattr(engine, "blend_with_gbest", recording)
     swarm = engine.init_swarm(config, objective)
     while swarm.waves:
         steps.append([])
+        evaluated = swarm.eval_count
         engine.step(swarm, objective)
-    return swarm, steps
+        updates.append(swarm.eval_count - evaluated)
+    return swarm, steps, updates
 
 
 @pytest.mark.parametrize("mode, per_iteration", [("literal", 1), ("sweep", 12)])
@@ -103,39 +107,46 @@ def test_blend_called_once_per_block(monkeypatch, mode, per_iteration):
         population=12, init_range=(-1.0, 1.0), max_iter=30, mode=mode
     )
     benchmark = make_benchmark("sphere", 2)
-    shapes = []
+    shapes, costs = [], []
 
     def evaluate(x):
         shapes.append(np.shape(x))
-        return benchmark.evaluate(x)
+        costs.append(benchmark.evaluate(x))
+        return costs[-1]
 
     blend = engine.blend_with_gbest
     per_row = replace(benchmark, evaluate=evaluate)
-    per_row_result, per_row_steps = run_recording(monkeypatch, blend, config, per_row)
-    result, steps = run_recording(monkeypatch, blend, config, benchmark)
-    updates = (config.max_iter - 3) * per_iteration
+    per_row_result, per_row_steps, per_row_updates = run_recording(
+        monkeypatch, blend, config, per_row
+    )
+    result, steps, updates = run_recording(monkeypatch, blend, config, benchmark)
+    total = (config.max_iter - 3) * per_iteration
     for swarm in (per_row_result, result):
-        assert swarm.eval_count == 2 * config.population + updates
-    # any other objective: one call and one blend per point
-    point = (benchmark.dimension,)
-    assert shapes == [point] * (2 * config.population + updates)
-    assert [shape for step in per_row_steps for shape, _ in step] == [point] * updates
-    # a benchmark: one blend per block, the first the whole wave, the next
-    # starting after the first improvement (where the per-row run's next update
-    # sees a new gbest), twice as long as the rows accepted and at least 8
-    for blocks, updated in zip(steps, per_row_steps, strict=True):
-        n = len(updated)
-        improved = [updated[k + 1][1] is not updated[k][1] for k in range(n - 1)]
+        assert swarm.eval_count == 2 * config.population + total
+    # any other objective: one call per point kept, blended in the same blocks
+    assert shapes == [(benchmark.dimension,)] * (2 * config.population + total)
+    assert per_row_steps == steps and per_row_updates == updates
+    # one blend per block, the first the whole wave, the next starting after
+    # the first improvement, twice as long as the rows accepted and at least 8;
+    # an update improved when its cost, in the per-row run's call order, is
+    # strictly below every cost before it
+    best, improved = math.inf, []
+    for cost in costs:
+        improved.append(cost < best)
+        best = min(best, cost)
+    improved = improved[2 * config.population :]
+    for blocks, n in zip(steps, updates, strict=True):
+        wave, improved = improved[:n], improved[n:]
         expected, i, size = [], 0, n
         while i < n:
             end = min(i + size, n)
+            last = next((k for k in range(i, end - 1) if wave[k]), end - 1)
             expected.append(end - i)
-            last = next((k for k in range(i, end - 1) if improved[k]), end - 1)
             size = max(8, 2 * (last + 1 - i))
             i = last + 1
-        assert [shape for shape, _ in blocks] == [(size, 2) for size in expected]
+        assert blocks == [(size, 2) for size in expected]
     assert any(len(blocks) > 1 for blocks in steps)
-    assert sum(map(len, steps)) < updates
+    assert sum(map(len, steps)) < total
 
 
 @pytest.mark.parametrize("mode", ["literal", "sweep"])
@@ -197,14 +208,17 @@ def test_tracer_spans_the_fir_objective(tmp_path):
     tracer = SPANS["Tracer"]()
     tracer.install({"engine": engine, "filters": filters, "harness": harness, "svg": svg})
     config = harness.ExperimentConfig(
-        objective="fir", order=6, population=4, iterations=10, trials=1, out_dir=str(tmp_path)
+        objective="fir", order=6, population=20, iterations=30, trials=1, out_dir=str(tmp_path)
     )
     try:
         _, report = harness.run_experiment(config)
     finally:
         tracer.restore()
     metrics = SPANS["layer_metrics"](tracer, 1.0)
-    assert metrics["objectives.evaluate.calls"] == report["trials"][0]["eval_count"]
+    # one evaluation per point kept, one blend per block of a wave's rows
+    eval_count = report["trials"][0]["eval_count"]
+    assert metrics["objectives.evaluate.calls"] == eval_count
+    assert metrics["engine.updates"] < eval_count - 2 * config.population
     # evaluations reuse their bases; only the attenuation and the response plot
     # compute a response through fir_response_magnitude
     assert metrics["filters.response.calls"] == 2

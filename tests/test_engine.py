@@ -10,6 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qdds.engine import (
+    MODES,
+    REBINDS,
     SwarmConfig,
     _draw_literal,
     blend_with_gbest,
@@ -320,13 +322,19 @@ class TestInit:
     @pytest.mark.parametrize("seed", [[2023, 0], 5])
     @pytest.mark.parametrize("function", BENCHMARK_NAMES)
     def test_block_scoring_matches_per_row(self, function, seed):
-        cfg = config(seed=seed, population=20)
+        # whole runs: one call per block and one call per kept row give the same bits
         obj = make_benchmark(function, 5)
-        a, b = init_swarm(cfg, obj), init_swarm(cfg, per_row(obj))
-        assert np.float64(a.best_cost).tobytes() == np.float64(b.best_cost).tobytes()
-        assert a.best_solution.tobytes() == b.best_solution.tobytes()
-        assert a.trace == b.trace
-        assert a.eval_count == b.eval_count
+        for mode in MODES:
+            for rebind in REBINDS:
+                cfg = config(seed=seed, population=20, max_iter=60, mode=mode, rebind=rebind)
+                a, b = run(cfg, obj), run(cfg, per_row(obj))
+                for name in ("positions", "delta_prev", "delta_prev2", "best_solution"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+                assert np.float64(a.best_cost).tobytes() == np.float64(b.best_cost).tobytes()
+                assert a.trace == b.trace
+                assert a.events == b.events
+                assert a.eval_count == b.eval_count
+                assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
     def test_drawn_lam_scale(self):
         cfg = config(seed=11)

@@ -174,8 +174,20 @@ def test_objective_validation():
         Objective(name="x", dimension=0, evaluate=sphere, init_range=(-1, 1))
     with pytest.raises(ValueError, match="dimension must be an integer"):
         Objective(name="x", dimension=2.5, evaluate=sphere, init_range=(-1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="init_range must be non-empty"):
         Objective(name="x", dimension=2, evaluate=sphere, init_range=(1, -1))
+    with pytest.raises(ValueError, match="init_range must be a finite real number, got 'a'"):
+        Objective(name="x", dimension=2, evaluate=sphere, init_range="ab")
+    with pytest.raises(ValueError, match="init_range must be a finite real number, got True"):
+        Objective(name="x", dimension=2, evaluate=sphere, init_range=(True, 2))
+    with pytest.raises(ValueError, match="init_range must be a finite real number, got inf"):
+        Objective(name="x", dimension=2, evaluate=sphere, init_range=(0, math.inf))
+    with pytest.raises(ValueError, match=r"init_range must be a pair of numbers, got \(1,\)"):
+        Objective(name="x", dimension=2, evaluate=sphere, init_range=(1,))
+    # stored as Python numbers, like SwarmConfig's
+    obj = Objective(name="x", dimension=np.int64(2), evaluate=sphere, init_range=np.float32([-1, 1]))
+    assert type(obj.dimension) is int
+    assert obj.init_range == (-1.0, 1.0) and all(type(end) is float for end in obj.init_range)
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
