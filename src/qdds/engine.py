@@ -19,7 +19,11 @@ and scored; rows are accepted in pick order up to the first strict
 improvement, and only the rows after it are blended and scored again. An
 objective whose evaluate takes rows (the four benchmarks) scores the block in
 one call; any other is called on one row at a time, only on the rows accepted,
-so it never sees a discarded point.
+so it never sees a discarded point. An evaluate that also gives lower bounds
+(a symmetric FIR design) bounds the block in one call and is called only on
+the rows whose bound is below the best cost when they are taken. A row it
+skips counts as an evaluation with its bound as cost, which cannot improve
+the best either, so the run keeps every bit.
 
 All randomness flows from one numpy Generator seeded by the config, so
 identical (config, objective, seed) produce bitwise identical runs.
@@ -220,7 +224,7 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
     )
     # rows 1 and 2 close the two sweeps; row 3, with no evaluation, opens the optimization
     for points in (r1, r2):
-        costs = _costs(objective, points)
+        costs = _costs(objective, points, swarm)
         i = 0
         while i < len(points):
             i += _accept(swarm, points[i:], costs, trace=False)
@@ -229,27 +233,45 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
     return swarm
 
 
-def _costs(objective: Objective, points: np.ndarray) -> Iterator[float]:
+def _costs(objective: Objective, points: np.ndarray, swarm: Swarm) -> Iterator[float]:
     """The objective's costs of the rows of points, in order. An evaluate with
     the takes_rows mark (the benchmarks; functools.wraps copies it to a
     wrapper) scores them in one call, ValueError unless that returns a float64
     array of one cost per row. Any other is called on a row only when its cost
     is taken, so it never sees a point the run discards; ValueError unless the
-    cost is a real scalar, a bool included."""
-    if getattr(objective.evaluate, "takes_rows", False):
-        costs = objective.evaluate(points)
-        if getattr(costs, "dtype", None) != np.float64 or np.shape(costs) != (len(points),):
-            raise ValueError(
-                f"objective {objective.name!r} returned {costs!r}, not {len(points)} real costs"
-            )
-        yield from costs.tolist()
+    cost is a real scalar, a bool included.
+
+    An evaluate with a lower_bounds mark (a symmetric FIR design; wraps copies
+    it too) first bounds every row in one call, ValueError unless that returns
+    a float64 array of one bound per row. A row whose bound is at least the
+    best cost when its cost is taken yields the bound, which cannot beat the
+    best either, and is not evaluated; a NaN bound never skips a row.
+    """
+    evaluate = objective.evaluate
+    if getattr(evaluate, "takes_rows", False):
+        yield from _row_values(objective, evaluate(points), len(points), "real costs")
         return
-    for x in points:
-        cost = objective.evaluate(x)
+    lower_bounds = getattr(evaluate, "lower_bounds", None)
+    if lower_bounds is None:
+        bounds = [math.nan] * len(points)
+    else:
+        bounds = _row_values(objective, lower_bounds(points), len(points), "real lower bounds")
+    for x, bound in zip(points, bounds):
+        if bound >= swarm.best_cost:
+            yield bound
+            continue
+        cost = evaluate(x)
         # a plain float skips the much slower isinstance checks
         if type(cost) is not float and (isinstance(cost, bool) or not isinstance(cost, numbers.Real)):
             raise ValueError(f"objective {objective.name!r} returned {cost!r}, not a real scalar")
         yield cost
+
+
+def _row_values(objective: Objective, values, n: int, what: str) -> list[float]:
+    """values as a list, ValueError unless they are a float64 array of n."""
+    if getattr(values, "dtype", None) != np.float64 or np.shape(values) != (n,):
+        raise ValueError(f"objective {objective.name!r} returned {values!r}, not {n} {what}")
+    return values.tolist()
 
 
 def _accept(swarm: Swarm, points: np.ndarray, costs: Iterator[float], trace: bool) -> int:
@@ -350,7 +372,7 @@ def step(swarm: Swarm, objective: Objective) -> Swarm:
     while i < n:
         end = min(i + size, n)
         blended = blend_with_gbest(r_raw[i:end], swarm.best_solution, rhos[i:end, None])
-        taken = _accept(swarm, blended, _costs(objective, blended), literal)
+        taken = _accept(swarm, blended, _costs(objective, blended, swarm), literal)
         positions[i : i + taken] = blended[:taken]
         size = max(_MIN_BLOCK, 2 * taken)
         i += taken

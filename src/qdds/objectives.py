@@ -68,6 +68,8 @@ class Objective:
     """Named cost function with the metadata the engine needs.
 
     init_range is the canonical per-dimension initialization interval.
+    evaluate may carry a takes_rows or a lower_bounds mark, which the
+    engine reads (engine._costs).
     """
 
     name: str

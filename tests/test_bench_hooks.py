@@ -11,10 +11,12 @@ counts rest on how a step batches its work: one gate, one solve and one
 rebind per step, on the (updated rows, dimension) block of its wave; one
 blend per block of rows (the wave's, then the rows after each improvement),
 and one evaluation per block for a benchmark, per update for any other
-objective.
+objective, except the updates a symmetric FIR design's lower_bounds screen
+rules out: the traced evaluate keeps that mark, so those are not traced.
 perfbench/ is only read here.
 """
 
+import functools
 import importlib
 import math
 import runpy
@@ -215,9 +217,17 @@ def test_tracer_spans_the_fir_objective(tmp_path):
     finally:
         tracer.restore()
     metrics = SPANS["layer_metrics"](tracer, 1.0)
-    # one evaluation per point kept, one blend per block of a wave's rows
+    # one evaluation per point kept that the screen did not rule out, counted
+    # here through a plain functools.wraps wrapper; one blend per block of a
+    # wave's rows
+    objective, _ = harness.build_problem(config)
+    calls = []
+    counting = functools.wraps(objective.evaluate)(
+        lambda x: calls.append(None) or objective.evaluate(x)
+    )
+    engine.run(harness._swarm_config(config, objective, 0), replace(objective, evaluate=counting))
     eval_count = report["trials"][0]["eval_count"]
-    assert metrics["objectives.evaluate.calls"] == eval_count
+    assert metrics["objectives.evaluate.calls"] == len(calls) < eval_count
     assert metrics["engine.updates"] < eval_count - 2 * config.population
     # evaluations reuse their bases; only the attenuation and the response plot
     # compute a response through fir_response_magnitude

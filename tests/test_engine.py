@@ -19,6 +19,7 @@ from qdds.engine import (
     run,
     step,
 )
+from qdds.filters import FilterSpec, make_filter_objective
 from qdds.harness import _swarm_config, build_problem
 from qdds.objectives import BENCHMARK_NAMES, Objective, make_benchmark, sphere
 from qdds.presets import PRESETS
@@ -56,18 +57,61 @@ def _init_rng(cfg, dimension=DIM):
     return rng
 
 
-def scripted(costs, takes_rows=False):
-    """An evaluate returning costs in scoring order, one per call; with
-    takes_rows it carries the benchmarks' mark (functools.wraps copies it, as
-    onto any wrapper of a benchmark) and returns one cost per row of a block."""
+# how an objective's evaluate is marked: none, takes_rows or lower_bounds
+MARKS = pytest.mark.parametrize("mark", [None, "rows", "bounds"], ids=["per-row", "rows", "bounds"])
+
+
+def scripted(costs, mark=None):
+    """An evaluate returning costs in scoring order, one per call. Marked
+    "rows", it carries the benchmarks' takes_rows mark (functools.wraps copies
+    it, as onto any wrapper of a benchmark) and returns one cost per row of a
+    block. Marked "bounds", it carries a lower_bounds mark that hands each row
+    of a block the next cost as its bound, the tightest bound there is, and
+    returns the cost handed to a row when that row is evaluated."""
     costs = list(costs)
+    handed = {}
 
     def evaluate(x):
+        if mark == "bounds":
+            return handed[x.tobytes()]
         if np.ndim(x) == 2:
             return np.array([costs.pop(0) for _ in x])
         return costs.pop(0)
 
-    return functools.wraps(sphere)(evaluate) if takes_rows else evaluate
+    def lower_bounds(rows):
+        bounds = np.array([costs.pop(0) for _ in rows])
+        handed.update(zip((row.tobytes() for row in rows), bounds.tolist()))
+        return bounds
+
+    if mark == "rows":
+        return functools.wraps(sphere)(evaluate)
+    if mark == "bounds":
+        evaluate.lower_bounds = lower_bounds
+    return evaluate
+
+
+def counted(objective):
+    """(objective, calls): objective behind a functools.wraps wrapper, which
+    keeps its marks, appending each point it is called on to calls."""
+    calls = []
+
+    @functools.wraps(objective.evaluate)
+    def evaluate(x):
+        calls.append(x)
+        return objective.evaluate(x)
+
+    return replace(objective, evaluate=evaluate), calls
+
+
+def assert_same_run(a, b):
+    """Two finished swarms agree in every state bit and every outcome."""
+    for name in ("positions", "delta_prev", "delta_prev2", "best_solution"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert np.float64(a.best_cost).tobytes() == np.float64(b.best_cost).tobytes()
+    assert a.trace == b.trace
+    assert a.events == b.events
+    assert a.eval_count == b.eval_count
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
 def per_row(objective):
@@ -286,11 +330,11 @@ class TestInit:
         [((1, 3), 1), ((4, 6), 4), ((2, 5), 2), ((0, 7), 0)],
         ids=["within-r1", "within-r2", "across", "first-and-last"],
     )
-    @pytest.mark.parametrize("takes_rows", [False, True], ids=["per-row", "rows"])
-    def test_first_evaluated_of_tied_minima_wins(self, tied, winner, takes_rows):
+    @MARKS
+    def test_first_evaluated_of_tied_minima_wins(self, tied, winner, mark):
         cfg = config(population=4)
         costs = [5.0 if i in tied else 9.0 - i * 0.5 for i in range(2 * cfg.population)]
-        evaluate = scripted(costs, takes_rows)
+        evaluate = scripted(costs, mark)
         obj = Objective(name="ties", dimension=3, evaluate=evaluate, init_range=(-2.0, 2.0))
         swarm = init_swarm(cfg, obj)
         points = np.concatenate(_initial_draws(cfg))
@@ -319,6 +363,19 @@ class TestInit:
         with pytest.raises(ValueError, match="^objective 'bad' returned .*, not 4 real costs$"):
             init_swarm(config(), obj)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [None, np.ones(3), np.ones((4, 1)), np.ones(4, complex), np.ones(4, np.float32)],
+        ids=["none", "short", "column", "complex", "float32"],
+    )
+    def test_non_real_lower_bounds_rejected(self, bounds):
+        evaluate = scripted([1.0] * 8)
+        evaluate.lower_bounds = lambda rows: bounds
+        obj = Objective(name="bad", dimension=3, evaluate=evaluate, init_range=(-2.0, 2.0))
+        message = "(?s)^objective 'bad' returned .*, not 4 real lower bounds$"
+        with pytest.raises(ValueError, match=message):
+            init_swarm(config(), obj)
+
     @pytest.mark.parametrize("seed", [[2023, 0], 5])
     @pytest.mark.parametrize("function", BENCHMARK_NAMES)
     def test_block_scoring_matches_per_row(self, function, seed):
@@ -327,14 +384,35 @@ class TestInit:
         for mode in MODES:
             for rebind in REBINDS:
                 cfg = config(seed=seed, population=20, max_iter=60, mode=mode, rebind=rebind)
-                a, b = run(cfg, obj), run(cfg, per_row(obj))
-                for name in ("positions", "delta_prev", "delta_prev2", "best_solution"):
-                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-                assert np.float64(a.best_cost).tobytes() == np.float64(b.best_cost).tobytes()
-                assert a.trace == b.trace
-                assert a.events == b.events
-                assert a.eval_count == b.eval_count
-                assert a.rng.bit_generator.state == b.rng.bit_generator.state
+                assert_same_run(run(cfg, obj), run(cfg, per_row(obj)))
+
+    @pytest.mark.parametrize("seed", [[2023, 0], 5])
+    @pytest.mark.parametrize("n_coeff", [9, 10])
+    def test_screened_fir_matches_unscreened(self, n_coeff, seed):
+        # the lower_bounds screen skips exact evaluations but no outcome: a
+        # run matches one behind a wrapper without the mark in every bit
+        obj, calls = counted(make_filter_objective(FilterSpec(n_coeff=n_coeff)))
+        for mode in MODES:
+            for rebind in REBINDS:
+                cfg = config(
+                    seed=seed, population=20, max_iter=40, init_range=obj.init_range,
+                    mode=mode, rebind=rebind,
+                )
+                calls.clear()
+                a = run(cfg, obj)
+                assert len(calls) < a.eval_count / 2
+                assert_same_run(a, run(cfg, per_row(obj)))
+
+    def test_symmetric_fir_run_evaluates_few_rows_exactly(self):
+        # a run that lost the lower_bounds mark would call evaluate on every row
+        obj, calls = counted(make_filter_objective(FilterSpec(n_coeff=10)))
+        swarm = run(config(seed=[2023, 0], population=200, max_iter=50, init_range=(-1.0, 1.0)), obj)
+        assert 0 < len(calls) < swarm.eval_count / 10
+
+    def test_unsymmetric_fir_run_evaluates_every_row(self):
+        obj, calls = counted(make_filter_objective(FilterSpec(n_coeff=10, symmetric=False)))
+        swarm = run(config(seed=[2023, 0], population=50, max_iter=20, init_range=(-1.0, 1.0)), obj)
+        assert len(calls) == swarm.eval_count
 
     def test_drawn_lam_scale(self):
         cfg = config(seed=11)
@@ -784,8 +862,8 @@ class TestRun:
         assert events["solver_fallback"] >= 0
         assert events["guard_clamp"] >= 0
 
-    @pytest.mark.parametrize("takes_rows", [False, True], ids=["per-row", "rows"])
-    def test_nan_cost_at_init_does_not_poison_best(self, takes_rows):
+    @MARKS
+    def test_nan_cost_at_init_does_not_poison_best(self, mark):
         cfg = config(seed=5)
         base = make_benchmark("sphere", DIM)
         calls = []
@@ -800,18 +878,22 @@ class TestRun:
                 return costs
             return float("nan")
 
-        if takes_rows:
+        if mark == "rows":
             evaluate = functools.wraps(sphere)(evaluate)
+        elif mark == "bounds":
+            # each row's true cost as its bound, the poisoned point's included
+            evaluate.lower_bounds = sphere
         res = run(cfg, replace(base, evaluate=evaluate))
         assert math.isfinite(res.best_cost)
         assert all(math.isfinite(row[1]) for row in res.trace)
         assert base.evaluate(res.best_solution) == res.best_cost
 
-    @pytest.mark.parametrize("takes_rows", [False, True], ids=["per-row", "rows"])
-    def test_all_nan_costs_raise(self, takes_rows):
+    @MARKS
+    def test_all_nan_costs_raise(self, mark):
         cfg = config()
         updates = cfg.max_iter - 3
-        evaluate = scripted([float("nan")] * (2 * cfg.population + updates), takes_rows)
+        # NaN bounds screen out nothing, so every row is evaluated once
+        evaluate = scripted([float("nan")] * (2 * cfg.population + updates), mark)
         obj = replace(make_benchmark("sphere", 3), evaluate=evaluate)
         with pytest.raises(ValueError, match="no finite cost"):
             run(cfg, obj)

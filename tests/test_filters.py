@@ -407,6 +407,83 @@ class TestObjectiveWrapper:
         assert obj.evaluate(h) == pytest.approx(evaluate_filter(h, spec)["gamma"], rel=1e-15)
 
 
+bound_cases = st.tuples(
+    st.integers(min_value=1, max_value=24),
+    st.sampled_from([2, 3, 64, 257, 2048]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.floats(min_value=-8.0, max_value=3.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+def exact_costs(objective, rows):
+    """The objective's exact cost of each row; inf or huge taps make the
+    exact path warn, which is not what these tests look at."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return [objective.evaluate(row) for row in rows]
+
+
+class TestLowerBounds:
+    """A symmetric objective's lower_bounds: one float64 per row, never above
+    the exact cost, NaN allowed."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(bound_cases)
+    def test_bound_never_exceeds_cost(self, case):
+        n_coeff, grid, eta, log_scale, seed = case
+        spec = FilterSpec(n_coeff=n_coeff, grid_points=grid, eta=eta)
+        obj = make_filter_objective(spec)
+        # more rows than a screen chunk, the first all zero
+        rows = 10.0**log_scale * np.random.default_rng(seed).uniform(
+            -1.0, 1.0, (filters._SCREEN_ROWS + 3, spec.free_dimension)
+        )
+        rows[0] = 0.0
+        bounds = obj.evaluate.lower_bounds(rows)
+        assert bounds.dtype == np.float64 and bounds.shape == (len(rows),)
+        assert all(b <= c for b, c in zip(bounds.tolist(), exact_costs(obj, rows)))
+
+    @pytest.mark.parametrize("n_coeff", [5, 6])
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+    def test_non_finite_rows_bound_nan_or_below(self, n_coeff, eta):
+        spec = FilterSpec(n_coeff=n_coeff, eta=eta)
+        obj = make_filter_objective(spec)
+        rows = np.full((6, spec.free_dimension), 0.25)
+        rows[0, 0] = np.inf
+        rows[1, -1] = -np.inf
+        rows[2, 1] = np.nan
+        rows[3] = np.inf
+        rows[4, :2] = (np.inf, -np.inf)
+        rows[5, 0] = 1e300  # finite taps whose response overflows
+        bounds = obj.evaluate.lower_bounds(rows)
+        for bound, cost in zip(bounds.tolist(), exact_costs(obj, rows)):
+            assert math.isnan(bound) or bound <= cost
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([0.0, 0.5, 1.0]))
+    def test_near_optimal_designs(self, seed, eta):
+        # the 20-tap reference design and neighbours 1e-9 away, where the
+        # bound must stay below the cost with costs this close together
+        spec = FilterSpec(n_coeff=20, eta=eta)
+        obj = make_filter_objective(spec)
+        half = np.asarray(REFERENCE_HALF_20)
+        rows = half + 1e-9 * np.random.default_rng(seed).standard_normal((9, half.size))
+        rows[0] = half
+        bounds = obj.evaluate.lower_bounds(rows).tolist()
+        costs = exact_costs(obj, rows)
+        assert all(b <= c for b, c in zip(bounds, costs))
+        # yet close enough to rule out every row that is not within 1e-6 of the best
+        assert all(c - b < 1e-6 * c for b, c in zip(bounds, costs))
+
+    def test_amplitude_basis_gives_the_magnitude(self):
+        for n_coeff in (9, 10):
+            spec = FilterSpec(n_coeff=n_coeff, grid_points=64)
+            x = np.random.default_rng(n_coeff).uniform(-1.0, 1.0, spec.free_dimension)
+            basis = filters._amplitude_basis(spec)
+            assert basis.shape == (spec.free_dimension, 2 * spec.grid_points)
+            mag = np.abs(filters._band_bases(spec, n_coeff)[0] @ spec.taps(x))
+            assert np.allclose(np.abs(x @ basis), mag, rtol=0.0, atol=1e-14)
+
+
 class TestCoefficientFiles:
     def test_round_trip(self, tmp_path):
         config = ExperimentConfig(
