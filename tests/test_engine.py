@@ -406,12 +406,14 @@ class TestInit:
     def test_symmetric_fir_run_evaluates_few_rows_exactly(self):
         # a run that lost the lower_bounds mark would call evaluate on every row
         obj, calls = counted(make_filter_objective(FilterSpec(n_coeff=10)))
-        swarm = run(config(seed=[2023, 0], population=200, max_iter=50, init_range=(-1.0, 1.0)), obj)
+        cfg = config(seed=[2023, 0], population=200, max_iter=50, init_range=(-1.0, 1.0))
+        swarm = run(cfg, obj)
         assert 0 < len(calls) < swarm.eval_count / 10
 
     def test_unsymmetric_fir_run_evaluates_every_row(self):
         obj, calls = counted(make_filter_objective(FilterSpec(n_coeff=10, symmetric=False)))
-        swarm = run(config(seed=[2023, 0], population=50, max_iter=20, init_range=(-1.0, 1.0)), obj)
+        cfg = config(seed=[2023, 0], population=50, max_iter=20, init_range=(-1.0, 1.0))
+        swarm = run(cfg, obj)
         assert len(calls) == swarm.eval_count
 
     def test_drawn_lam_scale(self):
