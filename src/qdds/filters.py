@@ -21,6 +21,7 @@ exact cost only for rows that could beat its best.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +44,9 @@ ATTENUATION_GRID = 8192
 _SCREEN_ROWS = 4
 # the screen's margin is this many times the rounding bound _gamma_lower_bounds derives
 _SCREEN_SAFETY = 1e3
+# specs whose bases (about 1.7 MB at fir-20) are kept: each is built once per
+# process and shared, read-only, by a cell's trials, the screen and the report
+_CACHED_SPECS = 4
 
 
 @dataclass(frozen=True)
@@ -129,10 +133,17 @@ def _band_grid(spec: FilterSpec):
     return np.concatenate([w_pass, w_stop]), np.diff(w_pass), np.diff(w_stop)
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False  # shared by every caller of the cache
+    return arrays
+
+
+@functools.lru_cache(maxsize=_CACHED_SPECS)
 def _band_bases(spec: FilterSpec, taps: int):
     """(B, d_pass, d_stop): both bands' bases stacked in one matrix, and their grid steps."""
     w, d_pass, d_stop = _band_grid(spec)
-    return _basis(w, taps), d_pass, d_stop
+    return _read_only(_basis(w, taps), d_pass, d_stop)
 
 
 def _amplitude_basis(spec: FilterSpec) -> np.ndarray:
@@ -166,6 +177,7 @@ def _band_errors(h, bases) -> tuple[float, float]:
     return e_p, e_s
 
 
+@functools.lru_cache(maxsize=_CACHED_SPECS)
 def _screen_basis(spec: FilterSpec):
     """(basis, weights, counts) for _gamma_lower_bounds: the amplitude basis,
     the weight of each squared band error sample in gamma (the trapezoid's,
@@ -176,10 +188,10 @@ def _screen_basis(spec: FilterSpec):
     weights = np.concatenate([spec.eta * trapezoid[0], (1.0 - spec.eta) * trapezoid[1]]) / np.pi
     counts = np.full(spec.free_dimension, 2.0)
     counts[spec.free_dimension - spec.n_coeff % 2 :] = 1.0
-    return _amplitude_basis(spec), weights, counts
+    return _read_only(_amplitude_basis(spec), weights, counts)
 
 
-def _gamma_lower_bounds(spec: FilterSpec, rows, screen) -> np.ndarray:
+def _gamma_lower_bounds(spec: FilterSpec, rows) -> np.ndarray:
     """A float64 lower bound on the objective's cost of each row of free taps, or NaN.
 
     Each chunk of _SCREEN_ROWS rows is scored as |X @ A| on the same grid and
@@ -202,7 +214,10 @@ def _gamma_lower_bounds(spec: FilterSpec, rows, screen) -> np.ndarray:
     screen's gamma in place of the exact one. A row with an inf or NaN tap, or
     one whose margin overflows, gets NaN or -inf.
     """
-    basis, weights, counts = screen
+    # the exact bases first, so the temporaries of their build are freed
+    # before the screen's basis exists: no higher peak memory
+    _band_bases(spec, spec.n_coeff)
+    basis, weights, counts = _screen_basis(spec)
     rows = np.asarray(rows, dtype=float)
     grid = spec.grid_points
     u = np.finfo(float).eps / 2.0
@@ -277,34 +292,18 @@ def evaluate_filter(h, spec: FilterSpec) -> dict[str, float]:
 def make_filter_objective(spec: FilterSpec) -> Objective:
     """Wrap a design spec as an engine objective over the free variables.
 
-    The stacked band basis is built on the first evaluation and reused by
-    every later one, so building an objective that never runs costs nothing.
-    A symmetric spec's evaluate also carries lower_bounds(rows), one float64
-    bound per row of free taps from _gamma_lower_bounds (its basis built on
-    its first call too): the engine calls evaluate only on the rows whose
+    evaluate is evaluate_filter's gamma of the mirrored taps, on the same
+    cached bases, which are built on the first evaluation: building an
+    objective that never runs costs nothing. A symmetric spec's evaluate also
+    carries lower_bounds(rows), one float64 bound per row of free taps from
+    _gamma_lower_bounds: the engine calls evaluate only on the rows whose
     bound does not rule out beating the best cost.
     """
-    bases = screen = None
-
     def evaluate(x) -> float:
-        nonlocal bases
-        if bases is None:
-            bases = _band_bases(spec, spec.n_coeff)
-        return _gamma(spec, *_band_errors(spec.taps(x), bases))
+        return _gamma(spec, *fir_band_errors(spec.taps(x), spec))
 
     if spec.symmetric:
-
-        def lower_bounds(rows) -> np.ndarray:
-            nonlocal bases, screen
-            if screen is None:
-                # the exact bases first, so the temporaries of their build are
-                # freed before the screen's basis exists: no higher peak memory
-                if bases is None:
-                    bases = _band_bases(spec, spec.n_coeff)
-                screen = _screen_basis(spec)
-            return _gamma_lower_bounds(spec, rows, screen)
-
-        evaluate.lower_bounds = lower_bounds
+        evaluate.lower_bounds = functools.partial(_gamma_lower_bounds, spec)
 
     return Objective(
         name=f"fir-{spec.n_coeff}",

@@ -352,22 +352,45 @@ class TestObjectiveWrapper:
             assert obj.evaluate(np.asarray(x)) == direct_cost(h, spec)
             assert evaluate_filter(h, spec)["gamma"] == direct_cost(h, spec)
 
-    def test_bases_built_once_on_first_evaluation(self, monkeypatch):
-        calls = []
-        band_bases = filters._band_bases
+    def test_bases_built_once_per_spec(self, monkeypatch):
+        # counts builds, not cache lookups: two objectives of one spec, their
+        # evaluations and screen, and the report's scoring share one build of
+        # each basis; the attenuation grid is the report's own
+        filters._band_bases.cache_clear()
+        filters._screen_basis.cache_clear()
+        builds = []
+        basis, amplitude_basis = filters._basis, filters._amplitude_basis
 
-        def counting(spec, taps):
-            calls.append((spec, taps))
-            return band_bases(spec, taps)
+        def counting_basis(w, taps):
+            builds.append(("exact", w.size, taps))
+            return basis(w, taps)
 
-        monkeypatch.setattr(filters, "_band_bases", counting)
+        def counting_amplitude_basis(spec):
+            builds.append(("screen", spec))
+            return amplitude_basis(spec)
+
+        monkeypatch.setattr(filters, "_basis", counting_basis)
+        monkeypatch.setattr(filters, "_amplitude_basis", counting_amplitude_basis)
         spec = FilterSpec(n_coeff=20)
-        obj = make_filter_objective(spec)
-        assert calls == []
+        objectives = [make_filter_objective(spec), make_filter_objective(spec)]
+        assert builds == []
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            obj.evaluate(rng.uniform(-1.0, 1.0, obj.dimension))
-        assert calls == [(spec, 20)]
+        for i in range(50):
+            objectives[i % 2].evaluate(rng.uniform(-1.0, 1.0, spec.free_dimension))
+        objectives[1].evaluate.lower_bounds(rng.uniform(-1.0, 1.0, (6, spec.free_dimension)))
+        evaluate_filter(spec.taps(rng.uniform(-1.0, 1.0, spec.free_dimension)), spec)
+        assert builds == [
+            ("exact", 2 * spec.grid_points, 20),
+            ("screen", spec),
+            ("exact", ATTENUATION_GRID, 20),
+        ]
+
+    def test_cached_bases_are_read_only(self):
+        spec = FilterSpec(n_coeff=9, grid_points=64)
+        for arrays in (filters._band_bases(spec, 9), filters._screen_basis(spec)):
+            for a in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
 
     def test_building_an_experiment_builds_no_bases(self, monkeypatch):
         from qdds.harness import build_problem

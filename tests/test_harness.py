@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qdds import harness
+from qdds import filters, harness
 from qdds.harness import (
     EMIT_KINDS,
     ExperimentConfig,
@@ -619,6 +619,32 @@ class TestRunExperiment:
         assert (tmp_path / "fir-10_response.svg").exists()
         coeffs = np.loadtxt(tmp_path / "fir-10_coefficients.csv")
         assert np.allclose(coeffs, report["fir"]["coefficients"], rtol=0, atol=1e-16)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_fir_gamma_is_best_cost(self, tmp_path, monkeypatch, symmetric):
+        # the report scores the best trial on the bases its objective used,
+        # built once for the experiment: its gamma is that trial's best_cost
+        filters._band_bases.cache_clear()
+        filters._screen_basis.cache_clear()
+        builds = []
+        basis, amplitude_basis = filters._basis, filters._amplitude_basis
+        monkeypatch.setattr(
+            filters, "_basis", lambda w, taps: builds.append(w.size) or basis(w, taps)
+        )
+        monkeypatch.setattr(
+            filters, "_amplitude_basis",
+            lambda spec: builds.append("screen") or amplitude_basis(spec),
+        )
+        cfg = ExperimentConfig(
+            objective="fir", order=10, population=20, iterations=10, trials=3,
+            symmetric=symmetric, out_dir=str(tmp_path), emit=("report",),
+        )
+        results, report = run_experiment(cfg)
+        best = results[report["fir"]["best_trial"]].best_cost
+        assert report["fir"]["gamma"].hex() == best.hex()
+        assert best == min(r.best_cost for r in results)
+        screen = ["screen"] if symmetric else []
+        assert builds == [2 * cfg.grid] + screen + [filters.ATTENUATION_GRID]
 
     def test_unwritable_output_dir_fails_before_running(self, tmp_path, monkeypatch):
         # a root process may write anywhere, so the permission check is made to fail
