@@ -20,10 +20,12 @@ improvement, and only the rows after it are blended and scored again. An
 objective whose evaluate takes rows (the four benchmarks) scores the block in
 one call; any other is called on one row at a time, only on the rows accepted,
 so it never sees a discarded point. An evaluate that also gives lower bounds
-(a symmetric FIR design) bounds the block in one call and is called only on
-the rows whose bound is below the best cost when they are taken. A row it
-skips counts as an evaluation with its bound as cost, which cannot improve
-the best either, so the run keeps every bit.
+(a symmetric FIR design, a cheap bound first and a tighter one second)
+bounds the block in one call with the first; a row whose bound is below the
+best cost when it is taken goes on to the next bound, one row per call, and
+only a row still below it after the last is evaluated. A row it skips counts
+as an evaluation with its bound as cost, which cannot improve the best
+either, so the run keeps every bit.
 
 All randomness flows from one numpy Generator seeded by the config, so
 identical (config, objective, seed) produce bitwise identical runs.
@@ -242,21 +244,27 @@ def _costs(objective: Objective, points: np.ndarray, swarm: Swarm) -> Iterator[f
     cost is a real scalar, a bool included.
 
     An evaluate with a lower_bounds mark (a symmetric FIR design; wraps copies
-    it too) first bounds every row in one call, ValueError unless that returns
-    a float64 array of one bound per row. A row whose bound is at least the
-    best cost when its cost is taken yields the bound, which cannot beat the
-    best either, and is not evaluated; a NaN bound never skips a row.
+    it too) holds bound functions, cheapest first. The first bounds every row
+    in one call; each later one is called on one row, x[None], only while the
+    row's bound is below the best cost when the row is taken, a NaN bound
+    included. ValueError unless a call returns a float64 array of one bound per
+    row. A row whose bound reaches the best yields that bound, which cannot
+    beat the best either, and is not evaluated.
     """
     evaluate = objective.evaluate
     if getattr(evaluate, "takes_rows", False):
         yield from _row_values(objective, evaluate(points), len(points), "real costs")
         return
-    lower_bounds = getattr(evaluate, "lower_bounds", None)
-    if lower_bounds is None:
-        bounds = [math.nan] * len(points)
+    tiers = getattr(evaluate, "lower_bounds", ())
+    if tiers:
+        bounds = _row_values(objective, tiers[0](points), len(points), "real lower bounds")
     else:
-        bounds = _row_values(objective, lower_bounds(points), len(points), "real lower bounds")
+        bounds = [math.nan] * len(points)
     for x, bound in zip(points, bounds):
+        for tier in tiers[1:]:
+            if bound >= swarm.best_cost:
+                break
+            bound = _row_values(objective, tier(x[None]), 1, "real lower bounds")[0]
         if bound >= swarm.best_cost:
             yield bound
             continue

@@ -14,9 +14,11 @@ the coefficient file.
 
 The objective computes |H| as one complex product per point. A symmetric
 design's |H| is also |x @ A| for the free half x and a real amplitude
-basis A; the objective's lower_bounds scores rows that way, a few per
-product, and takes off a rounding margin, so the engine computes the
-exact cost only for rows that could beat its best.
+basis A, so its objective carries two lower bounds on the cost, cheapest
+first, each less a derived rounding margin: quadratic forms in x with the
+band integrals of A^2 (D x D work per row), then A itself scored on the
+whole grid. The engine computes the exact cost only for rows that neither
+rules out.
 """
 
 from __future__ import annotations
@@ -39,11 +41,9 @@ __all__ = [
 
 # attenuation is a max statistic and needs a denser grid than the integrals
 ATTENUATION_GRID = 8192
-# rows per product in the FIR screen: a chunk's (rows, 2*grid) amplitudes take
-# 128 KiB at the default grid, and 4 or 8 rows scored 1,000 fir-20 rows fastest
-_SCREEN_ROWS = 4
-# the screen's margin is this many times the rounding bound _gamma_lower_bounds derives
+# each screen's margin is this many times the rounding bound its function derives
 _SCREEN_SAFETY = 1e3
+_UNIT_ROUNDOFF = 2.0**-53
 # specs whose bases (about 1.7 MB at fir-20) are kept: each is built once per
 # process and shared, read-only, by a cell's trials, the screen and the report
 _CACHED_SPECS = 4
@@ -191,10 +191,75 @@ def _screen_basis(spec: FilterSpec):
     return _read_only(_amplitude_basis(spec), weights, counts)
 
 
+@functools.lru_cache(maxsize=_CACHED_SPECS)
+def _gram_basis(spec: FilterSpec):
+    """(Q, w_pass, w_stop) for _gram_lower_bounds: the passband's and the
+    stopband's A_b diag(w_b) A_b^T side by side in one (free taps, 2 * free
+    taps) matrix, A and w being _screen_basis's amplitude basis and weights,
+    and each band's weight sum, correctly rounded."""
+    basis, weights, _ = _screen_basis(spec)
+    bands = (slice(None, spec.grid_points), slice(spec.grid_points, None))
+    gram = np.concatenate([(basis[:, b] * weights[b]) @ basis[:, b].T for b in bands], axis=1)
+    return (*_read_only(gram), *(math.fsum(weights[b].tolist()) for b in bands))
+
+
+def _gram_lower_bounds(spec: FilterSpec, rows) -> np.ndarray:
+    """A float64 lower bound on the objective's cost of each row of free taps, or NaN.
+
+    With x the row and q_b = x Q_b x^T the band integrals of A^2 (_gram_basis),
+    the stopband term of gamma is q_s, and Cauchy-Schwarz gives
+    sum w|A| <= sqrt(W_p * q_p) for the passband's weight sum W_p, so its term
+    sum w(1 - |A|)^2 = W_p - 2 sum w|A| + q_p is at least
+    (sqrt(W_p) - sqrt(q_p))^2, whichever root is larger. Their sum L costs
+    D x D work per row. Let u be the unit roundoff, N the tap count, D the free
+    taps, s = ||x||_1 and e as in _gamma_lower_bounds.
+    - The exact cost errs from the true gamma by at most 4e*sqrt(gamma) + 4e^2
+      + (2*grid + 8) * u * gamma (_gamma_lower_bounds' bullets). gamma less
+      that bound grows with gamma wherever it is positive, and the true gamma
+      is at least the true L, so the bound holds with L in place of gamma.
+    - An entry of A errs by at most (pi*(N - 1) + 2) * u and is at most 2 in
+      size, and the band's weights sum to W_b <= 1; so an entry of Q_b errs by
+      at most 4W_b(pi*(N - 1) + 2 + grid + 1) * u (the basis, then grid
+      products and sums in any order), and the form adds (2D + 1) * u times
+      |x| |Q_b| |x|^T <= 4W_b*s^2. Each q_b is thus within
+      eps_b = 4W_b(pi*(N - 1) + 2 + grid + 2D + 4) * u * s^2 of its true value.
+    - So sqrt(q_p) is within min(sqrt(eps_p), eps_p / sqrt(q_p)), and with the
+      roundings of both roots and their difference, r = sqrt(W_p) - sqrt(q_p)
+      is within d = 4u(1 + sqrt(q_p)) + that; r^2 then moves by at most
+      2d*|r| + d^2 <= 2d*sqrt(L) + d^2, q_s by eps_s, and the last square and
+      sum round by 2u*L.
+    The margin is _SCREEN_SAFETY times the sum of these bounds, with the
+    computed L throughout. A row with an inf or NaN tap, or one whose form
+    overflows, gets NaN or -inf.
+    """
+    # the exact bases first, as in _gamma_lower_bounds: no higher peak memory
+    _band_bases(spec, spec.n_coeff)
+    gram, w_pass, w_stop = _gram_basis(spec)
+    counts = _screen_basis(spec)[2]
+    rows = np.asarray(rows, dtype=float)
+    n, d, u = spec.n_coeff, spec.free_dimension, _UNIT_ROUNDOFF
+    # overflow, inf - inf and 0 / 0 only make a bound NaN or -inf (fmin skips
+    # the NaN of eps_p / 0 where eps_p is 0), as in _gamma_lower_bounds
+    with np.errstate(all="ignore"):
+        forms = np.reshape(rows @ gram, (len(rows), 2, d)) * rows[:, None]
+        # each true form is >= 0, so clipping at 0 only moves toward it
+        q_pass, q_stop = np.maximum(forms.sum(axis=2), 0.0).T
+        root = np.sqrt(q_pass)
+        bound = (math.sqrt(w_pass) - root) ** 2 + q_stop
+        e = (6 * n + 8) * u * (np.abs(rows) @ counts)
+        s = np.abs(rows).sum(axis=1)
+        eps = 4.0 * (math.pi * (n - 1) + 2 * d + 6 + spec.grid_points) * u * s * s
+        eps_pass = w_pass * eps
+        delta = 4.0 * u * (1.0 + root) + np.fmin(np.sqrt(eps_pass), eps_pass / root)
+        exact = 4.0 * e * np.sqrt(bound) + 4.0 * e * e + (2 * spec.grid_points + 10) * u * bound
+        gram_rounding = 2.0 * delta * np.sqrt(bound) + delta * delta + w_stop * eps
+        return bound - _SCREEN_SAFETY * (exact + gram_rounding)
+
+
 def _gamma_lower_bounds(spec: FilterSpec, rows) -> np.ndarray:
     """A float64 lower bound on the objective's cost of each row of free taps, or NaN.
 
-    Each chunk of _SCREEN_ROWS rows is scored as |X @ A| on the same grid and
+    The rows are scored as |X @ A| in one product, on the same grid and
     trapezoid weights as the exact cost, then a margin is taken off. Let u be
     the unit roundoff, N the tap count and e = (6N + 8) * u * ||taps||_1.
     - Each computed magnitude is within e of the true |H(w)| on the computed w:
@@ -220,19 +285,14 @@ def _gamma_lower_bounds(spec: FilterSpec, rows) -> np.ndarray:
     basis, weights, counts = _screen_basis(spec)
     rows = np.asarray(rows, dtype=float)
     grid = spec.grid_points
-    u = np.finfo(float).eps / 2.0
-    gamma = np.empty(len(rows))
-    chunk = np.empty((_SCREEN_ROWS, basis.shape[1]))
+    u = _UNIT_ROUNDOFF
     # overflow and inf - inf only make a bound NaN or -inf, which the engine
     # sends to the exact evaluation, and that reports its own
     with np.errstate(all="ignore"):
-        for a in range(0, len(rows), _SCREEN_ROWS):
-            x = rows[a : a + _SCREEN_ROWS]
-            amp = np.matmul(x, basis, out=chunk[: len(x)])
-            np.abs(amp, out=amp)
-            np.subtract(1.0, amp[:, :grid], out=amp[:, :grid])
-            np.square(amp, out=amp)
-            np.matmul(amp, weights, out=gamma[a : a + len(x)])
+        amp = np.abs(rows @ basis)
+        np.subtract(1.0, amp[:, :grid], out=amp[:, :grid])
+        np.square(amp, out=amp)
+        gamma = amp @ weights
         e = (6 * spec.n_coeff + 8) * u * (np.abs(rows) @ counts)
         rounding = 2 * (2 * grid + 8) * u * gamma
         return gamma - _SCREEN_SAFETY * (4.0 * e * np.sqrt(gamma) + 4.0 * e * e + rounding)
@@ -295,15 +355,18 @@ def make_filter_objective(spec: FilterSpec) -> Objective:
     evaluate is evaluate_filter's gamma of the mirrored taps, on the same
     cached bases, which are built on the first evaluation: building an
     objective that never runs costs nothing. A symmetric spec's evaluate also
-    carries lower_bounds(rows), one float64 bound per row of free taps from
-    _gamma_lower_bounds: the engine calls evaluate only on the rows whose
-    bound does not rule out beating the best cost.
+    carries lower_bounds, two functions of rows of free taps, each giving one
+    float64 bound per row: _gram_lower_bounds, then the tighter
+    _gamma_lower_bounds. The engine calls the second only on the rows the
+    first does not rule out, and evaluate only on the rows neither does.
     """
     def evaluate(x) -> float:
         return _gamma(spec, *fir_band_errors(spec.taps(x), spec))
 
     if spec.symmetric:
-        evaluate.lower_bounds = functools.partial(_gamma_lower_bounds, spec)
+        evaluate.lower_bounds = tuple(
+            functools.partial(bounds, spec) for bounds in (_gram_lower_bounds, _gamma_lower_bounds)
+        )
 
     return Objective(
         name=f"fir-{spec.n_coeff}",

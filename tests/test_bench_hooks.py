@@ -12,8 +12,10 @@ rebind per step, on the (updated rows, dimension) block of its wave; one
 blend per block of rows (the wave's, then the rows after each improvement),
 and one evaluation per block for a benchmark, per update for any other
 objective, except the updates a symmetric FIR design's lower_bounds screen
-rules out: the traced evaluate keeps that mark, so those are not traced.
-perfbench/ is only read here.
+rules out. The traced evaluate is a functools.wraps wrapper, which keeps
+that mark, both of its tiers (a Gram bound on each block, an amplitude bound
+on each row the first cannot rule out), so neither tier nor the updates
+they rule out are traced. perfbench/ is only read here.
 """
 
 import functools
@@ -28,6 +30,7 @@ import pytest
 
 from qdds import engine, filters, harness, svg
 from qdds.objectives import make_benchmark
+from qdds.presets import PRESETS
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 # run_path compiles from source, so no bytecode cache is written under perfbench/
@@ -232,6 +235,24 @@ def test_tracer_spans_the_fir_objective(tmp_path):
     # evaluations reuse their bases; only the attenuation and the response plot
     # compute a response through fir_response_magnitude
     assert metrics["filters.response.calls"] == 2
+
+
+def test_wrapped_fir_objective_keeps_both_bound_tiers():
+    # the tracer's functools.wraps wrapper of a symmetric FIR evaluate carries
+    # the same two tiers, and a run through it is the same bit for bit
+    objective, _ = harness.build_problem(PRESETS["fir-20"])
+    evaluate = objective.evaluate
+    wrapped = replace(objective, evaluate=functools.wraps(evaluate)(lambda x: evaluate(x)))
+    assert wrapped.evaluate.lower_bounds is evaluate.lower_bounds
+    assert len(evaluate.lower_bounds) == 2
+    config = engine.SwarmConfig(
+        population=200, init_range=objective.init_range, seed=[2023, 0], max_iter=40
+    )
+    a, b = engine.run(config, objective), engine.run(config, wrapped)
+    for name in ("positions", "delta_prev", "delta_prev2", "best_solution"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert (a.trace, a.events, a.eval_count) == (b.trace, b.events, b.eval_count)
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
 def test_tracer_keeps_the_benchmark_block_path(tmp_path):

@@ -65,9 +65,9 @@ def scripted(costs, mark=None):
     """An evaluate returning costs in scoring order, one per call. Marked
     "rows", it carries the benchmarks' takes_rows mark (functools.wraps copies
     it, as onto any wrapper of a benchmark) and returns one cost per row of a
-    block. Marked "bounds", it carries a lower_bounds mark that hands each row
-    of a block the next cost as its bound, the tightest bound there is, and
-    returns the cost handed to a row when that row is evaluated."""
+    block. Marked "bounds", it carries a one-tier lower_bounds mark that hands
+    each row of a block the next cost as its bound, the tightest bound there
+    is, and returns the cost handed to a row when that row is evaluated."""
     costs = list(costs)
     handed = {}
 
@@ -86,7 +86,7 @@ def scripted(costs, mark=None):
     if mark == "rows":
         return functools.wraps(sphere)(evaluate)
     if mark == "bounds":
-        evaluate.lower_bounds = lower_bounds
+        evaluate.lower_bounds = (lower_bounds,)
     return evaluate
 
 
@@ -100,6 +100,27 @@ def counted(objective):
         calls.append(x)
         return objective.evaluate(x)
 
+    return replace(objective, evaluate=evaluate), calls
+
+
+def tier_counted(objective, tiers):
+    """(objective, calls): objective behind a plain wrapper carrying the
+    lower_bounds tiers, each wrapped; calls maps each tier's index to the
+    blocks it was called on and "exact" to the points evaluate was."""
+    calls = {"exact": [], **{i: [] for i in range(len(tiers))}}
+
+    def recording(i, tier):
+        def bounds(rows):
+            calls[i].append(rows.copy())
+            return tier(rows)
+
+        return bounds
+
+    def evaluate(x):
+        calls["exact"].append(x.copy())
+        return objective.evaluate(x)
+
+    evaluate.lower_bounds = tuple(recording(i, tier) for i, tier in enumerate(tiers))
     return replace(objective, evaluate=evaluate), calls
 
 
@@ -370,11 +391,58 @@ class TestInit:
     )
     def test_non_real_lower_bounds_rejected(self, bounds):
         evaluate = scripted([1.0] * 8)
-        evaluate.lower_bounds = lambda rows: bounds
+        evaluate.lower_bounds = (lambda rows: bounds,)
         obj = Objective(name="bad", dimension=3, evaluate=evaluate, init_range=(-2.0, 2.0))
         message = "(?s)^objective 'bad' returned .*, not 4 real lower bounds$"
         with pytest.raises(ValueError, match=message):
             init_swarm(config(), obj)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [None, np.ones(2), np.ones((1, 1)), np.ones(1, complex), np.ones(1, np.float32)],
+        ids=["none", "two", "column", "complex", "float32"],
+    )
+    def test_non_real_later_lower_bounds_rejected(self, bounds):
+        # a first bound of -inf sends the first row on to the second tier
+        evaluate = scripted([1.0] * 8)
+        evaluate.lower_bounds = (lambda rows: np.full(len(rows), -np.inf), lambda rows: bounds)
+        obj = Objective(name="bad", dimension=3, evaluate=evaluate, init_range=(-2.0, 2.0))
+        message = "(?s)^objective 'bad' returned .*, not 1 real lower bounds$"
+        with pytest.raises(ValueError, match=message):
+            init_swarm(config(), obj)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("second", ["cost", "nan"])
+    @pytest.mark.parametrize("first", ["half-cost", "nan"])
+    def test_later_tier_sees_one_row_still_below_the_best(self, first, second, mode):
+        # each row taken goes on to the second tier, alone, while its first
+        # bound is below the best when it is taken, and is evaluated while its
+        # second bound is too; a NaN bound goes on
+        tiers = {
+            "half-cost": lambda rows: 0.5 * sphere(rows),
+            "cost": sphere,
+            "nan": lambda rows: np.full(len(rows), np.nan),
+        }
+        base = make_benchmark("sphere", DIM)
+        obj, calls = tier_counted(per_row(base), (tiers[first], tiers[second]))
+        cfg = config(mode=mode, seed=[2023, 1], population=10, max_iter=40)
+        reference, taken = counted(per_row(base))
+        assert_same_run(run(cfg, obj), run(cfg, reference))
+        best, expected = math.inf, {1: [], "exact": []}
+        for x in taken:
+            for tier, key in ((tiers[first], 1), (tiers[second], "exact")):
+                if tier(x[None])[0] >= best:
+                    break
+                expected[key].append(x)
+            best = min(best, sphere(x))
+        for key in (1, "exact"):
+            assert [x.tobytes() for x in expected[key]] == [
+                x.reshape(-1).tobytes() for x in calls[key]
+            ], key
+        assert all(rows.shape == (1, DIM) for rows in calls[1])
+        # each tier rules out some rows unless it gives NaN
+        assert (len(calls[1]) < len(taken)) == (first != "nan")
+        assert (len(calls["exact"]) < len(calls[1])) == (second != "nan")
 
     @pytest.mark.parametrize("seed", [[2023, 0], 5])
     @pytest.mark.parametrize("function", BENCHMARK_NAMES)
@@ -409,6 +477,21 @@ class TestInit:
         cfg = config(seed=[2023, 0], population=200, max_iter=50, init_range=(-1.0, 1.0))
         swarm = run(cfg, obj)
         assert 0 < len(calls) < swarm.eval_count / 10
+
+    def test_gram_tier_spares_the_amplitude_tier(self):
+        # the two-tier screen against the amplitude bound alone on a short
+        # fir-20 run: the same run, no more exact calls, and under a fifth of
+        # the rows the Gram tier bounds sent on to the amplitude tier
+        obj = make_filter_objective(FilterSpec(n_coeff=20))
+        gram, amplitude = obj.evaluate.lower_bounds
+        tiered, calls = tier_counted(obj, (gram, amplitude))
+        single, single_calls = tier_counted(obj, (amplitude,))
+        cfg = config(seed=[2023, 0], population=1000, max_iter=100, init_range=obj.init_range)
+        assert_same_run(run(cfg, tiered), run(cfg, single))
+        assert 0 < len(calls["exact"]) <= len(single_calls["exact"])
+        bounded = sum(map(len, calls[0]))
+        assert bounded == sum(map(len, single_calls[0]))
+        assert len(calls[1]) < bounded / 5
 
     def test_unsymmetric_fir_run_evaluates_every_row(self):
         obj, calls = counted(make_filter_objective(FilterSpec(n_coeff=10, symmetric=False)))
@@ -884,7 +967,7 @@ class TestRun:
             evaluate = functools.wraps(sphere)(evaluate)
         elif mark == "bounds":
             # each row's true cost as its bound, the poisoned point's included
-            evaluate.lower_bounds = sphere
+            evaluate.lower_bounds = (sphere,)
         res = run(cfg, replace(base, evaluate=evaluate))
         assert math.isfinite(res.best_cost)
         assert all(math.isfinite(row[1]) for row in res.trace)

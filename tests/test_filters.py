@@ -354,10 +354,11 @@ class TestObjectiveWrapper:
 
     def test_bases_built_once_per_spec(self, monkeypatch):
         # counts builds, not cache lookups: two objectives of one spec, their
-        # evaluations and screen, and the report's scoring share one build of
-        # each basis; the attenuation grid is the report's own
+        # evaluations and both screens, and the report's scoring share one
+        # build of each basis; the attenuation grid is the report's own
         filters._band_bases.cache_clear()
         filters._screen_basis.cache_clear()
+        filters._gram_basis.cache_clear()
         builds = []
         basis, amplitude_basis = filters._basis, filters._amplitude_basis
 
@@ -377,17 +378,22 @@ class TestObjectiveWrapper:
         rng = np.random.default_rng(4)
         for i in range(50):
             objectives[i % 2].evaluate(rng.uniform(-1.0, 1.0, spec.free_dimension))
-        objectives[1].evaluate.lower_bounds(rng.uniform(-1.0, 1.0, (6, spec.free_dimension)))
+        for objective in objectives:
+            for bounds in objective.evaluate.lower_bounds:
+                bounds(rng.uniform(-1.0, 1.0, (6, spec.free_dimension)))
         evaluate_filter(spec.taps(rng.uniform(-1.0, 1.0, spec.free_dimension)), spec)
         assert builds == [
             ("exact", 2 * spec.grid_points, 20),
             ("screen", spec),
             ("exact", ATTENUATION_GRID, 20),
         ]
+        assert filters._gram_basis.cache_info().misses == 1
 
     def test_cached_bases_are_read_only(self):
         spec = FilterSpec(n_coeff=9, grid_points=64)
-        for arrays in (filters._band_bases(spec, 9), filters._screen_basis(spec)):
+        for arrays in (
+            filters._band_bases(spec, 9), filters._screen_basis(spec), filters._gram_basis(spec)[:1]
+        ):
             for a in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0.0
@@ -446,55 +452,92 @@ def exact_costs(objective, rows):
         return [objective.evaluate(row) for row in rows]
 
 
+def assert_bounds_below_cost(case, tier):
+    """The objective's lower_bounds[tier] on rows drawn from a bound_cases case,
+    the first row all zero: float64, one per row, none above the exact cost."""
+    n_coeff, grid, eta, log_scale, seed = case
+    spec = FilterSpec(n_coeff=n_coeff, grid_points=grid, eta=eta)
+    obj = make_filter_objective(spec)
+    rows = 10.0**log_scale * np.random.default_rng(seed).uniform(
+        -1.0, 1.0, (7, spec.free_dimension)
+    )
+    rows[0] = 0.0
+    bounds = obj.evaluate.lower_bounds[tier](rows)
+    assert bounds.dtype == np.float64 and bounds.shape == (len(rows),)
+    assert all(b <= c for b, c in zip(bounds.tolist(), exact_costs(obj, rows)))
+
+
+def assert_non_finite_rows_bound_nan_or_below(n_coeff, eta, tier):
+    spec = FilterSpec(n_coeff=n_coeff, eta=eta)
+    obj = make_filter_objective(spec)
+    rows = np.full((6, spec.free_dimension), 0.25)
+    rows[0, 0] = np.inf
+    rows[1, -1] = -np.inf
+    rows[2, 1] = np.nan
+    rows[3] = np.inf
+    rows[4, :2] = (np.inf, -np.inf)
+    rows[5, 0] = 1e300  # finite taps whose response overflows
+    bounds = obj.evaluate.lower_bounds[tier](rows)
+    for bound, cost in zip(bounds.tolist(), exact_costs(obj, rows)):
+        assert math.isnan(bound) or bound <= cost
+
+
 class TestLowerBounds:
-    """A symmetric objective's lower_bounds: one float64 per row, never above
-    the exact cost, NaN allowed."""
+    """A symmetric objective's lower_bounds, (gram, amplitude): each gives one
+    float64 per row, never above the exact cost, NaN allowed."""
+
+    def test_two_tiers_cheapest_first(self):
+        tiers = make_filter_objective(FilterSpec(n_coeff=9)).evaluate.lower_bounds
+        assert [tier.func for tier in tiers] == [
+            filters._gram_lower_bounds, filters._gamma_lower_bounds
+        ]
 
     @settings(max_examples=80, deadline=None)
     @given(bound_cases)
     def test_bound_never_exceeds_cost(self, case):
-        n_coeff, grid, eta, log_scale, seed = case
-        spec = FilterSpec(n_coeff=n_coeff, grid_points=grid, eta=eta)
-        obj = make_filter_objective(spec)
-        # more rows than a screen chunk, the first all zero
-        rows = 10.0**log_scale * np.random.default_rng(seed).uniform(
-            -1.0, 1.0, (filters._SCREEN_ROWS + 3, spec.free_dimension)
-        )
-        rows[0] = 0.0
-        bounds = obj.evaluate.lower_bounds(rows)
-        assert bounds.dtype == np.float64 and bounds.shape == (len(rows),)
-        assert all(b <= c for b, c in zip(bounds.tolist(), exact_costs(obj, rows)))
+        assert_bounds_below_cost(case, tier=1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(bound_cases)
+    def test_gram_bound_never_exceeds_cost(self, case):
+        assert_bounds_below_cost(case, tier=0)
 
     @pytest.mark.parametrize("n_coeff", [5, 6])
     @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
     def test_non_finite_rows_bound_nan_or_below(self, n_coeff, eta):
-        spec = FilterSpec(n_coeff=n_coeff, eta=eta)
-        obj = make_filter_objective(spec)
-        rows = np.full((6, spec.free_dimension), 0.25)
-        rows[0, 0] = np.inf
-        rows[1, -1] = -np.inf
-        rows[2, 1] = np.nan
-        rows[3] = np.inf
-        rows[4, :2] = (np.inf, -np.inf)
-        rows[5, 0] = 1e300  # finite taps whose response overflows
-        bounds = obj.evaluate.lower_bounds(rows)
-        for bound, cost in zip(bounds.tolist(), exact_costs(obj, rows)):
-            assert math.isnan(bound) or bound <= cost
+        assert_non_finite_rows_bound_nan_or_below(n_coeff, eta, tier=1)
+
+    @pytest.mark.parametrize("n_coeff", [5, 6])
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+    def test_gram_non_finite_rows_bound_nan_or_below(self, n_coeff, eta):
+        assert_non_finite_rows_bound_nan_or_below(n_coeff, eta, tier=0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([0.0, 0.5, 1.0]))
     def test_near_optimal_designs(self, seed, eta):
         # the 20-tap reference design and neighbours 1e-9 away, where the
-        # bound must stay below the cost with costs this close together
+        # amplitude bound must stay below the cost with costs this close together
         spec = FilterSpec(n_coeff=20, eta=eta)
         obj = make_filter_objective(spec)
         half = np.asarray(REFERENCE_HALF_20)
         rows = half + 1e-9 * np.random.default_rng(seed).standard_normal((9, half.size))
         rows[0] = half
-        bounds = obj.evaluate.lower_bounds(rows).tolist()
+        bounds = obj.evaluate.lower_bounds[1](rows).tolist()
         costs = exact_costs(obj, rows)
         assert all(b <= c for b, c in zip(bounds, costs))
         # yet close enough to rule out every row that is not within 1e-6 of the best
+        assert all(c - b < 1e-6 * c for b, c in zip(bounds, costs))
+
+    @pytest.mark.parametrize("n_coeff", [9, 10, 20])
+    def test_gram_bound_is_the_cost_at_eta_0(self, n_coeff):
+        # with no passband weight the Gram bound is the stopband integral of
+        # A^2, which is gamma itself: only the margin keeps it below the cost
+        spec = FilterSpec(n_coeff=n_coeff, eta=0.0)
+        obj = make_filter_objective(spec)
+        rows = np.random.default_rng(n_coeff).uniform(-1.0, 1.0, (50, spec.free_dimension))
+        bounds = obj.evaluate.lower_bounds[0](rows).tolist()
+        costs = exact_costs(obj, rows)
+        assert all(b <= c for b, c in zip(bounds, costs))
         assert all(c - b < 1e-6 * c for b, c in zip(bounds, costs))
 
     def test_amplitude_basis_gives_the_magnitude(self):
@@ -505,6 +548,25 @@ class TestLowerBounds:
             assert basis.shape == (spec.free_dimension, 2 * spec.grid_points)
             mag = np.abs(filters._band_bases(spec, n_coeff)[0] @ spec.taps(x))
             assert np.allclose(np.abs(x @ basis), mag, rtol=0.0, atol=1e-14)
+
+    def test_gram_basis_gives_the_band_integrals(self):
+        for n_coeff in (9, 10):
+            spec = FilterSpec(n_coeff=n_coeff, grid_points=64, eta=0.3)
+            x = np.random.default_rng(n_coeff).uniform(-1.0, 1.0, spec.free_dimension)
+            gram, w_pass, w_stop = filters._gram_basis(spec)
+            basis, weights, _ = filters._screen_basis(spec)
+            squares = weights * (x @ basis) ** 2
+            grid = spec.grid_points
+            assert gram.shape == (spec.free_dimension, 2 * spec.free_dimension)
+            assert np.allclose(
+                [x @ gram[:, : x.size] @ x, x @ gram[:, x.size :] @ x],
+                [squares[:grid].sum(), squares[grid:].sum()],
+                rtol=1e-12,
+                atol=0.0,
+            )
+            assert [w_pass, w_stop] == pytest.approx(
+                [weights[:grid].sum(), weights[grid:].sum()], rel=1e-15
+            )
 
 
 class TestCoefficientFiles:
