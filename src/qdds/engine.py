@@ -14,18 +14,19 @@ next wave and draws nothing. A member reads only what its previous update, in
 an earlier wave, wrote, so the gate, the inverse solve and the delta rebind
 each run once per wave on its (rows, dimension) block. The gbest update stays
 sequential in pick order: each blend reads the gbest the updates before it
-left. A block of a wave's rows is blended with the current gbest in one call
-and scored; rows are accepted in pick order up to the first strict
-improvement, and only the rows after it are blended and scored again. An
-objective whose evaluate takes rows (the four benchmarks) scores the block in
-one call; any other is called on one row at a time, only on the rows accepted,
-so it never sees a discarded point. An evaluate that also gives lower bounds
-(a symmetric FIR design, a cheap bound first and a tighter one second)
-bounds the block in one call with the first; a row whose bound is below the
-best cost when it is taken goes on to the next bound, one row per call, and
-only a row still below it after the last is evaluated. A row it skips counts
-as an evaluation with its bound as cost, which cannot improve the best
-either, so the run keeps every bit.
+left. A block of a wave's rows is blended with the current gbest in one call;
+_accept, the one scoring path, scores the block and takes its rows in pick
+order up to the first strict improvement, and only the rows after it are
+blended and scored again. init_swarm takes every row of r1, then of r2, each
+set from one block call. An objective whose evaluate takes rows (the four
+benchmarks) scores the block in that call; any other is called on one row at
+a time, only on the rows taken, so it never sees a discarded point. An
+evaluate that also gives lower bounds (a symmetric FIR design, a cheap bound
+first and a tighter one second) bounds the block in that call with the first;
+a row whose bound is below the best cost when it is taken goes on to the next
+bound, one row per call, and only a row still below it after the last is
+evaluated. A row it skips counts as an evaluation with its bound as cost,
+which cannot improve the best either, so the run keeps every bit.
 
 All randomness flows from one numpy Generator seeded by the config, so
 identical (config, objective, seed) produce bitwise identical runs.
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -226,53 +227,10 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
     )
     # rows 1 and 2 close the two sweeps; row 3, with no evaluation, opens the optimization
     for points in (r1, r2):
-        costs = _costs(objective, points, swarm)
-        i = 0
-        while i < len(points):
-            i += _accept(swarm, points[i:], costs, trace=False)
+        _accept(swarm, objective, points, trace=False, stop=False)
         swarm.trace.append((len(swarm.trace) + 1, swarm.best_cost, swarm.eval_count))
     swarm.trace.append((3, swarm.best_cost, swarm.eval_count))
     return swarm
-
-
-def _costs(objective: Objective, points: np.ndarray, swarm: Swarm) -> Iterator[float]:
-    """The objective's costs of the rows of points, in order. An evaluate with
-    the takes_rows mark (the benchmarks; functools.wraps copies it to a
-    wrapper) scores them in one call, ValueError unless that returns a float64
-    array of one cost per row. Any other is called on a row only when its cost
-    is taken, so it never sees a point the run discards; ValueError unless the
-    cost is a real scalar, a bool included.
-
-    An evaluate with a lower_bounds mark (a symmetric FIR design; wraps copies
-    it too) holds bound functions, cheapest first. The first bounds every row
-    in one call; each later one is called on one row, x[None], only while the
-    row's bound is below the best cost when the row is taken, a NaN bound
-    included. ValueError unless a call returns a float64 array of one bound per
-    row. A row whose bound reaches the best yields that bound, which cannot
-    beat the best either, and is not evaluated.
-    """
-    evaluate = objective.evaluate
-    if getattr(evaluate, "takes_rows", False):
-        yield from _row_values(objective, evaluate(points), len(points), "real costs")
-        return
-    tiers = getattr(evaluate, "lower_bounds", ())
-    if tiers:
-        bounds = _row_values(objective, tiers[0](points), len(points), "real lower bounds")
-    else:
-        bounds = [math.nan] * len(points)
-    for x, bound in zip(points, bounds):
-        for tier in tiers[1:]:
-            if bound >= swarm.best_cost:
-                break
-            bound = _row_values(objective, tier(x[None]), 1, "real lower bounds")[0]
-        if bound >= swarm.best_cost:
-            yield bound
-            continue
-        cost = evaluate(x)
-        # a plain float skips the much slower isinstance checks
-        if type(cost) is not float and (isinstance(cost, bool) or not isinstance(cost, numbers.Real)):
-            raise ValueError(f"objective {objective.name!r} returned {cost!r}, not a real scalar")
-        yield cost
 
 
 def _row_values(objective: Objective, values, n: int, what: str) -> list[float]:
@@ -282,24 +240,58 @@ def _row_values(objective: Objective, values, n: int, what: str) -> list[float]:
     return values.tolist()
 
 
-def _accept(swarm: Swarm, points: np.ndarray, costs: Iterator[float], trace: bool) -> int:
-    """Take costs of the points in order up to the first strictly below
-    best_cost (a NaN never is, a tie keeps the earlier point), which becomes the
-    best with a copy of its point; returns how many were taken. trace appends
-    one trace row per cost taken."""
-    taken = 0
-    for cost in costs:
-        taken += 1
+def _accept(swarm: Swarm, objective: Objective, points: np.ndarray, trace: bool, stop: bool) -> int:
+    """Score the rows of points in order and take them; returns how many were taken.
+
+    A cost strictly below best_cost (a NaN never is, a tie keeps the earlier
+    point) becomes the best with a copy of its row and, with stop, ends the
+    take. Each row taken counts one evaluation and, with trace, one trace row.
+
+    One block call comes first: an evaluate with the takes_rows mark (the
+    benchmarks; functools.wraps copies it to a wrapper) scores every row, else
+    the first of its lower_bounds (a symmetric FIR design, bound functions
+    cheapest first; wraps copies them too) bounds every row, else every bound
+    is NaN; ValueError unless the call returns a float64 array of one value per
+    row. A later tier is called on points[i:i+1] only while the row's bound is
+    below the best when the row is taken (a NaN bound goes on), with the same
+    check, and only a row still below it after the last tier is evaluated,
+    alone, so evaluate never sees a point the run discards; ValueError unless
+    that cost is a real scalar, which a bool is not. A row whose bound reaches
+    the best takes the bound as its cost, which cannot beat the best either.
+    """
+    evaluate = objective.evaluate
+    takes_rows = getattr(evaluate, "takes_rows", False)
+    tiers = () if takes_rows else getattr(evaluate, "lower_bounds", ())
+    if takes_rows:
+        values = _row_values(objective, evaluate(points), len(points), "real costs")
+    elif tiers:
+        values = _row_values(objective, tiers[0](points), len(points), "real lower bounds")
+    else:
+        values = [math.nan] * len(points)
+    for i, cost in enumerate(values):
+        for tier in tiers[1:]:
+            if cost >= swarm.best_cost:
+                break
+            cost = _row_values(objective, tier(points[i : i + 1]), 1, "real lower bounds")[0]
+        if not (takes_rows or cost >= swarm.best_cost):
+            cost = evaluate(points[i])
+            # a plain float skips the much slower isinstance checks
+            if type(cost) is not float and (
+                isinstance(cost, bool) or not isinstance(cost, numbers.Real)
+            ):
+                raise ValueError(
+                    f"objective {objective.name!r} returned {cost!r}, not a real scalar"
+                )
         swarm.eval_count += 1
         better = cost < swarm.best_cost
         if better:
             swarm.best_cost = float(cost)
-            swarm.best_solution = points[taken - 1].copy()
+            swarm.best_solution = points[i].copy()
         if trace:
             swarm.trace.append((len(swarm.trace) + 1, swarm.best_cost, swarm.eval_count))
-        if better:
-            break
-    return taken
+        if better and stop:
+            return i + 1
+    return len(points)
 
 
 def _plan(cfg: SwarmConfig, rng: np.random.Generator) -> list[tuple]:
@@ -380,7 +372,7 @@ def step(swarm: Swarm, objective: Objective) -> Swarm:
     while i < n:
         end = min(i + size, n)
         blended = blend_with_gbest(r_raw[i:end], swarm.best_solution, rhos[i:end, None])
-        taken = _accept(swarm, blended, _costs(objective, blended, swarm), literal)
+        taken = _accept(swarm, objective, blended, trace=literal, stop=True)
         positions[i : i + taken] = blended[:taken]
         size = max(_MIN_BLOCK, 2 * taken)
         i += taken

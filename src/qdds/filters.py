@@ -179,34 +179,30 @@ def _band_errors(h, bases) -> tuple[float, float]:
 
 @functools.lru_cache(maxsize=_CACHED_SPECS)
 def _screen_basis(spec: FilterSpec):
-    """(basis, weights, counts) for _gamma_lower_bounds: the amplitude basis,
-    the weight of each squared band error sample in gamma (the trapezoid's,
-    times eta or 1 - eta, over pi), and each free tap's count in the taps (2,
-    the centre tap 1)."""
-    _, d_pass, d_stop = _band_grid(spec)
+    """(basis, weights, counts, gram, w_pass, w_stop) for both screens: the
+    amplitude basis A, the weight w of each squared band error sample in gamma
+    (the trapezoid's, times eta or 1 - eta, over pi), each free tap's count in
+    the taps (2, the centre tap 1), the passband's and the stopband's
+    A_b diag(w_b) A_b^T side by side in one (free taps, 2 * free taps) matrix,
+    and each band's weight sum, correctly rounded. The exact bases are built
+    first, so the temporaries of their build are freed before these exist: no
+    higher peak memory."""
+    _, d_pass, d_stop = _band_bases(spec, spec.n_coeff)
     trapezoid = [(np.append(d, 0.0) + np.insert(d, 0, 0.0)) / 2.0 for d in (d_pass, d_stop)]
     weights = np.concatenate([spec.eta * trapezoid[0], (1.0 - spec.eta) * trapezoid[1]]) / np.pi
     counts = np.full(spec.free_dimension, 2.0)
     counts[spec.free_dimension - spec.n_coeff % 2 :] = 1.0
-    return _read_only(_amplitude_basis(spec), weights, counts)
-
-
-@functools.lru_cache(maxsize=_CACHED_SPECS)
-def _gram_basis(spec: FilterSpec):
-    """(Q, w_pass, w_stop) for _gram_lower_bounds: the passband's and the
-    stopband's A_b diag(w_b) A_b^T side by side in one (free taps, 2 * free
-    taps) matrix, A and w being _screen_basis's amplitude basis and weights,
-    and each band's weight sum, correctly rounded."""
-    basis, weights, _ = _screen_basis(spec)
+    basis = _amplitude_basis(spec)
     bands = (slice(None, spec.grid_points), slice(spec.grid_points, None))
     gram = np.concatenate([(basis[:, b] * weights[b]) @ basis[:, b].T for b in bands], axis=1)
-    return (*_read_only(gram), *(math.fsum(weights[b].tolist()) for b in bands))
+    arrays = _read_only(basis, weights, counts, gram)
+    return (*arrays, *(math.fsum(weights[b].tolist()) for b in bands))
 
 
 def _gram_lower_bounds(spec: FilterSpec, rows) -> np.ndarray:
     """A float64 lower bound on the objective's cost of each row of free taps, or NaN.
 
-    With x the row and q_b = x Q_b x^T the band integrals of A^2 (_gram_basis),
+    With x the row and q_b = x Q_b x^T the band integrals of A^2 (_screen_basis),
     the stopband term of gamma is q_s, and Cauchy-Schwarz gives
     sum w|A| <= sqrt(W_p * q_p) for the passband's weight sum W_p, so its term
     sum w(1 - |A|)^2 = W_p - 2 sum w|A| + q_p is at least
@@ -232,10 +228,7 @@ def _gram_lower_bounds(spec: FilterSpec, rows) -> np.ndarray:
     computed L throughout. A row with an inf or NaN tap, or one whose form
     overflows, gets NaN or -inf.
     """
-    # the exact bases first, as in _gamma_lower_bounds: no higher peak memory
-    _band_bases(spec, spec.n_coeff)
-    gram, w_pass, w_stop = _gram_basis(spec)
-    counts = _screen_basis(spec)[2]
+    counts, gram, w_pass, w_stop = _screen_basis(spec)[2:]
     rows = np.asarray(rows, dtype=float)
     n, d, u = spec.n_coeff, spec.free_dimension, _UNIT_ROUNDOFF
     # overflow, inf - inf and 0 / 0 only make a bound NaN or -inf (fmin skips
@@ -279,10 +272,7 @@ def _gamma_lower_bounds(spec: FilterSpec, rows) -> np.ndarray:
     screen's gamma in place of the exact one. A row with an inf or NaN tap, or
     one whose margin overflows, gets NaN or -inf.
     """
-    # the exact bases first, so the temporaries of their build are freed
-    # before the screen's basis exists: no higher peak memory
-    _band_bases(spec, spec.n_coeff)
-    basis, weights, counts = _screen_basis(spec)
+    basis, weights, counts = _screen_basis(spec)[:3]
     rows = np.asarray(rows, dtype=float)
     grid = spec.grid_points
     u = _UNIT_ROUNDOFF

@@ -69,7 +69,7 @@ class Objective:
 
     init_range is the canonical per-dimension initialization interval.
     evaluate may carry a takes_rows or a lower_bounds mark, which the
-    engine reads (engine._costs).
+    engine reads (engine._accept).
     """
 
     name: str

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qdds import engine
 from qdds.engine import (
     MODES,
     REBINDS,
@@ -498,6 +499,43 @@ class TestInit:
         cfg = config(seed=[2023, 0], population=50, max_iter=20, init_range=(-1.0, 1.0))
         swarm = run(cfg, obj)
         assert len(calls) == swarm.eval_count
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mark", ["rows", "bounds"])
+    def test_one_block_call_per_point_set_and_per_block(self, mark, mode, monkeypatch):
+        # every r1 cost is below the one before it, so each init row improves
+        # the best; still each initial set, and each block of a wave (one blend
+        # call), gets one block call or one first-tier call
+        cfg = config(mode=mode, population=8, max_iter=30)
+        r1, _ = _initial_draws(cfg)
+        scripted_r1 = {row.tobytes(): 100.0 - p for p, row in enumerate(r1)}
+        blocks, blends = [], []
+
+        def costs(rows):
+            return np.array([scripted_r1.get(x.tobytes(), sphere(x)) for x in rows])
+
+        def block(rows):
+            blocks.append(len(rows))
+            return costs(rows)
+
+        if mark == "rows":
+            evaluate = functools.wraps(sphere)(block)
+        else:
+            def evaluate(x):
+                return float(costs(x[None])[0])
+
+            evaluate.lower_bounds = (lambda rows: 0.5 * block(rows), costs)
+        blend = engine.blend_with_gbest
+        monkeypatch.setattr(
+            engine, "blend_with_gbest", lambda *args: blends.append(None) or blend(*args)
+        )
+        obj = Objective(name="scripted", dimension=DIM, evaluate=evaluate, init_range=(-2.0, 2.0))
+        swarm = init_swarm(cfg, obj)
+        assert swarm.trace[0][1] == 100.0 - (cfg.population - 1)
+        assert blocks == [cfg.population] * 2
+        while swarm.waves:
+            step(swarm, obj)
+        assert len(blocks) == 2 + len(blends) > 2
 
     def test_drawn_lam_scale(self):
         cfg = config(seed=11)

@@ -358,7 +358,6 @@ class TestObjectiveWrapper:
         # build of each basis; the attenuation grid is the report's own
         filters._band_bases.cache_clear()
         filters._screen_basis.cache_clear()
-        filters._gram_basis.cache_clear()
         builds = []
         basis, amplitude_basis = filters._basis, filters._amplitude_basis
 
@@ -387,13 +386,11 @@ class TestObjectiveWrapper:
             ("screen", spec),
             ("exact", ATTENUATION_GRID, 20),
         ]
-        assert filters._gram_basis.cache_info().misses == 1
+        assert filters._screen_basis.cache_info().misses == 1
 
     def test_cached_bases_are_read_only(self):
         spec = FilterSpec(n_coeff=9, grid_points=64)
-        for arrays in (
-            filters._band_bases(spec, 9), filters._screen_basis(spec), filters._gram_basis(spec)[:1]
-        ):
+        for arrays in (filters._band_bases(spec, 9), filters._screen_basis(spec)[:4]):
             for a in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0.0
@@ -553,8 +550,7 @@ class TestLowerBounds:
         for n_coeff in (9, 10):
             spec = FilterSpec(n_coeff=n_coeff, grid_points=64, eta=0.3)
             x = np.random.default_rng(n_coeff).uniform(-1.0, 1.0, spec.free_dimension)
-            gram, w_pass, w_stop = filters._gram_basis(spec)
-            basis, weights, _ = filters._screen_basis(spec)
+            basis, weights, _, gram, w_pass, w_stop = filters._screen_basis(spec)
             squares = weights * (x @ basis) ** 2
             grid = spec.grid_points
             assert gram.shape == (spec.free_dimension, 2 * spec.free_dimension)
