@@ -9,24 +9,17 @@ default) or "sweep" (all particles in index order per iteration).
 
 init_swarm plans the whole schedule as waves of three arrays, rows, thetas and
 rhos: one iteration each in sweep mode, in literal mode the longest runs of
-iterations whose picks are distinct. step, the one update path, applies the
-next wave and draws nothing. A member reads only what its previous update, in
-an earlier wave, wrote, so the gate, the inverse solve and the delta rebind
-each run once per wave on its (rows, dimension) block. The gbest update stays
-sequential in pick order: each blend reads the gbest the updates before it
-left. A block of a wave's rows is blended with the current gbest in one call;
-_accept, the one scoring path, scores the block and takes its rows in pick
-order up to the first strict improvement, and only the rows after it are
-blended and scored again. init_swarm takes every row of r1, then of r2, each
-set from one block call. An objective whose evaluate takes rows (the four
-benchmarks) scores the block in that call; any other is called on one row at
-a time, only on the rows taken, so it never sees a discarded point. An
-evaluate that also gives lower bounds (a symmetric FIR design, a cheap bound
-first and a tighter one second) bounds the block in that call with the first;
-a row whose bound is below the best cost when it is taken goes on to the next
-bound, one row per call, and only a row still below it after the last is
-evaluated. A row it skips counts as an evaluation with its bound as cost,
-which cannot improve the best either, so the run keeps every bit.
+iterations whose picks are distinct. step applies the next wave and draws
+nothing; it keeps the per-dimension well kernels. A member reads only what its
+previous update, in an earlier wave, wrote, so the gate, the inverse solve and
+the delta rebind each run once per wave on its (rows, dimension) block.
+Acceptance stays sequential in pick order, each blend reading the best the
+updates before it left: _accept, the one acceptance rule, blends, scores and
+takes a wave's rows, and init_swarm's two point sets, a block at a time. An
+objective that takes rows or gives lower bounds scores or bounds a block in one
+call; any other, and a row still below the best after every bound, is
+evaluated one row at a time, only on the rows taken, so it never sees a
+discarded point, and the run keeps every bit.
 
 All randomness flows from one numpy Generator seeded by the config, so
 identical (config, objective, seed) produce bitwise identical runs.
@@ -61,9 +54,9 @@ __all__ = [
 ]
 
 MODES = ("literal", "sweep")
-# fewest rows in a block after a wave's first: one call costs about what
-# scoring 20 more d30 benchmark rows does, so rows scored in vain are cheaper
-# than more calls (8 ran the sweep benchmark grid faster than 16 or 32)
+# fewest rows in a block after a wave's first. Timed against no floor and the
+# rest of the wave, all three ran literal and FIR cells alike; on the 12 sweep
+# d10 cells the rest of the wave was 6 % slower and no floor no faster than 8
 _MIN_BLOCK = 8
 REBINDS = ("post", "pre")
 
@@ -226,9 +219,8 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
         waves=_plan(config, rng),
     )
     # rows 1 and 2 close the two sweeps; row 3, with no evaluation, opens the optimization
-    for points in (r1, r2):
-        _accept(swarm, objective, points, trace=False, stop=False)
-        swarm.trace.append((len(swarm.trace) + 1, swarm.best_cost, swarm.eval_count))
+    _accept(swarm, objective, r1)
+    _accept(swarm, objective, r2)
     swarm.trace.append((3, swarm.best_cost, swarm.eval_count))
     return swarm
 
@@ -240,58 +232,82 @@ def _row_values(objective: Objective, values, n: int, what: str) -> list[float]:
     return values.tolist()
 
 
-def _accept(swarm: Swarm, objective: Objective, points: np.ndarray, trace: bool, stop: bool) -> int:
-    """Score the rows of points in order and take them; returns how many were taken.
+def _accept(swarm: Swarm, objective: Objective, points: np.ndarray, rhos=None) -> None:
+    """Score the rows of points in order and take them: the one acceptance rule.
+
+    Without rhos (init_swarm's r1, then r2) one block call scores every row and
+    all are taken. With a wave's weights, points holds the wave's raw rows and
+    ends holding its positions: each block of them is blended with the current
+    best (blend_with_gbest) and scored, and its rows are taken and written back
+    in pick order up to the first strict improvement; the rest are blended
+    again, against the new best. The first block is the whole wave, each later
+    one twice the rows the last kept and at least _MIN_BLOCK: where improvements
+    are dense (sweep waves contracting onto the best) few rows are blended in vain.
 
     A cost strictly below best_cost (a NaN never is, a tie keeps the earlier
-    point) becomes the best with a copy of its row and, with stop, ends the
-    take. Each row taken counts one evaluation and, with trace, one trace row.
+    point) becomes the best with a copy of its row. Each row taken counts one
+    evaluation; a literal wave adds one trace row per row taken, a point set or
+    a sweep wave one at its end.
 
-    One block call comes first: an evaluate with the takes_rows mark (the
+    Each block gets one call first: an evaluate with the takes_rows mark (the
     benchmarks; functools.wraps copies it to a wrapper) scores every row, else
     the first of its lower_bounds (a symmetric FIR design, bound functions
     cheapest first; wraps copies them too) bounds every row, else every bound
     is NaN; ValueError unless the call returns a float64 array of one value per
-    row. A later tier is called on points[i:i+1] only while the row's bound is
-    below the best when the row is taken (a NaN bound goes on), with the same
-    check, and only a row still below it after the last tier is evaluated,
-    alone, so evaluate never sees a point the run discards; ValueError unless
-    that cost is a real scalar, which a bool is not. A row whose bound reaches
-    the best takes the bound as its cost, which cannot beat the best either.
+    row. A later tier is called on one row only while the row's bound is below
+    the best when the row is taken (a NaN bound goes on), with the same check,
+    and only a row still below it after the last tier is evaluated, alone, so
+    evaluate never sees a point the run discards; ValueError unless that cost
+    is a real scalar, which a bool is not. A row whose bound reaches the best
+    takes the bound as its cost, which cannot beat the best either.
     """
     evaluate = objective.evaluate
     takes_rows = getattr(evaluate, "takes_rows", False)
     tiers = () if takes_rows else getattr(evaluate, "lower_bounds", ())
-    if takes_rows:
-        values = _row_values(objective, evaluate(points), len(points), "real costs")
-    elif tiers:
-        values = _row_values(objective, tiers[0](points), len(points), "real lower bounds")
-    else:
-        values = [math.nan] * len(points)
-    for i, cost in enumerate(values):
-        for tier in tiers[1:]:
-            if cost >= swarm.best_cost:
+    per_row = rhos is not None and swarm.config.mode == "literal"
+    i = 0
+    size = n = len(points)
+    while i < n:
+        end = min(i + size, n)
+        block = points[i:end]
+        if rhos is not None:
+            block = blend_with_gbest(block, swarm.best_solution, rhos[i:end, None])
+        if takes_rows:
+            values = _row_values(objective, evaluate(block), len(block), "real costs")
+        elif tiers:
+            values = _row_values(objective, tiers[0](block), len(block), "real lower bounds")
+        else:
+            values = [math.nan] * len(block)
+        taken = len(block)
+        for j, cost in enumerate(values):
+            for tier in tiers[1:]:
+                if cost >= swarm.best_cost:
+                    break
+                cost = _row_values(objective, tier(block[j : j + 1]), 1, "real lower bounds")[0]
+            if not (takes_rows or cost >= swarm.best_cost):
+                cost = evaluate(block[j])
+                # a plain float skips the much slower isinstance checks
+                if type(cost) is not float and (
+                    isinstance(cost, bool) or not isinstance(cost, numbers.Real)
+                ):
+                    raise ValueError(
+                        f"objective {objective.name!r} returned {cost!r}, not a real scalar"
+                    )
+            swarm.eval_count += 1
+            better = cost < swarm.best_cost
+            if better:
+                swarm.best_cost = float(cost)
+                swarm.best_solution = block[j].copy()
+            if per_row:
+                swarm.trace.append((len(swarm.trace) + 1, swarm.best_cost, swarm.eval_count))
+            if better and rhos is not None:
+                taken = j + 1
                 break
-            cost = _row_values(objective, tier(points[i : i + 1]), 1, "real lower bounds")[0]
-        if not (takes_rows or cost >= swarm.best_cost):
-            cost = evaluate(points[i])
-            # a plain float skips the much slower isinstance checks
-            if type(cost) is not float and (
-                isinstance(cost, bool) or not isinstance(cost, numbers.Real)
-            ):
-                raise ValueError(
-                    f"objective {objective.name!r} returned {cost!r}, not a real scalar"
-                )
-        swarm.eval_count += 1
-        better = cost < swarm.best_cost
-        if better:
-            swarm.best_cost = float(cost)
-            swarm.best_solution = points[i].copy()
-        if trace:
-            swarm.trace.append((len(swarm.trace) + 1, swarm.best_cost, swarm.eval_count))
-        if better and stop:
-            return i + 1
-    return len(points)
+        points[i : i + taken] = block[:taken]
+        size = max(_MIN_BLOCK, 2 * taken)
+        i += taken
+    if not per_row:
+        swarm.trace.append((len(swarm.trace) + 1, swarm.best_cost, swarm.eval_count))
 
 
 def _plan(cfg: SwarmConfig, rng: np.random.Generator) -> list[tuple]:
@@ -347,38 +363,20 @@ def step(swarm: Swarm, objective: Objective) -> Swarm:
         )
     rows, thetas, rhos = swarm.waves.pop()
     cfg = swarm.config
-    positions = swarm.positions[rows]
     dp = swarm.delta_prev[rows]
     dp2 = swarm.delta_prev2[rows]
     delta_new, fired = delta_update_arrays(dp, dp2, thetas, swarm.lam)
-    r_raw, solved, fallbacks = solve_r_batch(delta_new, cfg.k)
+    positions, solved, fallbacks = solve_r_batch(delta_new, cfg.k)
     swarm.events["in_band"] += fired.size - int(np.count_nonzero(fired))
     swarm.events["solver_fallback"] += fallbacks
     if not solved.all():
         swarm.events["guard_clamp"] += solved.size - int(np.count_nonzero(solved))
         # a target delta with no solution, or whose solve hit the 200-round
         # cap (both count as guard_clamp): that dimension's raw position stays put
-        r_raw = np.where(solved, r_raw, positions)
+        positions = np.where(solved, positions, swarm.positions[rows])
         delta_new = np.where(solved, delta_new, dp)
-
-    # in pick order, a block of rows at a time: each row is blended with the
-    # gbest its predecessors left, so the rows after an improvement are blended
-    # again. The first block is the whole wave, each later one twice the rows
-    # the last kept and at least _MIN_BLOCK: where improvements are dense
-    # (sweep waves contracting onto gbest) few rows are blended in vain
-    literal = cfg.mode == "literal"  # one iteration per update, sweep mode one per wave
-    i, n = 0, len(rhos)
-    size = n
-    while i < n:
-        end = min(i + size, n)
-        blended = blend_with_gbest(r_raw[i:end], swarm.best_solution, rhos[i:end, None])
-        taken = _accept(swarm, objective, blended, trace=literal, stop=True)
-        positions[i : i + taken] = blended[:taken]
-        size = max(_MIN_BLOCK, 2 * taken)
-        i += taken
-    if not literal:
-        swarm.trace.append((len(swarm.trace) + 1, swarm.best_cost, swarm.eval_count))
-
+    # the raw positions become the blended ones the wave takes
+    _accept(swarm, objective, positions, rhos)
     swarm.positions[rows] = positions
     swarm.delta_prev2[rows] = dp
     if cfg.rebind == "post":

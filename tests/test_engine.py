@@ -827,6 +827,56 @@ class TestStep:
             assert np.all(swarm.delta_prev2 == expected)
             assert np.allclose(swarm.positions, 0.1, atol=1e-9)
 
+    @pytest.mark.parametrize("mode", MODES)
+    @MARKS
+    def test_nan_and_ties_inside_a_wave(self, mark, mode, monkeypatch):
+        # init leaves best 10.0 at r1[1] (r2[1] ties it). Wave A scores NaN, a
+        # tie and a worse cost: nothing improves, and neither NaN nor the tie
+        # ends its one block. Wave B improves at rows 0 and 1, so the rows after
+        # each are blended and scored again; a block-scoring mark first scores
+        # them in vain (99.0)
+        cfg = config(mode=mode, population=3)
+        init = [20.0, 10.0, 30.0, 40.0, 10.0, 50.0]
+        wave_a = [math.nan, 10.0, 12.0]
+        wave_b = [7.0, 99.0, 99.0, 5.0, 99.0, 6.0] if mark else [7.0, 5.0, 6.0]
+        evaluate = scripted(init + wave_a + wave_b, mark)
+        obj = Objective(name="scripted", dimension=DIM, evaluate=evaluate, init_range=(-2.0, 2.0))
+        swarm = init_swarm(cfg, obj)
+        r1, _ = _initial_draws(cfg)
+        assert swarm.best_solution.tobytes() == r1[1].tobytes()
+        rows, thetas = np.arange(3), np.full((3, 1), 0.5)
+        swarm.waves = [(rows, thetas, np.array([0.8, 0.4, 0.6]))]
+        swarm.waves.append((rows, thetas, np.array([0.3, 0.5, 0.7])))
+        blend = engine.blend_with_gbest
+        blends = []
+        monkeypatch.setattr(
+            engine, "blend_with_gbest", lambda *args: blends.append(None) or blend(*args)
+        )
+        for costs, n_blocks in ((wave_a, 1), ((7.0, 5.0, 6.0), 3)):
+            _, _, rhos = swarm.waves[-1]
+            best, best_cost = swarm.best_solution, swarm.best_cost
+            delta_new, _ = delta_update_arrays(
+                swarm.delta_prev[rows], swarm.delta_prev2[rows], thetas, swarm.lam
+            )
+            r_raw, solved, _ = solve_r_batch(delta_new, cfg.k)
+            assert solved.all()
+            blends.clear()
+            step(swarm, obj)
+            assert len(blends) == n_blocks
+            # each row taken blends its raw row with the best the rows before it left
+            for j, cost in enumerate(costs):
+                expected = blend(r_raw[j], best, rhos[j])
+                assert swarm.positions[j].tobytes() == expected.tobytes()
+                if cost < best_cost:
+                    best, best_cost = expected, cost
+            # after wave A still r1[1]: NaN never improves, a tie keeps the earlier point
+            assert swarm.best_cost == best_cost
+            assert swarm.best_solution.tobytes() == best.tobytes()
+        # a literal wave adds a trace row per row taken, a sweep wave one
+        per_wave = [10.0, 5.0] if mode == "sweep" else [10.0] * 3 + [7.0, 5.0, 5.0]
+        assert [row[1] for row in swarm.trace[3:]] == per_wave
+        assert swarm.trace[-1][2] == swarm.eval_count == 6 + 6
+
     def test_rho_validation(self):
         for rho in (1.2, -0.1):
             with pytest.raises(ValueError, match="rho"):
