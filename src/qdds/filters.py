@@ -8,17 +8,18 @@ scored by trapezoid-integrated squared band errors
     E_s = (1/pi) * integral_{omega_s}^{pi} H(w)^2 dw
 
 with H the magnitude response, combined as gamma = eta*E_p +
-(1-eta)*E_s. Linear phase is enforced by mirroring the free half of the
-coefficient vector. This module does no file I/O: the harness writes
-the coefficient file.
+(1-eta)*E_s; stopband_attenuation_db reads the tallest stopband lobe on
+its own fixed grid of ATTENUATION_GRID points. Linear phase is enforced
+by mirroring the free half of the coefficient vector. This module does
+no file I/O: the harness writes the coefficient file.
 
-The objective computes |H| as one complex product per point. A symmetric
-design's |H| is also |x @ A| for the free half x and a real amplitude
-basis A, so its objective carries two lower bounds on the cost, cheapest
-first, each less a derived rounding margin: quadratic forms in x with the
-band integrals of A^2 (D x D work per row), then A itself scored on the
-whole grid. The engine computes the exact cost only for rows that neither
-rules out.
+fir_band_errors, the exact cost of the objective and evaluate_filter
+alike, computes |H| as one complex product per point. A symmetric design's
+|H| is also |x @ A| for the free half x and a real amplitude basis A, so
+its objective carries two lower bounds on the cost, cheapest first, each
+less a derived rounding margin: quadratic forms in x with the band
+integrals of A^2 (D x D work per row), then A itself scored on the whole
+grid. The engine computes the exact cost only for rows neither rules out.
 """
 
 from __future__ import annotations
@@ -162,21 +163,6 @@ def _amplitude_basis(spec: FilterSpec) -> np.ndarray:
     return basis
 
 
-def _band_errors(h, bases) -> tuple[float, float]:
-    """Trapezoid band errors (E_p, E_s) of float taps h on bases from _band_bases.
-
-    One product serves both bands, each row giving the bits of a per-band product,
-    and each sum is np.trapezoid's own arithmetic without its argument handling.
-    """
-    basis, d_pass, d_stop = bases
-    mag = np.abs(basis @ h)
-    y_pass = (1.0 - mag[: d_pass.size + 1]) ** 2
-    y_stop = mag[d_pass.size + 1 :] ** 2
-    e_p = float((d_pass * (y_pass[1:] + y_pass[:-1]) / 2.0).sum() / np.pi)
-    e_s = float((d_stop * (y_stop[1:] + y_stop[:-1]) / 2.0).sum() / np.pi)
-    return e_p, e_s
-
-
 @functools.lru_cache(maxsize=_CACHED_SPECS)
 def _screen_basis(spec: FilterSpec):
     """(basis, weights, counts, gram, w_pass, w_stop) for both screens: the
@@ -294,28 +280,35 @@ def _gamma(spec: FilterSpec, e_p: float, e_s: float) -> float:
 
 
 def fir_band_errors(h, spec: FilterSpec) -> tuple[float, float]:
-    """Trapezoid band errors (E_p, E_s) on spec.grid_points samples per band."""
+    """Trapezoid band errors (E_p, E_s) on spec.grid_points samples per band.
+
+    One product on the cached bases (_band_bases) serves both bands, each row
+    giving the bits of a per-band product, and each sum is np.trapezoid's own
+    arithmetic without its argument handling.
+    """
     h = np.asarray(h, dtype=float)
-    return _band_errors(h, _band_bases(spec, h.size))
+    basis, d_pass, d_stop = _band_bases(spec, h.size)
+    mag = np.abs(basis @ h)
+    y_pass = (1.0 - mag[: d_pass.size + 1]) ** 2
+    y_stop = mag[d_pass.size + 1 :] ** 2
+    e_p = float((d_pass * (y_pass[1:] + y_pass[:-1]) / 2.0).sum() / np.pi)
+    e_s = float((d_stop * (y_stop[1:] + y_stop[:-1]) / 2.0).sum() / np.pi)
+    return e_p, e_s
 
 
-def stopband_attenuation_db(h, spec: FilterSpec, grid_points: int | None = None) -> float:
+def stopband_attenuation_db(h, spec: FilterSpec) -> float:
     """Attenuation of the tallest stopband lobe, in dB.
 
-    The response is sampled densely on [omega_s, pi] and the reported
-    level is 20*log10 of the highest strict interior local maximum,
-    i.e. the peak of the worst sidelobe. Roll-off from the transition
-    band can dominate the raw magnitude at the band edge without being
-    a lobe, so it does not count; a response with no interior peak at
-    all (monotone over the band, e.g. an impulse) falls back to the
-    plain grid maximum. |H| is used as-is, with no renormalization.
-    An all-zero filter reports -inf.
+    The response is sampled on ATTENUATION_GRID points of [omega_s, pi],
+    whatever spec.grid_points is, and the reported level is 20*log10 of the
+    highest strict interior local maximum, i.e. the peak of the worst
+    sidelobe. Roll-off from the transition band can dominate the raw
+    magnitude at the band edge without being a lobe, so it does not count; a
+    response with no interior peak at all (monotone over the band, e.g. an
+    impulse) falls back to the plain grid maximum. |H| is used as-is, with
+    no renormalization. An all-zero filter reports -inf.
     """
-    grid = ATTENUATION_GRID if grid_points is None else grid_points
-    if grid < 3:
-        raise ValueError(f"attenuation grid must be >= 3 points, got {grid}")
-    w = np.linspace(spec.omega_s, np.pi, grid)
-    m = fir_response_magnitude(h, w)
+    m = fir_response_magnitude(h, np.linspace(spec.omega_s, np.pi, ATTENUATION_GRID))
     top = float(m.max())
     if top == 0.0:
         return float("-inf")

@@ -1,10 +1,10 @@
 """Benchmark cost functions and the common objective interface.
 
 Four classic minimization benchmarks (all with a known zero optimum)
-plus a small registry keyed by name. Each takes one point (a Python float
-back) or an (n, D) block of rows (n float64 costs, each with the bits of its
-row's 1-D call) and reduces along the last axis with np.add.reduce and
-np.multiply.reduce, which ndarray.sum and .prod run under a wrapper.
+plus a small registry keyed by name. Each body is its formula over float64
+rows, reduced along the last axis with np.add.reduce and np.multiply.reduce
+(which ndarray.sum and .prod run under a wrapper); _row_form owns the calling
+contract: one point gives a Python float, an (n, D) block n float64 costs.
 Filter-design objectives live in :mod:`qdds.filters`, in the same shape.
 """
 
@@ -83,38 +83,37 @@ class Objective:
 
 
 def _row_form(benchmark):
-    """Mark a benchmark written over (n, D) rows: a 2-D call returns the n row
-    costs as a float64 array, each with the bits of the 1-D call on its row.
-    The engine scores a block of rows in one call when evaluate carries the
-    mark, which functools.wraps copies onto a wrapper."""
-    benchmark.takes_rows = True
-    return benchmark
+    """Wrap a benchmark written over rows: the argument is converted to float64
+    once, a point's cost comes back as a Python float and an (n, D) block's as
+    the n row costs in a float64 array, each with the bits of the 1-D call on
+    its row. The takes_rows mark, which functools.wraps copies onto a wrapper,
+    lets the engine score a block of rows in one call."""
 
+    @functools.wraps(benchmark)
+    def evaluate(x):
+        costs = benchmark(np.asarray(x, dtype=float))
+        return float(costs) if costs.ndim == 0 else costs
 
-def _cost(costs):
-    """A 1-D call's cost as a Python float; a block's costs as they are."""
-    return float(costs) if costs.ndim == 0 else costs
+    evaluate.takes_rows = True
+    return evaluate
 
 
 @_row_form
 def rastrigin(x):
-    x = np.asarray(x, dtype=float)
-    return _cost(10.0 * x.shape[-1] + np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x), -1))
+    return 10.0 * x.shape[-1] + np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x), -1)
 
 
 @_row_form
 def rosenbrock(x):
-    x = np.asarray(x, dtype=float)
     if x.shape[-1] < 2:
         raise ValueError(f"rosenbrock needs n >= 2, got n={x.shape[-1]}")
     head, tail = x[..., :-1], x[..., 1:]
-    return _cost(np.add.reduce(100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2, -1))
+    return np.add.reduce(100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2, -1)
 
 
 @_row_form
 def sphere(x):
-    x = np.asarray(x, dtype=float)
-    return _cost(np.add.reduce(x * x, -1))
+    return np.add.reduce(x * x, -1)
 
 
 @functools.lru_cache(maxsize=32)
@@ -126,9 +125,8 @@ def _griewank_roots(n: int) -> np.ndarray:
 
 @_row_form
 def griewank(x):
-    x = np.asarray(x, dtype=float)
     cosines = np.cos(x / _griewank_roots(x.shape[-1]))
-    return _cost(1.0 + np.add.reduce(x * x, -1) / 4000.0 - np.multiply.reduce(cosines, -1))
+    return 1.0 + np.add.reduce(x * x, -1) / 4000.0 - np.multiply.reduce(cosines, -1)
 
 
 # canonical initialization domains (community convention, per dimension)

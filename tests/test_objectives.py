@@ -137,6 +137,22 @@ def test_block_costs_match_row_costs(name, d):
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_row_form_converts_once(name):
+    # a float32 or int point and a float32 block cost the bits of the same
+    # values passed as float64
+    fn = make_benchmark(name, 3).evaluate
+    lo, hi = make_benchmark(name, 3).init_range
+    block = np.random.default_rng(5).uniform(lo, hi, (4, 3)).astype(np.float32)
+    for point in (block[1], np.array([1, -2, 3])):
+        cost = fn(point)
+        assert type(cost) is float
+        assert cost.hex() == fn(point.astype(float)).hex()
+    costs = fn(block)
+    assert isinstance(costs, np.ndarray) and costs.dtype == np.float64
+    assert costs.tobytes() == fn(block.astype(float)).tobytes()
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
 def test_known_min_reproduced(name):
     obj = make_benchmark(name, 10)
     # every benchmark has minimum 0: at the ones for rosenbrock, the origin otherwise
