@@ -20,6 +20,11 @@ its objective carries two lower bounds on the cost, cheapest first, each
 less a derived rounding margin: quadratic forms in x with the band
 integrals of A^2 (D x D work per row), then A itself scored on the whole
 grid. The engine computes the exact cost only for rows neither rules out.
+
+fir_response_magnitude, which the attenuation and the response plot read,
+works through its grid in blocks of _RESPONSE_BLOCK frequencies, the last
+block taking the remainder, so its basis stays a few hundred KB at any grid
+size and its bits are those of one product on the whole grid.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 # specs whose bases (about 1.7 MB at fir-20) are kept: each is built once per
 # process and shared, read-only, by a cell's trials, the screen and the report
 _CACHED_SPECS = 4
+# frequencies per block of fir_response_magnitude's basis
+_RESPONSE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -116,14 +123,26 @@ def _basis(w, taps):
 
 
 def fir_response_magnitude(h, omega):
-    """|H(w)| = |sum_n h(n) exp(-j w n)| for scalar or array omega in [0, pi]."""
+    """|H(w)| = |sum_n h(n) exp(-j w n)| for scalar or array omega in [0, pi].
+
+    An array omega is computed _RESPONSE_BLOCK frequencies at a time, into one
+    output, so no basis larger than one block exists. The block edges are the
+    multiples of _RESPONSE_BLOCK below len(omega) - _RESPONSE_BLOCK, then
+    len(omega): the last block takes the remainder, and no block is shorter
+    than _RESPONSE_BLOCK unless the whole grid is. A block of a few rows can
+    take another BLAS path than the whole matrix and round differently; blocks
+    this long give the bits of the one product on the whole grid.
+    """
     h = np.asarray(h, dtype=float)
     w = np.asarray(omega, dtype=float)
     if not ((w >= 0.0) & (w <= np.pi)).all():
         raise ValueError("omega must lie in [0, pi]")
-    mag = np.abs(_basis(w, h.size) @ h)
-    if np.ndim(omega) == 0:
-        return float(mag)
+    if w.ndim == 0:
+        return float(np.abs(_basis(w, h.size) @ h))
+    mag = np.empty(w.shape)
+    starts = range(0, max(len(w) - _RESPONSE_BLOCK, 0) + 1, _RESPONSE_BLOCK)
+    for lo, hi in zip(starts, [*starts[1:], len(w)]):
+        np.abs(_basis(w[lo:hi], h.size) @ h, out=mag[lo:hi])
     return mag
 
 

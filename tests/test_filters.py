@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,9 +182,12 @@ class TestResponseMagnitude:
 
     @given(coeff_vectors)
     def test_matches_direct_expression(self, h):
+        # grids below one block, across block edges and with a remainder of
+        # one point: blocking must keep the bits of one product on the grid
         h = np.asarray(h)
-        w = np.linspace(0.0, math.pi, 257)
-        assert np.array_equal(fir_response_magnitude(h, w), direct_response(h, w))
+        for n in (257, 513, 1025, ATTENUATION_GRID, ATTENUATION_GRID + 1):
+            w = np.linspace(0.0, math.pi, n)
+            assert np.array_equal(fir_response_magnitude(h, w), direct_response(h, w))
         assert fir_response_magnitude(h, 0.7) == float(direct_response(h, np.asarray(0.7)))
 
     @given(coeff_vectors)
@@ -353,7 +357,8 @@ class TestObjectiveWrapper:
     def test_bases_built_once_per_spec(self, monkeypatch):
         # counts builds, not cache lookups: two objectives of one spec, their
         # evaluations and both screens, and the report's scoring share one
-        # build of each basis; the attenuation grid is the report's own
+        # build of each basis; the report builds the attenuation grid's own,
+        # one block at a time
         filters._band_bases.cache_clear()
         filters._screen_basis.cache_clear()
         builds = []
@@ -379,12 +384,27 @@ class TestObjectiveWrapper:
             for bounds in objective.evaluate.lower_bounds:
                 bounds(rng.uniform(-1.0, 1.0, (6, spec.free_dimension)))
         evaluate_filter(spec.taps(rng.uniform(-1.0, 1.0, spec.free_dimension)), spec)
+        block = filters._RESPONSE_BLOCK
         assert builds == [
             ("exact", 2 * spec.grid_points, 20),
             ("screen", spec),
-            ("exact", ATTENUATION_GRID, 20),
-        ]
+        ] + [("exact", block, 20)] * (ATTENUATION_GRID // block)
         assert filters._screen_basis.cache_info().misses == 1
+
+    def test_report_memory_is_bounded(self):
+        # numpy reports its buffers to tracemalloc; with the bases cached, the
+        # peak is the report's own: the attenuation grid's basis one block at
+        # a time, not 8192 x 20 complex values (2.6 MB) at once
+        spec = FilterSpec(n_coeff=20)
+        h = spec.taps(np.full(spec.free_dimension, 0.1))
+        evaluate_filter(h, spec)
+        tracemalloc.start()
+        try:
+            evaluate_filter(h, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_cached_bases_are_read_only(self):
         spec = FilterSpec(n_coeff=9, grid_points=64)

@@ -644,7 +644,10 @@ class TestRunExperiment:
         assert report["fir"]["gamma"].hex() == best.hex()
         assert best == min(r.best_cost for r in results)
         screen = ["screen"] if symmetric else []
-        assert builds == [2 * cfg.grid] + screen + [filters.ATTENUATION_GRID]
+        # the attenuation grid's basis is built one block at a time
+        block = filters._RESPONSE_BLOCK
+        attenuation = [block] * (filters.ATTENUATION_GRID // block)
+        assert builds == [2 * cfg.grid] + screen + attenuation
 
     def test_unwritable_output_dir_fails_before_running(self, tmp_path, monkeypatch):
         # a root process may write anywhere, so the permission check is made to fail
