@@ -23,8 +23,9 @@ grid. The engine computes the exact cost only for rows neither rules out.
 
 fir_response_magnitude, which the attenuation and the response plot read,
 works through its grid in blocks of _RESPONSE_BLOCK frequencies, the last
-block taking the remainder, so its basis stays a few hundred KB at any grid
-size and its bits are those of one product on the whole grid.
+block taking the remainder: whatever the grid, its basis never holds more
+than 2 * _RESPONSE_BLOCK - 1 frequencies, and its bits are those of one
+product on the whole grid.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def fir_response_magnitude(h, omega):
 
     An array omega is computed _RESPONSE_BLOCK frequencies at a time, into one
     output, so no basis larger than one block exists. The block edges are the
-    multiples of _RESPONSE_BLOCK below len(omega) - _RESPONSE_BLOCK, then
+    multiples of _RESPONSE_BLOCK up to len(omega) - _RESPONSE_BLOCK, then
     len(omega): the last block takes the remainder, and no block is shorter
     than _RESPONSE_BLOCK unless the whole grid is. A block of a few rows can
     take another BLAS path than the whole matrix and round differently; blocks
