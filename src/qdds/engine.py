@@ -50,7 +50,6 @@ __all__ = [
     "init_swarm",
     "step",
     "run",
-    "blend_with_gbest",
 ]
 
 MODES = ("literal", "sweep")
@@ -180,15 +179,9 @@ class Swarm:
 
 
 def blend_with_gbest(raw, gbest, rho):
-    """Convex blend rho*raw + (1 - rho)*gbest of a point, one rho for all dims,
-    or of each row of an (n, D) block, rho then an (n, 1) column of weights."""
-    raw = np.asarray(raw, dtype=float)
-    gbest = np.asarray(gbest, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    if raw.shape[-1:] != gbest.shape:
-        raise ValueError(f"shape mismatch: raw {raw.shape} vs gbest {gbest.shape}")
-    if not all(0.0 <= w <= 1.0 for w in rho.ravel().tolist()):
-        raise ValueError(f"rho must be in [0, 1], got {rho}")
+    """Convex blend rho*raw + (1 - rho)*gbest of a float64 point, one rho for all
+    dims, or of each row of an (n, D) block, rho then an (n, 1) column of
+    weights. Nothing is checked: _plan draws every weight in [0, 1)."""
     return rho * raw + (1.0 - rho) * gbest
 
 
@@ -312,9 +305,11 @@ def _accept(swarm: Swarm, objective: Objective, points: np.ndarray, rhos=None) -
 
 def _plan(cfg: SwarmConfig, rng: np.random.Generator) -> list[tuple]:
     """The (rows, thetas, rhos) of every wave after iteration 3, last wave first:
-    index array, theta column, float64 weights. Literal waves slice one pick and
-    one weight per iteration, a repeated pick opening a new wave; sweep mode has
-    one random((max_iter - 3, P)) block, a row and a 1x1 theta per iteration."""
+    index array, theta column, float64 weights, each in [0, 1) by construction
+    (random() or its 53-bit form), so blend_with_gbest checks none. Literal
+    waves slice one pick and one weight per iteration, a repeated pick opening
+    a new wave; sweep mode has one random((max_iter - 3, P)) block, a row and a
+    1x1 theta per iteration."""
     n = cfg.max_iter - 3
     thetas = learning_rate(np.arange(3, cfg.max_iter), cfg.max_iter, cfg.epsilon)[:, None]
     if cfg.mode == "sweep":

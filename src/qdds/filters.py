@@ -51,8 +51,8 @@ ATTENUATION_GRID = 8192
 # each screen's margin is this many times the rounding bound its function derives
 _SCREEN_SAFETY = 1e3
 _UNIT_ROUNDOFF = 2.0**-53
-# specs whose bases (about 1.7 MB at fir-20) are kept: each is built once per
-# process and shared, read-only, by a cell's trials, the screen and the report
+# specs whose records (about 1.7 MB at fir-20) are kept: each is built once per
+# process and shared, read-only, by a cell's trials, the screens and the report
 _CACHED_SPECS = 4
 # frequencies per block of fir_response_magnitude's basis
 _RESPONSE_BLOCK = 512
@@ -147,68 +147,55 @@ def fir_response_magnitude(h, omega):
     return mag
 
 
-def _band_grid(spec: FilterSpec):
-    """(w, d_pass, d_stop): the passband grid then the stopband grid, and their steps."""
-    w_pass = np.linspace(0.0, spec.omega_p, spec.grid_points)
-    w_stop = np.linspace(spec.omega_s, np.pi, spec.grid_points)
-    return np.concatenate([w_pass, w_stop]), np.diff(w_pass), np.diff(w_stop)
+@functools.lru_cache(maxsize=_CACHED_SPECS)
+def _bases(spec: FilterSpec) -> tuple:
+    """The spec's read-only arrays on its band grid w, the passband's grid_points
+    samples then the stopband's, shared by the exact cost and both screens.
 
-
-def _read_only(*arrays):
+    First (B, d_pass, d_stop): exp(-jwn) for the n_coeff taps and each band's
+    grid steps, which the exact cost reads. A symmetric spec's record goes on
+    with (A, weights, counts, gram, w_pass, w_stop) for the screens:
+    - A, the real (free taps, 2*grid) matrix with A[i] = 2*cos(w*((N-1)/2 - i))
+      and, for odd N, the centre tap's row at 1. Pairing tap i with its mirror
+      N-1-i gives H(w) = exp(-jw(N-1)/2) * (x @ A)(w) for the free half x, so
+      |H| = |x @ A|, a real product half as wide;
+    - the weight of each squared band error sample in gamma (the trapezoid's,
+      times eta or 1 - eta, over pi), and each free tap's count in the taps
+      (2, the centre tap 1);
+    - the passband's and the stopband's A_b diag(w_b) A_b^T side by side in one
+      (free taps, 2 * free taps) matrix, and each band's weight sum, correctly
+      rounded.
+    B is built first, so the temporaries of its build are freed before the
+    screens' arrays exist: no higher peak memory.
+    """
+    g = spec.grid_points
+    w = np.concatenate([np.linspace(0.0, spec.omega_p, g), np.linspace(spec.omega_s, np.pi, g)])
+    arrays = [_basis(w, spec.n_coeff), np.diff(w[:g]), np.diff(w[g:])]
+    sums = []
+    if spec.symmetric:
+        n, d = spec.n_coeff, spec.free_dimension
+        basis = np.multiply.outer((n - 1) / 2.0 - np.arange(d), w)
+        np.cos(basis, out=basis)
+        basis *= 2.0
+        if n % 2:
+            basis[-1] = 1.0
+        trapezoid = [(np.append(s, 0.0) + np.insert(s, 0, 0.0)) / 2.0 for s in arrays[1:]]
+        weights = np.concatenate([spec.eta * trapezoid[0], (1.0 - spec.eta) * trapezoid[1]]) / np.pi
+        counts = np.full(d, 2.0)
+        counts[d - n % 2 :] = 1.0
+        bands = (slice(None, g), slice(g, None))
+        gram = np.concatenate([(basis[:, b] * weights[b]) @ basis[:, b].T for b in bands], axis=1)
+        arrays += [basis, weights, counts, gram]
+        sums = [math.fsum(weights[b].tolist()) for b in bands]
     for a in arrays:
         a.flags.writeable = False  # shared by every caller of the cache
-    return arrays
-
-
-@functools.lru_cache(maxsize=_CACHED_SPECS)
-def _band_bases(spec: FilterSpec, taps: int):
-    """(B, d_pass, d_stop): both bands' bases stacked in one matrix, and their grid steps."""
-    w, d_pass, d_stop = _band_grid(spec)
-    return _read_only(_basis(w, taps), d_pass, d_stop)
-
-
-def _amplitude_basis(spec: FilterSpec) -> np.ndarray:
-    """The real (free taps, 2*grid) matrix A of a symmetric spec on _band_grid's w.
-
-    Pairing tap i with its mirror N-1-i gives H(w) = exp(-jw(N-1)/2) * (x @ A)(w)
-    for the free half x, with A[i] = 2*cos(w*((N-1)/2 - i)) and, for odd N, the
-    centre tap's row at 1; so |H| = |x @ A|, a real product half as wide.
-    """
-    n = spec.n_coeff
-    basis = np.multiply.outer((n - 1) / 2.0 - np.arange(spec.free_dimension), _band_grid(spec)[0])
-    np.cos(basis, out=basis)
-    basis *= 2.0
-    if n % 2:
-        basis[-1] = 1.0
-    return basis
-
-
-@functools.lru_cache(maxsize=_CACHED_SPECS)
-def _screen_basis(spec: FilterSpec):
-    """(basis, weights, counts, gram, w_pass, w_stop) for both screens: the
-    amplitude basis A, the weight w of each squared band error sample in gamma
-    (the trapezoid's, times eta or 1 - eta, over pi), each free tap's count in
-    the taps (2, the centre tap 1), the passband's and the stopband's
-    A_b diag(w_b) A_b^T side by side in one (free taps, 2 * free taps) matrix,
-    and each band's weight sum, correctly rounded. The exact bases are built
-    first, so the temporaries of their build are freed before these exist: no
-    higher peak memory."""
-    _, d_pass, d_stop = _band_bases(spec, spec.n_coeff)
-    trapezoid = [(np.append(d, 0.0) + np.insert(d, 0, 0.0)) / 2.0 for d in (d_pass, d_stop)]
-    weights = np.concatenate([spec.eta * trapezoid[0], (1.0 - spec.eta) * trapezoid[1]]) / np.pi
-    counts = np.full(spec.free_dimension, 2.0)
-    counts[spec.free_dimension - spec.n_coeff % 2 :] = 1.0
-    basis = _amplitude_basis(spec)
-    bands = (slice(None, spec.grid_points), slice(spec.grid_points, None))
-    gram = np.concatenate([(basis[:, b] * weights[b]) @ basis[:, b].T for b in bands], axis=1)
-    arrays = _read_only(basis, weights, counts, gram)
-    return (*arrays, *(math.fsum(weights[b].tolist()) for b in bands))
+    return (*arrays, *sums)
 
 
 def _gram_lower_bounds(spec: FilterSpec, rows) -> np.ndarray:
     """A float64 lower bound on the objective's cost of each row of free taps, or NaN.
 
-    With x the row and q_b = x Q_b x^T the band integrals of A^2 (_screen_basis),
+    With x the row and q_b = x Q_b x^T the band integrals of A^2 (_bases),
     the stopband term of gamma is q_s, and Cauchy-Schwarz gives
     sum w|A| <= sqrt(W_p * q_p) for the passband's weight sum W_p, so its term
     sum w(1 - |A|)^2 = W_p - 2 sum w|A| + q_p is at least
@@ -234,7 +221,7 @@ def _gram_lower_bounds(spec: FilterSpec, rows) -> np.ndarray:
     computed L throughout. A row with an inf or NaN tap, or one whose form
     overflows, gets NaN or -inf.
     """
-    counts, gram, w_pass, w_stop = _screen_basis(spec)[2:]
+    *_, counts, gram, w_pass, w_stop = _bases(spec)
     rows = np.asarray(rows, dtype=float)
     n, d, u = spec.n_coeff, spec.free_dimension, _UNIT_ROUNDOFF
     # overflow, inf - inf and 0 / 0 only make a bound NaN or -inf (fmin skips
@@ -278,7 +265,7 @@ def _gamma_lower_bounds(spec: FilterSpec, rows) -> np.ndarray:
     screen's gamma in place of the exact one. A row with an inf or NaN tap, or
     one whose margin overflows, gets NaN or -inf.
     """
-    basis, weights, counts = _screen_basis(spec)[:3]
+    _, _, _, basis, weights, counts, *_ = _bases(spec)
     rows = np.asarray(rows, dtype=float)
     grid = spec.grid_points
     u = _UNIT_ROUNDOFF
@@ -302,12 +289,14 @@ def _gamma(spec: FilterSpec, e_p: float, e_s: float) -> float:
 def fir_band_errors(h, spec: FilterSpec) -> tuple[float, float]:
     """Trapezoid band errors (E_p, E_s) on spec.grid_points samples per band.
 
-    One product on the cached bases (_band_bases) serves both bands, each row
-    giving the bits of a per-band product, and each sum is np.trapezoid's own
-    arithmetic without its argument handling.
+    h holds the spec's n_coeff taps. One product on the cached basis (_bases)
+    serves both bands, each row giving the bits of a per-band product, and each
+    sum is np.trapezoid's own arithmetic without its argument handling.
     """
     h = np.asarray(h, dtype=float)
-    basis, d_pass, d_stop = _band_bases(spec, h.size)
+    if h.shape != (spec.n_coeff,):
+        raise ValueError(f"expected the spec's {spec.n_coeff} taps, got shape {h.shape}")
+    basis, d_pass, d_stop, *_ = _bases(spec)
     mag = np.abs(basis @ h)
     y_pass = (1.0 - mag[: d_pass.size + 1]) ** 2
     y_stop = mag[d_pass.size + 1 :] ** 2

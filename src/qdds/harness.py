@@ -291,7 +291,7 @@ def build_report(
     objective, spec = build_problem(config)
     cfg = asdict(config)
     cfg["emit"] = list(config.emit)
-    cfg["init_range"] = list(config.init_range or objective.init_range)
+    cfg["init_range"] = list(swarms[0].config.init_range)
     cfg["resolved_dimension"] = objective.dimension
     costs = np.array([s.best_cost for s in swarms], dtype=float)
     report = {
@@ -305,7 +305,7 @@ def build_report(
         "trials": [
             {
                 "trial": i,
-                "seed": [config.master_seed, i],
+                "seed": s.config.seed,
                 "best_cost": s.best_cost,
                 "best_solution": [float(v) for v in s.best_solution],
                 "lam": s.lam,

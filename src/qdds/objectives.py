@@ -28,14 +28,14 @@ __all__ = [
 ]
 
 
-def check_int(name: str, value, minimum: int | None = None) -> int:
+def check_int(name: str, value, minimum: int) -> int:
     """value as a Python int; ValueError unless it is an integer >= minimum.
 
     Python and numpy integers pass; bool and integral floats (10.0) do not.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 

@@ -223,7 +223,7 @@ class TestBandErrors:
 
     @given(coeff_vectors)
     def test_errors_nonnegative(self, h):
-        e_p, e_s = fir_band_errors(h, FilterSpec(grid_points=64))
+        e_p, e_s = fir_band_errors(h, FilterSpec(n_coeff=len(h), grid_points=64))
         assert e_p >= 0.0
         assert e_s >= 0.0
 
@@ -250,7 +250,7 @@ class TestCost:
 
     @given(coeff_vectors, st.floats(min_value=0.0, max_value=1.0))
     def test_gamma_is_convex_combination(self, h, eta):
-        spec = FilterSpec(eta=eta, grid_points=64)
+        spec = FilterSpec(n_coeff=len(h), eta=eta, grid_points=64)
         e_p, e_s = fir_band_errors(h, spec)
         gamma = evaluate_filter(h, spec)["gamma"]
         assert min(e_p, e_s) - 1e-12 <= gamma <= max(e_p, e_s) + 1e-12
@@ -357,23 +357,17 @@ class TestObjectiveWrapper:
     def test_bases_built_once_per_spec(self, monkeypatch):
         # counts builds, not cache lookups: two objectives of one spec, their
         # evaluations and both screens, and the report's scoring share one
-        # build of each basis; the report builds the attenuation grid's own,
-        # one block at a time
-        filters._band_bases.cache_clear()
-        filters._screen_basis.cache_clear()
+        # record; the report builds the attenuation grid's own basis, one
+        # block at a time
+        filters._bases.cache_clear()
         builds = []
-        basis, amplitude_basis = filters._basis, filters._amplitude_basis
+        basis = filters._basis
 
         def counting_basis(w, taps):
-            builds.append(("exact", w.size, taps))
+            builds.append((w.size, taps))
             return basis(w, taps)
 
-        def counting_amplitude_basis(spec):
-            builds.append(("screen", spec))
-            return amplitude_basis(spec)
-
         monkeypatch.setattr(filters, "_basis", counting_basis)
-        monkeypatch.setattr(filters, "_amplitude_basis", counting_amplitude_basis)
         spec = FilterSpec(n_coeff=20)
         objectives = [make_filter_objective(spec), make_filter_objective(spec)]
         assert builds == []
@@ -385,11 +379,8 @@ class TestObjectiveWrapper:
                 bounds(rng.uniform(-1.0, 1.0, (6, spec.free_dimension)))
         evaluate_filter(spec.taps(rng.uniform(-1.0, 1.0, spec.free_dimension)), spec)
         block = filters._RESPONSE_BLOCK
-        assert builds == [
-            ("exact", 2 * spec.grid_points, 20),
-            ("screen", spec),
-        ] + [("exact", block, 20)] * (ATTENUATION_GRID // block)
-        assert filters._screen_basis.cache_info().misses == 1
+        assert builds == [(2 * spec.grid_points, 20)] + [(block, 20)] * (ATTENUATION_GRID // block)
+        assert filters._bases.cache_info().misses == 1
 
     def test_report_memory_is_bounded(self):
         # numpy reports its buffers to tracemalloc; with the bases cached, the
@@ -408,16 +399,46 @@ class TestObjectiveWrapper:
 
     def test_cached_bases_are_read_only(self):
         spec = FilterSpec(n_coeff=9, grid_points=64)
-        for arrays in (filters._band_bases(spec, 9), filters._screen_basis(spec)[:4]):
-            for a in arrays:
-                with pytest.raises(ValueError, match="read-only"):
-                    a[0] = 0.0
+        *arrays, w_pass, w_stop = filters._bases(spec)
+        assert len(arrays) == 7 and isinstance(w_pass, float) and isinstance(w_stop, float)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_record_build_peaks_before_the_screens_exist(self):
+        # the exact basis B is built first, so the temporaries of its build
+        # (its real phases, half its size, and numpy's cast buffer) are freed
+        # before the amplitude basis A exists: the peak is B's build, short of
+        # 1.5 B plus A, which building A first reaches
+        spec = FilterSpec(n_coeff=20)
+        filters._bases.cache_clear()
+        tracemalloc.start()
+        try:
+            exact, _, _, amplitude, *_ = filters._bases(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * exact.nbytes + amplitude.nbytes
+
+    def test_unconstrained_record_holds_only_the_exact_part(self):
+        spec = FilterSpec(n_coeff=9, grid_points=64, symmetric=False)
+        basis, d_pass, d_stop = filters._bases(spec)
+        assert basis.shape == (2 * spec.grid_points, 9) and basis.dtype == np.complex128
+        assert d_pass.shape == d_stop.shape == (spec.grid_points - 1,)
+
+    def test_foreign_tap_count_rejected(self):
+        spec = FilterSpec(n_coeff=10)
+        for h in (np.zeros(9), np.zeros(11), np.zeros((2, 10))):
+            with pytest.raises(ValueError, match="10 taps"):
+                fir_band_errors(h, spec)
+            with pytest.raises(ValueError, match="10 taps"):
+                evaluate_filter(h, spec)
 
     def test_building_an_experiment_builds_no_bases(self, monkeypatch):
         from qdds.harness import build_problem
 
         calls = []
-        monkeypatch.setattr(filters, "_band_bases", lambda *args: calls.append(args))
+        monkeypatch.setattr(filters, "_bases", lambda *args: calls.append(args))
         config = ExperimentConfig(objective="fir", order=20, population=4, iterations=5)
         build_problem(config)
         assert calls == []
@@ -426,7 +447,7 @@ class TestObjectiveWrapper:
         from qdds import presets
 
         calls = []
-        monkeypatch.setattr(filters, "_band_bases", lambda *args: calls.append(args))
+        monkeypatch.setattr(filters, "_bases", lambda *args: calls.append(args))
         # re-runs the module body, which builds every preset's config
         importlib.reload(presets)
         assert "fir-20" in presets.PRESETS
@@ -559,16 +580,16 @@ class TestLowerBounds:
         for n_coeff in (9, 10):
             spec = FilterSpec(n_coeff=n_coeff, grid_points=64)
             x = np.random.default_rng(n_coeff).uniform(-1.0, 1.0, spec.free_dimension)
-            basis = filters._amplitude_basis(spec)
+            exact, _, _, basis, *_ = filters._bases(spec)
             assert basis.shape == (spec.free_dimension, 2 * spec.grid_points)
-            mag = np.abs(filters._band_bases(spec, n_coeff)[0] @ spec.taps(x))
+            mag = np.abs(exact @ spec.taps(x))
             assert np.allclose(np.abs(x @ basis), mag, rtol=0.0, atol=1e-14)
 
     def test_gram_basis_gives_the_band_integrals(self):
         for n_coeff in (9, 10):
             spec = FilterSpec(n_coeff=n_coeff, grid_points=64, eta=0.3)
             x = np.random.default_rng(n_coeff).uniform(-1.0, 1.0, spec.free_dimension)
-            basis, weights, _, gram, w_pass, w_stop = filters._screen_basis(spec)
+            _, _, _, basis, weights, _, gram, w_pass, w_stop = filters._bases(spec)
             squares = weights * (x @ basis) ** 2
             grid = spec.grid_points
             assert gram.shape == (spec.free_dimension, 2 * spec.free_dimension)

@@ -479,9 +479,10 @@ class TestReport:
             events = {"in_band": 0, "solver_fallback": 0, "guard_clamp": 0}
             swarms = [
                 SimpleNamespace(
-                    best_cost=c, best_solution=np.zeros(2), eval_count=0, events=events, lam=0.0
+                    best_cost=c, best_solution=np.zeros(2), eval_count=0, events=events, lam=0.0,
+                    config=SimpleNamespace(seed=[2023, i], init_range=(-1.0, 1.0)),
                 )
-                for c in costs
+                for i, c in enumerate(costs)
             ]
             return build_report(tiny_config(trials=len(costs)), swarms)["stats"]
 
@@ -624,16 +625,11 @@ class TestRunExperiment:
     def test_fir_gamma_is_best_cost(self, tmp_path, monkeypatch, symmetric):
         # the report scores the best trial on the bases its objective used,
         # built once for the experiment: its gamma is that trial's best_cost
-        filters._band_bases.cache_clear()
-        filters._screen_basis.cache_clear()
+        filters._bases.cache_clear()
         builds = []
-        basis, amplitude_basis = filters._basis, filters._amplitude_basis
+        basis = filters._basis
         monkeypatch.setattr(
             filters, "_basis", lambda w, taps: builds.append(w.size) or basis(w, taps)
-        )
-        monkeypatch.setattr(
-            filters, "_amplitude_basis",
-            lambda spec: builds.append("screen") or amplitude_basis(spec),
         )
         cfg = ExperimentConfig(
             objective="fir", order=10, population=20, iterations=10, trials=3,
@@ -643,11 +639,20 @@ class TestRunExperiment:
         best = results[report["fir"]["best_trial"]].best_cost
         assert report["fir"]["gamma"].hex() == best.hex()
         assert best == min(r.best_cost for r in results)
-        screen = ["screen"] if symmetric else []
+        # one record, with the screens' part for a symmetric spec only
+        assert filters._bases.cache_info().misses == 1
+        _, spec = harness.build_problem(cfg)
+        assert len(filters._bases(spec)) == (9 if symmetric else 3)
         # the attenuation grid's basis is built one block at a time
         block = filters._RESPONSE_BLOCK
         attenuation = [block] * (filters.ATTENUATION_GRID // block)
-        assert builds == [2 * cfg.grid] + screen + attenuation
+        assert builds == [2 * cfg.grid] + attenuation
+
+    def test_benchmark_experiment_builds_no_fir_record(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(filters, "_bases", lambda *args: calls.append(args))
+        run_experiment(tiny_config(out_dir=str(tmp_path)))
+        assert calls == []
 
     def test_unwritable_output_dir_fails_before_running(self, tmp_path, monkeypatch):
         # a root process may write anywhere, so the permission check is made to fail
