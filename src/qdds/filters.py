@@ -124,10 +124,10 @@ def _basis(w, taps):
 
 
 def fir_response_magnitude(h, omega):
-    """|H(w)| = |sum_n h(n) exp(-j w n)| for scalar or array omega in [0, pi].
+    """|H(w)| = |sum_n h(n) exp(-j w n)| for a 1-D array omega in [0, pi].
 
-    An array omega is computed _RESPONSE_BLOCK frequencies at a time, into one
-    output, so no basis larger than one block exists. The block edges are the
+    omega is computed _RESPONSE_BLOCK frequencies at a time, into one output,
+    so no basis larger than one block exists. The block edges are the
     multiples of _RESPONSE_BLOCK up to len(omega) - _RESPONSE_BLOCK, then
     len(omega): the last block takes the remainder, and no block is shorter
     than _RESPONSE_BLOCK unless the whole grid is. A block of a few rows can
@@ -136,10 +136,8 @@ def fir_response_magnitude(h, omega):
     """
     h = np.asarray(h, dtype=float)
     w = np.asarray(omega, dtype=float)
-    if not ((w >= 0.0) & (w <= np.pi)).all():
-        raise ValueError("omega must lie in [0, pi]")
-    if w.ndim == 0:
-        return float(np.abs(_basis(w, h.size) @ h))
+    if w.ndim != 1 or not ((w >= 0.0) & (w <= np.pi)).all():
+        raise ValueError("omega must be a 1-D array in [0, pi]")
     mag = np.empty(w.shape)
     starts = range(0, max(len(w) - _RESPONSE_BLOCK, 0) + 1, _RESPONSE_BLOCK)
     for lo, hi in zip(starts, [*starts[1:], len(w)]):
@@ -154,14 +152,13 @@ def _bases(spec: FilterSpec) -> tuple:
 
     First (B, d_pass, d_stop): exp(-jwn) for the n_coeff taps and each band's
     grid steps, which the exact cost reads. A symmetric spec's record goes on
-    with (A, weights, counts, gram, w_pass, w_stop) for the screens:
+    with (A, weights, gram, w_pass, w_stop) for the screens:
     - A, the real (free taps, 2*grid) matrix with A[i] = 2*cos(w*((N-1)/2 - i))
       and, for odd N, the centre tap's row at 1. Pairing tap i with its mirror
       N-1-i gives H(w) = exp(-jw(N-1)/2) * (x @ A)(w) for the free half x, so
       |H| = |x @ A|, a real product half as wide;
     - the weight of each squared band error sample in gamma (the trapezoid's,
-      times eta or 1 - eta, over pi), and each free tap's count in the taps
-      (2, the centre tap 1);
+      times eta or 1 - eta, over pi);
     - the passband's and the stopband's A_b diag(w_b) A_b^T side by side in one
       (free taps, 2 * free taps) matrix, and each band's weight sum, correctly
       rounded.
@@ -181,11 +178,9 @@ def _bases(spec: FilterSpec) -> tuple:
             basis[-1] = 1.0
         trapezoid = [(np.append(s, 0.0) + np.insert(s, 0, 0.0)) / 2.0 for s in arrays[1:]]
         weights = np.concatenate([spec.eta * trapezoid[0], (1.0 - spec.eta) * trapezoid[1]]) / np.pi
-        counts = np.full(d, 2.0)
-        counts[d - n % 2 :] = 1.0
         bands = (slice(None, g), slice(g, None))
         gram = np.concatenate([(basis[:, b] * weights[b]) @ basis[:, b].T for b in bands], axis=1)
-        arrays += [basis, weights, counts, gram]
+        arrays += [basis, weights, gram]
         sums = [math.fsum(weights[b].tolist()) for b in bands]
     for a in arrays:
         a.flags.writeable = False  # shared by every caller of the cache
@@ -201,7 +196,7 @@ def _gram_lower_bounds(spec: FilterSpec, rows) -> np.ndarray:
     sum w(1 - |A|)^2 = W_p - 2 sum w|A| + q_p is at least
     (sqrt(W_p) - sqrt(q_p))^2, whichever root is larger. Their sum L costs
     D x D work per row. Let u be the unit roundoff, N the tap count, D the free
-    taps, s = ||x||_1 and e as in _gamma_lower_bounds.
+    taps, s = ||x||_1 and e = (6N + 8) * u * 2s as in _gamma_lower_bounds.
     - The exact cost errs from the true gamma by at most 4e*sqrt(gamma) + 4e^2
       + (2*grid + 8) * u * gamma (_gamma_lower_bounds' bullets). gamma less
       that bound grows with gamma wherever it is positive, and the true gamma
@@ -221,7 +216,7 @@ def _gram_lower_bounds(spec: FilterSpec, rows) -> np.ndarray:
     computed L throughout. A row with an inf or NaN tap, or one whose form
     overflows, gets NaN or -inf.
     """
-    *_, counts, gram, w_pass, w_stop = _bases(spec)
+    *_, gram, w_pass, w_stop = _bases(spec)
     rows = np.asarray(rows, dtype=float)
     n, d, u = spec.n_coeff, spec.free_dimension, _UNIT_ROUNDOFF
     # overflow, inf - inf and 0 / 0 only make a bound NaN or -inf (fmin skips
@@ -232,8 +227,8 @@ def _gram_lower_bounds(spec: FilterSpec, rows) -> np.ndarray:
         q_pass, q_stop = np.maximum(forms.sum(axis=2), 0.0).T
         root = np.sqrt(q_pass)
         bound = (math.sqrt(w_pass) - root) ** 2 + q_stop
-        e = (6 * n + 8) * u * (np.abs(rows) @ counts)
         s = np.abs(rows).sum(axis=1)
+        e = (6 * n + 8) * u * 2.0 * s
         eps = 4.0 * (math.pi * (n - 1) + 2 * d + 6 + spec.grid_points) * u * s * s
         eps_pass = w_pass * eps
         delta = 4.0 * u * (1.0 + root) + np.fmin(np.sqrt(eps_pass), eps_pass / root)
@@ -247,7 +242,8 @@ def _gamma_lower_bounds(spec: FilterSpec, rows) -> np.ndarray:
 
     The rows are scored as |X @ A| in one product, on the same grid and
     trapezoid weights as the exact cost, then a margin is taken off. Let u be
-    the unit roundoff, N the tap count and e = (6N + 8) * u * ||taps||_1.
+    the unit roundoff, N the tap count and e = (6N + 8) * u * 2||x||_1 for the
+    row x, at least (6N + 8) * u * ||taps||_1 (equal for even N).
     - Each computed magnitude is within e of the true |H(w)| on the computed w:
       an entry of either basis errs by at most (pi*(N - 1) + 2) * u times its
       tap's share of ||taps||_1 (its phase w*n is rounded once), the product's
@@ -265,7 +261,7 @@ def _gamma_lower_bounds(spec: FilterSpec, rows) -> np.ndarray:
     screen's gamma in place of the exact one. A row with an inf or NaN tap, or
     one whose margin overflows, gets NaN or -inf.
     """
-    _, _, _, basis, weights, counts, *_ = _bases(spec)
+    _, _, _, basis, weights, *_ = _bases(spec)
     rows = np.asarray(rows, dtype=float)
     grid = spec.grid_points
     u = _UNIT_ROUNDOFF
@@ -276,7 +272,7 @@ def _gamma_lower_bounds(spec: FilterSpec, rows) -> np.ndarray:
         np.subtract(1.0, amp[:, :grid], out=amp[:, :grid])
         np.square(amp, out=amp)
         gamma = amp @ weights
-        e = (6 * spec.n_coeff + 8) * u * (np.abs(rows) @ counts)
+        e = (6 * spec.n_coeff + 8) * u * 2.0 * np.abs(rows).sum(axis=1)
         rounding = 2 * (2 * grid + 8) * u * gamma
         return gamma - _SCREEN_SAFETY * (4.0 * e * np.sqrt(gamma) + 4.0 * e * e + rounding)
 

@@ -27,6 +27,7 @@ from itertools import repeat
 
 import numpy as np
 
+from . import filters
 from .engine import Swarm, SwarmConfig, run
 from .filters import FilterSpec, evaluate_filter, make_filter_objective
 from .objectives import BENCHMARK_NAMES, Objective, check_int, check_real, make_benchmark
@@ -255,11 +256,8 @@ def emit_plot(traces, *, title: str = "") -> str:
 
 def emit_response_plot(h, *, title: str = "") -> str:
     """Magnitude response SVG text: 20*log10|H| (floor -120 dB) at 1025 omega/pi points."""
-    # looked up at call time: the benchmark tracer patches filters.fir_response_magnitude
-    from .filters import fir_response_magnitude
-
     w = np.linspace(0.0, math.pi, 1025)
-    mag = fir_response_magnitude(h, w)
+    mag = filters.fir_response_magnitude(h, w)
     db = 20.0 * np.log10(np.maximum(mag, 1e-6))
     return line_plot(
         [(list(w / math.pi), list(db))],

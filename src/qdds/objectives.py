@@ -116,16 +116,9 @@ def sphere(x):
     return np.add.reduce(x * x, -1)
 
 
-@functools.lru_cache(maxsize=32)
-def _griewank_roots(n: int) -> np.ndarray:
-    roots = np.sqrt(np.arange(1, n + 1, dtype=float))
-    roots.flags.writeable = False  # one array shared by every call at this n
-    return roots
-
-
 @_row_form
 def griewank(x):
-    cosines = np.cos(x / _griewank_roots(x.shape[-1]))
+    cosines = np.cos(x / np.sqrt(np.arange(1.0, x.shape[-1] + 1)))
     return 1.0 + np.add.reduce(x * x, -1) / 4000.0 - np.multiply.reduce(cosines, -1)
 
 

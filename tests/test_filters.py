@@ -160,23 +160,27 @@ class TestResponseMagnitude:
         assert np.allclose(fir_response_magnitude([1.0], w), 1.0)
 
     def test_two_tap_dc(self):
-        assert fir_response_magnitude([0.5, 0.5], 0.0) == pytest.approx(1.0, abs=1e-15)
+        out = fir_response_magnitude([0.5, 0.5], np.array([0.0]))
+        assert out == pytest.approx([1.0], abs=1e-15)
 
     def test_two_tap_nyquist(self):
-        assert fir_response_magnitude([0.5, 0.5], math.pi) == pytest.approx(0.0, abs=1e-15)
+        out = fir_response_magnitude([0.5, 0.5], np.array([math.pi]))
+        assert out == pytest.approx([0.0], abs=1e-15)
 
-    def test_scalar_omega_returns_float(self):
-        out = fir_response_magnitude([1.0, 0.5], 0.7)
-        assert isinstance(out, float)
+    def test_omega_must_be_a_1d_array(self):
+        with pytest.raises(ValueError, match="1-D array"):
+            fir_response_magnitude([1.0, 0.5], 0.7)
+        with pytest.raises(ValueError, match="1-D array"):
+            fir_response_magnitude([1.0, 0.5], np.full((2, 3), 0.7))
 
     def test_rejects_omega_out_of_range(self):
         with pytest.raises(ValueError):
-            fir_response_magnitude([1.0], -0.1)
+            fir_response_magnitude([1.0], np.array([-0.1]))
         with pytest.raises(ValueError):
-            fir_response_magnitude([1.0], math.pi + 0.1)
+            fir_response_magnitude([1.0], np.array([math.pi + 0.1]))
         # a NaN fails every comparison, so the range check must not pass it
         with pytest.raises(ValueError):
-            fir_response_magnitude([1.0, 0.5], math.nan)
+            fir_response_magnitude([1.0, 0.5], np.array([math.nan]))
         with pytest.raises(ValueError):
             fir_response_magnitude([1.0, 0.5], np.array([0.0, math.nan, 1.0]))
 
@@ -188,11 +192,12 @@ class TestResponseMagnitude:
         for n in (257, 513, 1025, ATTENUATION_GRID, ATTENUATION_GRID + 1):
             w = np.linspace(0.0, math.pi, n)
             assert np.array_equal(fir_response_magnitude(h, w), direct_response(h, w))
-        assert fir_response_magnitude(h, 0.7) == float(direct_response(h, np.asarray(0.7)))
+        w = np.array([0.7])
+        assert np.array_equal(fir_response_magnitude(h, w), direct_response(h, w))
 
     @given(coeff_vectors)
     def test_dc_equals_abs_coefficient_sum(self, h):
-        assert fir_response_magnitude(h, 0.0) == pytest.approx(
+        assert fir_response_magnitude(h, np.array([0.0]))[0] == pytest.approx(
             abs(float(np.sum(h))), rel=1e-12, abs=1e-9
         )
 
@@ -400,7 +405,7 @@ class TestObjectiveWrapper:
     def test_cached_bases_are_read_only(self):
         spec = FilterSpec(n_coeff=9, grid_points=64)
         *arrays, w_pass, w_stop = filters._bases(spec)
-        assert len(arrays) == 7 and isinstance(w_pass, float) and isinstance(w_stop, float)
+        assert len(arrays) == 6 and isinstance(w_pass, float) and isinstance(w_stop, float)
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
@@ -589,7 +594,7 @@ class TestLowerBounds:
         for n_coeff in (9, 10):
             spec = FilterSpec(n_coeff=n_coeff, grid_points=64, eta=0.3)
             x = np.random.default_rng(n_coeff).uniform(-1.0, 1.0, spec.free_dimension)
-            _, _, _, basis, weights, _, gram, w_pass, w_stop = filters._bases(spec)
+            _, _, _, basis, weights, gram, w_pass, w_stop = filters._bases(spec)
             squares = weights * (x @ basis) ** 2
             grid = spec.grid_points
             assert gram.shape == (spec.free_dimension, 2 * spec.free_dimension)

@@ -642,7 +642,7 @@ class TestRunExperiment:
         # one record, with the screens' part for a symmetric spec only
         assert filters._bases.cache_info().misses == 1
         _, spec = harness.build_problem(cfg)
-        assert len(filters._bases(spec)) == (9 if symmetric else 3)
+        assert len(filters._bases(spec)) == (8 if symmetric else 3)
         # the attenuation grid's basis is built one block at a time
         block = filters._RESPONSE_BLOCK
         attenuation = [block] * (filters.ATTENUATION_GRID // block)
