@@ -69,11 +69,12 @@ def delta_of_r(r, k):
 def _initial_z(delta):
     # asymptotics: exp(z) dominates for large positive delta, -5exp(-z)
     # for large negative; near zero the map linearizes to 8z
-    return np.where(
-        delta >= 8.0,
-        np.log(np.maximum(delta, 8.0)),
-        np.where(delta <= -8.0, -np.log(np.maximum(-delta, 8.0) / 5.0), delta / 8.0),
-    )
+    z = delta / 8.0
+    big = delta >= 8.0
+    z[big] = np.log(delta[big])
+    small = delta <= -8.0
+    z[small] = -np.log(-delta[small] / 5.0)
+    return z
 
 
 def solve_r_batch(deltas, k, tol=1e-12):
@@ -84,7 +85,8 @@ def solve_r_batch(deltas, k, tol=1e-12):
     A Newton step that leaves the bracket or is not finite falls back to
     bisection; one that stays inside is kept however little it shrinks
     the bracket, so an element can still be unsolved at the 200-round
-    cap. tol is relative in delta (absolute near zero).
+    cap. So z always lies in [lo, hi], and each round moves one bracket
+    end to it. tol is relative in delta (absolute near zero).
 
     Each element iterates on its own and leaves the working set in the
     round its residual meets tol, so no result depends on the batch.
@@ -120,10 +122,10 @@ def solve_r_batch(deltas, k, tol=1e-12):
         emz5 = 5.0 * np.exp(-z)
         f = ez - emz5 + 2.0 * z + 4.0 - target
         conv = np.abs(f) <= atol
-        # tighten the bracket around the increasing root
+        # tighten the bracket around the increasing root, z lying inside it
         pos = f > 0.0
-        np.minimum(hi, z, out=hi, where=pos)
-        np.maximum(lo, z, out=lo, where=~pos)
+        np.putmask(hi, pos, z)
+        np.putmask(lo, ~pos, z)
         z_newton = z - f / (ez + emz5 + 2.0)
         if np.count_nonzero(conv):
             z_out[at[conv]] = z[conv]
@@ -164,11 +166,11 @@ def delta_update_arrays(delta_prev, delta_prev2, theta, lam):
 
     Works elementwise over matching-shape histories. The gradient
     surrogate is the discrete difference grad = delta_prev - delta_prev2.
-    When delta_prev escapes the band (0.5*delta_prev2, 2*delta_prev2)
-    the update nudges it by -theta*grad*lam with the sign arranged per
-    escape direction; in-band (or zero-gradient) histories pass through
-    unchanged. Branches are checked in fixed order, first match wins,
-    which matters when delta_prev2 < 0 flips the band inequalities.
+    Above the band (delta_prev > 2*delta_prev2) the update returns
+    delta_prev - theta*|grad|*lam, below it (delta_prev < 0.5*delta_prev2)
+    delta_prev + theta*|grad|*lam; in-band (or zero-gradient) histories
+    pass through unchanged. Above wins where delta_prev2 < 0 puts
+    delta_prev past both band edges at once.
 
     Returns (delta_new, branch_fired) where branch_fired marks elements
     on which some escape branch applied (its complement counts the
@@ -177,13 +179,7 @@ def delta_update_arrays(delta_prev, delta_prev2, theta, lam):
     dp = np.asarray(delta_prev, dtype=float)
     dp2 = np.asarray(delta_prev2, dtype=float)
     grad = dp - dp2
-    step = theta * grad * lam
     above = dp > 2.0 * dp2
-    below = dp < 0.5 * dp2
-    rising = grad > 0.0
-    falling = grad < 0.0
-    minus = np.where(above, rising, below & falling)
-    plus = np.where(above, falling, below & rising)
-    out = np.where(plus, dp + step, dp)
-    np.subtract(dp, step, out=out, where=minus)
-    return out, minus | plus
+    fired = (above | (dp < 0.5 * dp2)) & (grad != 0.0)
+    step = theta * np.abs(grad) * lam
+    return np.where(fired, np.where(above, dp - step, dp + step), dp), fired

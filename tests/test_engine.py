@@ -21,7 +21,7 @@ from qdds.engine import (
     step,
 )
 from qdds.filters import FilterSpec, make_filter_objective
-from qdds.harness import _swarm_config, build_problem
+from qdds.harness import ExperimentConfig, _swarm_config, build_problem, run_trial
 from qdds.objectives import BENCHMARK_NAMES, Objective, make_benchmark, sphere
 from qdds.presets import PRESETS
 from qdds.well import (
@@ -1071,3 +1071,39 @@ class TestRun:
         # the two-deep window shifts once per particle, then freezes
         touched = ~np.all(swarm.delta_prev2 == init_swarm(cfg, obj).delta_prev2, axis=1)
         assert np.array_equal(swarm.delta_prev2[touched], initial_prev[touched])
+
+
+class TestSweepCollapse:
+    """Why sweep mode misses three reproduction bounds (the README's known
+    failures): at the drawn step scale an update only contracts onto gbest,
+    and a step scale past 1 lets the swarm explore. Sweep sphere d10 p20,
+    seeds [2023, t], as criterion 6 runs it."""
+
+    def experiment(self, **kwargs):
+        return ExperimentConfig(
+            objective="sphere",
+            dimension=10,
+            population=20,
+            iterations=250,
+            trials=10,
+            master_seed=2023,
+            mode="sweep",
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_drawn_lam_collapses_by_iteration_40(self, trial):
+        exp = self.experiment()
+        obj, _ = build_problem(exp)
+        cfg = _swarm_config(exp, obj, trial)
+        lo, hi = cfg.effective_init_range()
+        swarm = init_swarm(cfg, obj)
+        while len(swarm.trace) < 40:
+            step(swarm, obj)
+        spread = np.median(np.linalg.norm(swarm.positions - swarm.best_solution, axis=1))
+        assert spread < 1e-6 * (hi - lo)
+
+    def test_lam_3_meets_the_sphere_bound(self):
+        exp = self.experiment(lam=3.0)
+        mean = np.mean([run_trial(exp, t).best_cost for t in range(exp.trials)])
+        assert mean <= 0.1

@@ -172,11 +172,14 @@ class TestKernelsMatchReference:
             solve_r_batch(d, 5.0, tol=-1.0), solve_r_batch_reference(d, 5.0, tol=-1.0)
         )
 
-    def test_solve_edges_in_one_batch(self):
+    @pytest.mark.parametrize("tol", [1e-12, 0.0, -1.0])
+    def test_solve_edges_in_one_batch(self, tol):
         d = np.array(EDGE_DELTAS * 2).reshape(6, 6)
         k = np.linspace(0.5, 6.0, 6)
-        assert_bytes_equal(solve_r_batch(d, k), solve_r_batch_reference(d, k))
-        assert_bytes_equal(solve_r_batch(d[0, 0], 5.0), solve_r_batch_reference(d[0, 0], 5.0))
+        assert_bytes_equal(solve_r_batch(d, k, tol), solve_r_batch_reference(d, k, tol))
+        assert_bytes_equal(
+            solve_r_batch(d[0, 0], 5.0, tol), solve_r_batch_reference(d[0, 0], 5.0, tol)
+        )
 
     @pytest.mark.parametrize("tol", [0.0, -1.0])
     def test_solve_counts_fallbacks(self, tol):
@@ -195,6 +198,15 @@ class TestKernelsMatchReference:
     def test_gate(self, pairs, theta, lam):
         dp = np.array([a for a, _ in pairs], dtype=float)
         dp2 = np.array([b for _, b in pairs], dtype=float)
+        got = delta_update_arrays(dp, dp2, theta, lam)
+        assert_bytes_equal(got, delta_update_arrays_reference(dp, dp2, theta, lam))
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("lam", [0.0, -0.0, 1e-3, -1e-3, LAM_MAX, -LAM_MAX])
+    def test_gate_edge_grid(self, theta, lam):
+        # every pair of edge deltas and in-band, out-of-band and huge ones
+        values = EDGE_DELTAS + [s * v for v in (1.0, 2.5, 0.4, 1e300) for s in (1, -1)]
+        dp, dp2 = np.meshgrid(values, values)
         got = delta_update_arrays(dp, dp2, theta, lam)
         assert_bytes_equal(got, delta_update_arrays_reference(dp, dp2, theta, lam))
 
