@@ -21,8 +21,8 @@ call; any other, and a row still below the best after every bound, is
 evaluated one row at a time, only on the rows taken, so it never sees a
 discarded point, and the run keeps every bit.
 
-All randomness flows from one numpy Generator seeded by the config, so
-identical (config, objective, seed) produce bitwise identical runs.
+All randomness flows from one Generator seeded by the config, which init_swarm
+spends and drops, so equal (config, objective, seed) give bitwise equal runs.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class SwarmConfig:
     particle: "post" (default) re-derives delta from the blended
     position, keeping delta_prev = delta(position) invariant; "pre"
     stores the gate's output delta directly, which keeps raw positions
-    frozen when lam = 0. lambda_abs forces the per-run lam draw to be
-    non-negative (a negative lam inverts the band push-back direction).
+    frozen when lam = 0. lambda_abs runs with |lam|, drawn or configured
+    (a negative lam inverts the band push-back direction).
 
     The well constants: k is the stiffness, finite and positive (the
     state map is strictly increasing only then); epsilon is the
@@ -170,7 +170,6 @@ class Swarm:
     best_solution: np.ndarray
     eval_count: int
     lam: float
-    rng: np.random.Generator
     waves: list[tuple]
     events: dict[str, int] = field(
         default_factory=lambda: {"in_band": 0, "solver_fallback": 0, "guard_clamp": 0}
@@ -195,20 +194,19 @@ def init_swarm(config: SwarmConfig, objective: Objective) -> Swarm:
     """
     rng = np.random.default_rng(config.seed)
     lam = float(rng.normal(0.0, 0.5) * 1e-3) if config.lam is None else config.lam
-    if config.lambda_abs:
-        lam = abs(lam)
+    lam = abs(lam) if config.lambda_abs else lam
     lo, hi = config.effective_init_range()
-    r1, r2 = rng.uniform(lo, hi, (2, config.population, objective.dimension))
+    r1, r2 = r = rng.uniform(lo, hi, (2, config.population, objective.dimension))
+    delta_prev2, delta_prev = delta_of_r(r, config.k)
     swarm = Swarm(
         config=config,
-        positions=r2.copy(),
-        delta_prev=delta_of_r(r2, config.k),
-        delta_prev2=delta_of_r(r1, config.k),
+        positions=r2,
+        delta_prev=delta_prev,
+        delta_prev2=delta_prev2,
         best_cost=math.inf,
         best_solution=r1[0].copy(),
         eval_count=0,
         lam=lam,
-        rng=rng,
         waves=_plan(config, rng),
     )
     # rows 1 and 2 close the two sweeps; row 3, with no evaluation, opens the optimization

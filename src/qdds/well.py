@@ -61,9 +61,7 @@ def delta_of_r(r, k):
             f"|2*k*r| exceeds the overflow guard {EXP_ARG_LIMIT} for r={r!r}, k={k!r}"
         )
     out = _z_forward(z)
-    if np.isscalar(r) or np.ndim(r) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(r) == 0 else out
 
 
 def _initial_z(delta):
@@ -77,7 +75,11 @@ def _initial_z(delta):
     return z
 
 
-def solve_r_batch(deltas, k, tol=1e-12):
+# a solve stops at |residual| <= SOLVE_TOL * max(1, |delta|): relative, absolute near 0
+SOLVE_TOL = 1e-12
+
+
+def solve_r_batch(deltas, k):
     """Vectorized inverse of the state map with a bisection safeguard.
 
     Newton iterations on f(z) = exp(z) - 5 exp(-z) + 2z + 4 - delta in
@@ -85,11 +87,10 @@ def solve_r_batch(deltas, k, tol=1e-12):
     A Newton step that leaves the bracket or is not finite falls back to
     bisection; one that stays inside is kept however little it shrinks
     the bracket, so an element can still be unsolved at the 200-round
-    cap. So z always lies in [lo, hi], and each round moves one bracket
-    end to it. tol is relative in delta (absolute near zero).
+    cap. So z always lies in [lo, hi], and each round moves one bracket end to it.
 
     Each element iterates on its own and leaves the working set in the
-    round its residual meets tol, so no result depends on the batch.
+    round its residual meets SOLVE_TOL, so no result depends on the batch.
 
     k may be a scalar or an array broadcastable to deltas' shape.
 
@@ -99,7 +100,7 @@ def solve_r_batch(deltas, k, tol=1e-12):
         Solutions where solvable, 0.0 placeholder elsewhere.
     solved : ndarray of bool
         False where delta lies outside [DELTA_MIN, DELTA_MAX] and where
-        the residual still exceeds tol after the 200-round cap.
+        the residual still exceeds SOLVE_TOL after the 200-round cap.
     fallback_count : int
         Number of elements whose solve needed at least one bisection
         substitution.
@@ -112,7 +113,7 @@ def solve_r_batch(deltas, k, tol=1e-12):
     target = flat[at]
     z = np.minimum(np.maximum(_initial_z(target), -EXP_ARG_LIMIT), EXP_ARG_LIMIT)
     lo, hi = np.full((2, at.size), [[-EXP_ARG_LIMIT], [EXP_ARG_LIMIT]])
-    atol = tol * np.maximum(1.0, np.abs(target))
+    atol = SOLVE_TOL * np.maximum(1.0, np.abs(target))
     z_out = np.zeros_like(flat)
     fell_back = np.zeros(flat.shape, dtype=bool)
     for _ in range(200):

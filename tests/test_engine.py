@@ -93,12 +93,13 @@ def scripted(costs, mark=None):
 
 def counted(objective):
     """(objective, calls): objective behind a functools.wraps wrapper, which
-    keeps its marks, appending each point it is called on to calls."""
+    keeps its marks, appending a copy of each point it is called on to calls
+    (init_swarm's r2 rows are the positions that step later moves)."""
     calls = []
 
     @functools.wraps(objective.evaluate)
     def evaluate(x):
-        calls.append(x)
+        calls.append(x.copy())
         return objective.evaluate(x)
 
     return replace(objective, evaluate=evaluate), calls
@@ -133,7 +134,6 @@ def assert_same_run(a, b):
     assert a.trace == b.trace
     assert a.events == b.events
     assert a.eval_count == b.eval_count
-    assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
 def per_row(objective):
@@ -147,6 +147,11 @@ def _initial_draws(cfg):
     rng.normal(0.0, 0.5)  # the lam draw comes first
     lo, hi = cfg.init_range
     return rng.uniform(lo, hi, (2, cfg.population, DIM))
+
+
+def wave_bytes(waves):
+    """Every array of every wave, as bytes, to compare two plans bit for bit."""
+    return [tuple(array.tobytes() for array in wave) for wave in waves]
 
 
 class TestSwarmConfig:
@@ -274,10 +279,8 @@ class TestInit:
         assert swarm.positions.tobytes() == r2.tobytes()
         assert swarm.delta_prev.tobytes() == delta_of_r(r2, cfg.k).tobytes()
         assert swarm.delta_prev2.tobytes() == delta_of_r(r1, cfg.k).tobytes()
-        for _ in range(cfg.max_iter - 3):  # the planned picks and rhos come next
-            rng.integers(cfg.population)
-            rng.random()
-        assert swarm.rng.bit_generator.state == rng.bit_generator.state
+        # the plan comes next, from the generator those draws left
+        assert wave_bytes(swarm.waves) == wave_bytes(engine._plan(cfg, rng))
 
     def test_degenerate_range_pins_histories(self):
         cfg = config(init_range=(0.1, 0.1))
@@ -362,9 +365,18 @@ class TestInit:
         assert swarm.lam == -0.25
 
     def test_lambda_abs_flips_negative_lam(self):
-        cfg = config(lam=-0.25, max_iter=20, lambda_abs=True)
-        swarm = init_swarm(cfg, make_benchmark("sphere", DIM))
-        assert swarm.lam == 0.25
+        # the flag folds a given lam too: the run is the lam=2.0 run
+        obj = make_benchmark("rastrigin", DIM)
+        folded = run(config(lam=-2.0, lambda_abs=True), obj)
+        assert folded.lam == 2.0
+        assert_same_run(folded, run(config(lam=2.0), obj))
+
+    def test_lambda_abs_folds_a_drawn_lam(self):
+        obj = make_benchmark("sphere", DIM)
+        drawn = [init_swarm(config(seed=s), obj).lam for s in range(8)]
+        folded = [init_swarm(config(seed=s, lambda_abs=True), obj).lam for s in range(8)]
+        assert min(drawn) < 0.0 < max(drawn)  # both signs drawn
+        assert folded == [abs(lam) for lam in drawn]
 
     @pytest.mark.parametrize(
         "costs",
@@ -538,9 +550,9 @@ class TestInit:
 
 # Reference oracle for step: the per-iteration loop the engine ran before it
 # batched the gate, the solve and the rebind over a wave's rows and planned
-# the schedule up front. It draws as it goes, from a swarm whose rng is
-# _init_rng's.
-def _update_particle_reference(swarm, objective, p, theta):
+# the schedule up front. It draws as it goes, from its own generator in
+# _init_rng's state.
+def _update_particle_reference(swarm, objective, p, theta, rho):
     cfg = swarm.config
     dp = swarm.delta_prev[p]
     dp2 = swarm.delta_prev2[p]
@@ -551,7 +563,6 @@ def _update_particle_reference(swarm, objective, p, theta):
     swarm.events["guard_clamp"] += int((~solved).sum())
     r_raw = np.where(solved, r_raw, swarm.positions[p])
     delta_new = np.where(solved, delta_new, dp)
-    rho = float(swarm.rng.uniform())
     blended = blend_with_gbest(r_raw, swarm.best_solution, rho)
     cost = objective.evaluate(blended)
     swarm.eval_count += 1
@@ -566,30 +577,29 @@ def _update_particle_reference(swarm, objective, p, theta):
         swarm.delta_prev[p] = delta_new
 
 
-def step_reference(swarm, objective):
+def step_reference(swarm, objective, rng):
     cfg = swarm.config
     theta = learning_rate(len(swarm.trace), cfg.max_iter, cfg.epsilon)
     if cfg.mode == "literal":
-        indices = [int(swarm.rng.integers(cfg.population))]
+        indices = [int(rng.integers(cfg.population))]
     else:
         indices = range(cfg.population)
     for p in indices:
-        _update_particle_reference(swarm, objective, p, theta)
+        _update_particle_reference(swarm, objective, p, theta, float(rng.uniform()))
     swarm.trace.append((len(swarm.trace) + 1, swarm.best_cost, swarm.eval_count))
 
 
-def step_both(swarm, ref, objective):
-    """One step, then the reference iterations up to the wave's end."""
+def step_both(swarm, ref, rng, objective):
+    """One step, then the reference iterations, drawing from rng, up to the wave's end."""
     step(swarm, objective)
     while len(ref.trace) < len(swarm.trace):
-        step_reference(ref, objective)
+        step_reference(ref, objective, rng)
 
 
 def reference_pair(cfg, objective):
-    """A swarm and its reference, which draws from its own rng."""
+    """A swarm, its reference and the generator the reference draws from."""
     swarm, ref = init_swarm(cfg, objective), init_swarm(cfg, objective)
-    ref.rng = _init_rng(cfg, objective.dimension)
-    return swarm, ref
+    return swarm, ref, _init_rng(cfg, objective.dimension)
 
 
 def assert_same_swarm(a, b):
@@ -600,10 +610,6 @@ def assert_same_swarm(a, b):
     assert a.trace == b.trace
     assert a.events == b.events
     assert a.eval_count == b.eval_count
-    # the planned swarm drew every pick and rho up front: the reference
-    # catches up only at the end of the run
-    if len(a.trace) == a.config.max_iter:
-        assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
 def assert_wave_arrays(waves):
@@ -629,9 +635,9 @@ class TestStepMatchesReference:
             mode=mode, rebind=rebind, seed=seed, population=6, max_iter=60
         )
         obj = make_benchmark(function, 5)
-        swarm, ref = reference_pair(cfg, obj)
+        swarm, ref, rng = reference_pair(cfg, obj)
         while len(swarm.trace) < cfg.max_iter:
-            step_both(swarm, ref, obj)
+            step_both(swarm, ref, rng, obj)
             assert_same_swarm(swarm, ref)
         assert not swarm.waves
 
@@ -642,17 +648,42 @@ class TestStepMatchesReference:
         # pushes it past the solvable range, so it comes back unsolved
         cfg = config(mode=mode, rebind=rebind, lam=-1.0, seed=9)
         obj = make_benchmark("sphere", DIM)
-        swarm, ref = reference_pair(cfg, obj)
+        swarm, ref, rng = reference_pair(cfg, obj)
         for s in (swarm, ref):
             s.delta_prev[:, 0] = 0.9 * DELTA_MAX
             s.delta_prev2[:, 0] = 0.1 * DELTA_MAX
-        step_both(swarm, ref, obj)
+        step_both(swarm, ref, rng, obj)
         assert swarm.events["guard_clamp"] > 0
         assert_same_swarm(swarm, ref)
         while len(swarm.trace) < cfg.max_iter:
-            step_both(swarm, ref, obj)
+            step_both(swarm, ref, rng, obj)
             assert_same_swarm(swarm, ref)
         assert not swarm.waves
+
+
+class TestPlan:
+    """_plan consumes exactly the per-iteration draws: in literal mode one
+    integers(population), random() pair per iteration, in sweep mode one
+    random() per particle, in pick order."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "population, max_iter, seed",
+        [(5, 40, 3), (1, 20, [2023, 1]), (1000, 8, 6), (20, 250, [2023, 0])],
+    )
+    def test_plan_consumes_the_per_iteration_draws(self, mode, population, max_iter, seed):
+        cfg = config(mode=mode, population=population, max_iter=max_iter, seed=seed)
+        rng, ref = _init_rng(cfg), _init_rng(cfg)
+        waves = engine._plan(cfg, rng)[::-1]
+        if mode == "literal":
+            draws = [(int(ref.integers(population)), ref.random()) for _ in range(max_iter - 3)]
+        else:
+            draws = [(p, ref.random()) for _ in range(max_iter - 3) for p in range(population)]
+        assert np.concatenate([rows for rows, _, _ in waves]).tolist() == [p for p, _ in draws]
+        rhos = np.concatenate([rhos for _, _, rhos in waves])
+        assert rhos.tobytes() == np.array([w for _, w in draws]).tobytes()
+        # the generator, its buffered half-word included, ends where the draws left it
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestStep:
@@ -708,7 +739,6 @@ class TestStep:
             (int(rng.integers(cfg.population)), float(rng.uniform()))
             for _ in range(cfg.max_iter - 3)
         ]
-        assert swarm.rng.bit_generator.state == rng.bit_generator.state
         picks, rhos = [], []
         for p, rho in draws:
             if p in picks:
@@ -740,29 +770,27 @@ class TestStep:
 
     def test_wave_stops_at_max_iter(self):
         # 1000 particles make a repeat within 5 picks unlikely: the first wave
-        # is cut by max_iter, and no pick or rho is drawn past it
+        # is cut by max_iter (TestPlan: no pick or rho is drawn past it)
         cfg = config(population=1000, max_iter=8, seed=6)
         obj = make_benchmark("sphere", DIM)
         swarm = init_swarm(cfg, obj)
-        rng = _init_rng(cfg)
         step(swarm, obj)
         assert len(swarm.trace) == cfg.max_iter
         assert swarm.eval_count == 2 * cfg.population + cfg.max_iter - 3
         assert not swarm.waves
-        for _ in range(cfg.max_iter - 3):
-            rng.integers(cfg.population)
-            rng.uniform()
-        assert swarm.rng.bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("mode", ["literal", "sweep"])
-    def test_step_draws_nothing(self, mode):
+    def test_step_draws_nothing(self, mode, monkeypatch):
+        # the swarm keeps no generator, and step makes none
         cfg = config(mode=mode, seed=[2023, 4])
         obj = make_benchmark("rastrigin", DIM)
         swarm = init_swarm(cfg, obj)
-        state = swarm.rng.bit_generator.state
-        while len(swarm.trace) < cfg.max_iter:
+        assert not any(isinstance(v, np.random.Generator) for v in vars(swarm).values())
+        monkeypatch.setattr(np.random, "default_rng", None)
+        monkeypatch.setattr(np.random, "Generator", None)
+        while swarm.waves:
             step(swarm, obj)
-            assert swarm.rng.bit_generator.state == state
+        assert len(swarm.trace) == cfg.max_iter
 
     @pytest.mark.parametrize("seed", [3, [2023, 1]])
     def test_literal_waves_partition_the_run(self, seed):

@@ -19,7 +19,9 @@ from qdds.filters import (
     make_filter_objective,
     stopband_attenuation_db,
 )
-from qdds.harness import ExperimentConfig, run_experiment
+from qdds.engine import SwarmConfig, run
+from qdds.harness import ExperimentConfig, build_problem, run_experiment
+from qdds.presets import PRESETS
 from qdds.validate import (
     REFERENCE_DELTA_DB_20,
     REFERENCE_HALF_10,
@@ -607,6 +609,48 @@ class TestLowerBounds:
             assert [w_pass, w_stop] == pytest.approx(
                 [weights[:grid].sum(), weights[grid:].sum()], rel=1e-15
             )
+
+
+def least_squares_design(name):
+    """(objective, gamma at x, surrogate at x) for the free taps x that minimize
+    the surrogate sum w(t - xA)^2 on the preset's cached _bases record, with the
+    target t 1 on the passband and 0 on the stopband: a weighted linear least
+    squares problem. Since (1 - |A|)^2 <= (1 - A)^2, the least gamma is at most
+    this minimum."""
+    objective, spec = build_problem(PRESETS[name])
+    _, _, _, basis, weights, *_ = filters._bases(spec)
+    target = np.repeat([1.0, 0.0], spec.grid_points)
+    root = np.sqrt(weights)
+    x = np.linalg.lstsq((basis * root).T, target * root, rcond=None)[0]
+    return objective, objective.evaluate(x), float(np.sum(weights * (target - x @ basis) ** 2))
+
+
+class TestLeastSquaresYardstick:
+    """The closed-form design is the yardstick a FIR result is measured by."""
+
+    @pytest.mark.parametrize(
+        "name, gamma_ls, reference, reference_gamma",
+        [
+            ("fir-10", 1.617e-4, REFERENCE_HALF_10, 2.12e-2),
+            ("fir-20", 4.162e-7, REFERENCE_HALF_20, 6.43e-2),
+        ],
+    )
+    def test_gamma_is_the_surrogate_minimum(self, name, gamma_ls, reference, reference_gamma):
+        objective, gamma, surrogate = least_squares_design(name)
+        # its amplitude stays positive on the passband, so |A| = A there
+        assert gamma == pytest.approx(surrogate, rel=1e-12, abs=0.0)
+        assert float(f"{gamma:.4g}") == gamma_ls
+        reference_cost = objective.evaluate(np.asarray(reference))
+        assert float(f"{reference_cost:.3g}") == reference_gamma
+        assert gamma < reference_cost
+
+    def test_below_a_short_qdds_run(self):
+        # p50, 60 iterations: a best gamma of about 3.5e-2
+        objective, gamma, _ = least_squares_design("fir-10")
+        cfg = SwarmConfig(
+            population=50, init_range=objective.init_range, seed=[2023, 0], max_iter=60
+        )
+        assert gamma < run(cfg, objective).best_cost
 
 
 class TestCoefficientFiles:

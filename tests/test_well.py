@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qdds import well
 from qdds.engine import SwarmConfig
 from qdds.validate import confinement_integral
 from qdds.well import (
@@ -155,6 +156,13 @@ def assert_bytes_equal(got, want):
             assert a == b
 
 
+def solve_at(tol, deltas, k):
+    """solve_r_batch with its module tolerance SOLVE_TOL set to tol."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(well, "SOLVE_TOL", tol)
+        return solve_r_batch(deltas, k)
+
+
 # NaN and infinite inputs warn in the kernels and the oracles alike
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestKernelsMatchReference:
@@ -168,24 +176,22 @@ class TestKernelsMatchReference:
     @given(d=delta_arrays)
     def test_solve_round_cap(self, d):
         # tol = -1 is never met: every solvable element runs all 200 rounds
-        assert_bytes_equal(
-            solve_r_batch(d, 5.0, tol=-1.0), solve_r_batch_reference(d, 5.0, tol=-1.0)
-        )
+        assert_bytes_equal(solve_at(-1.0, d, 5.0), solve_r_batch_reference(d, 5.0, tol=-1.0))
 
     @pytest.mark.parametrize("tol", [1e-12, 0.0, -1.0])
     def test_solve_edges_in_one_batch(self, tol):
         d = np.array(EDGE_DELTAS * 2).reshape(6, 6)
         k = np.linspace(0.5, 6.0, 6)
-        assert_bytes_equal(solve_r_batch(d, k, tol), solve_r_batch_reference(d, k, tol))
+        assert_bytes_equal(solve_at(tol, d, k), solve_r_batch_reference(d, k, tol))
         assert_bytes_equal(
-            solve_r_batch(d[0, 0], 5.0, tol), solve_r_batch_reference(d[0, 0], 5.0, tol)
+            solve_at(tol, d[0, 0], 5.0), solve_r_batch_reference(d[0, 0], 5.0, tol)
         )
 
     @pytest.mark.parametrize("tol", [0.0, -1.0])
     def test_solve_counts_fallbacks(self, tol):
         # an exact tolerance lets Newton stall on a bracket end and bisect
         d = np.array([0.0, 3.0, -40.0, 1e200, DELTA_MAX, DELTA_MIN, 7.0])
-        got = solve_r_batch(d, 5.0, tol=tol)
+        got = solve_at(tol, d, 5.0)
         assert got[2] > 0
         assert_bytes_equal(got, solve_r_batch_reference(d, 5.0, tol=tol))
 
@@ -331,7 +337,7 @@ class TestROfDelta:
 
     def test_round_cap_reports_unsolved(self):
         # a negative tolerance is never met, so every element hits the cap
-        r, solved, _ = solve_r_batch(np.array([0.0, 3.0, -40.0]), 5.0, tol=-1.0)
+        r, solved, _ = solve_at(-1.0, np.array([0.0, 3.0, -40.0]), 5.0)
         assert solved.tolist() == [False, False, False]
         assert r.tolist() == [0.0, 0.0, 0.0]
 
